@@ -14,11 +14,10 @@ import os
 import re
 
 import numpy as np
-import sympy
 
 from . import rep
 from .errors import BadRelation, NotFiniteDimensional, ParseError
-from .ffmat import INT, Subspace, amod, zeros
+from .ffmat import INT, Subspace, amod, is_prime, zeros
 
 
 class Quiver:
@@ -105,7 +104,7 @@ class Algebra:
 
     def __init__(self, quiver, p, relations, name="", max_len=64, max_paths=200000):
         p = int(p)
-        if not sympy.isprime(p):
+        if not is_prime(p):
             raise ParseError("field size %d is not prime" % p)
         self.quiver = quiver
         self.p = p

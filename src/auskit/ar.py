@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 from . import ffmat, rep
-from .errors import CapExceeded, VerificationFailure
+from .errors import VerificationFailure
 from .ffmat import INT, zeros
 
 
@@ -25,7 +25,8 @@ def proj_cover(m):
             e = zeros(1, t.dims[v])[0]
             e[k] = 1
             x = ffmat.solve(onto.blocks[v], e, A.p)
-            assert x is not None
+            if x is None:
+                raise VerificationFailure("top vector does not lift to the module")
             verts.append(v)
             vecs.append(x)
     p0, incls, projs = rep.direct_sum(A, [A.proj(v) for v in verts])
@@ -239,28 +240,6 @@ def is_injective(m):
     return is_projective(dual(m))
 
 
-def _local_end_radical(y):
-    """Basis of rad End(Y) for indecomposable Y, by certified elimination."""
-    ed = rep.EndData(y)
-    p, d = ed.p, ed.dim
-    if p ** d <= 4096:
-        nonunits = []
-        for coeffs in itertools.product(range(p), repeat=d):
-            c = np.array(coeffs, dtype=INT)
-            f = ed.from_coords(c)
-            if not f.is_iso():
-                nonunits.append(c)
-        sub = ffmat.Subspace(np.array(nonunits, dtype=INT).reshape(-1, d), d, p)
-        if p ** sub.dim != len(nonunits):
-            raise VerificationFailure("endomorphism ring is not local")
-        return [ed.from_coords(row) for row in sub.B], ed
-    mats = [ed.total_matrix(f) for f in ed.basis]
-    nil = rep._max_nil_ideal(ed, mats)
-    if nil is None or nil.dim != d - 1:
-        raise CapExceeded("cannot certify the radical of a large endomorphism ring")
-    return [ed.from_coords(row) for row in nil.B], ed
-
-
 def _omega_endo(ed, phi):
     """Restriction to Omega Y of a lift of phi in End(Y) along the cover."""
     ok, lift = rep.right_leq(phi.compose(ed.cover), ed.cover)
@@ -288,7 +267,8 @@ def min_right_almost_split(y):
     ed = ExtData(y, ty)
     if ed.dim == 0:
         raise VerificationFailure("no extensions of a non-projective by its translate")
-    radb, _ = _local_end_radical(y)
+    end, rad = rep.end_radical(y)
+    radb = [end.from_coords(row) for row in rad.B]
     oms = [_omega_endo(ed, phi) for phi in radb]
     reps_ = ed.class_reps()
     for coeffs in itertools.product(range(y.p), repeat=len(reps_)):

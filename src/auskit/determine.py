@@ -4,18 +4,15 @@ GammaHom carries the coordinate action of End(C) on Hom(C,Y) by
 precomposition.  Submodules are subspaces closed under that action; eta sends
 a morphism f ending in Y to the image of Hom(C, f).  Composition factors are
 labelled by the isomorphism classes of indecomposable summands of C, with the
-radical of End(C) certified by exhaustive unit testing in each hom block.
+radical of End(C) assembled block by block from the radicals that
+rep.decompose certified for each summand.
 """
-
-import itertools
 
 import numpy as np
 
 from . import ar, rep
-from .errors import CapExceeded, VerificationFailure
+from .errors import VerificationFailure
 from .ffmat import INT, Subspace, kernel, zeros
-
-ENUM_CAP = 4096  # largest p**dim hom block we will enumerate exhaustively
 
 
 def _rows_subspace(rows, n, p):
@@ -27,7 +24,8 @@ def factor_subspace(f, w, hom_wy):
     rows = []
     for u in rep.hom_space(w, f.src):
         coords = rep.morphism_coords(f.compose(u), hom_wy)
-        assert coords is not None
+        if coords is None:
+            raise VerificationFailure("map through f left Hom(W, Y)")
         rows.append(coords)
     return _rows_subspace(rows, len(hom_wy), f.p)
 
@@ -36,7 +34,8 @@ class GammaHom:
     """Hom(C, Y) with its right End(C)-action in fixed coordinates."""
 
     def __init__(self, c, y):
-        assert c.A is y.A
+        if c.A is not y.A:
+            raise VerificationFailure("C and Y are modules over different algebras")
         self.c, self.y = c, y
         self.p = c.p
         self.basis = rep.hom_space(c, y)
@@ -80,7 +79,8 @@ class GammaHom:
 
     def eta(self, f):
         """Image of Hom(C, f) as a submodule of Hom(C, Y)."""
-        assert f.tgt.key() == self.y.key()
+        if f.tgt.key() != self.y.key():
+            raise VerificationFailure("eta needs a map ending in Y")
         return factor_subspace(f, self.c, self.basis)
 
     def through_proj(self):
@@ -89,7 +89,8 @@ class GammaHom:
         rows = []
         for h in rep.hom_space(self.c, p0):
             coords = rep.morphism_coords(cover.compose(h), self.basis)
-            assert coords is not None
+            if coords is None:
+                raise VerificationFailure("map through the cover left Hom(C, Y)")
             rows.append(coords)
         return _rows_subspace(rows, self.n, self.p)
 
@@ -130,11 +131,9 @@ class GammaHom:
         for i, cl in enumerate(classes):
             for k in cl:
                 class_of[k] = i
-        for i, cl in enumerate(classes):
-            s0 = trips[cl[0]][0]
-            dend = len(rep.hom_space(s0, s0))
-            dnon = self._nonunit_dim(s0, s0)
-            residue.append(dend - dnon)
+        for cl in classes:
+            ed, rad = rep.end_radical(trips[cl[0]][0])
+            residue.append(ed.dim - rad.dim)
         for k in range(len(trips)):
             sk, _, projk = trips[k]
             for l in range(len(trips)):
@@ -150,16 +149,8 @@ class GammaHom:
                     rad_morphs.append(incll.compose(psi).compose(projk))
 
         # certify nilpotency of the candidate radical
-        if rad_morphs:
-            mats = [_total(m) for m in rad_morphs]
-            span = _matrix_span(mats, p)
-            cur = span
-            for _ in range(len(self.end) + 1):
-                if cur.dim == 0:
-                    break
-                cur = _span_product(cur, span, mats[0].shape[0], p)
-            else:
-                raise VerificationFailure("candidate radical is not nilpotent")
+        if not rep.is_nilpotent([rep.total_matrix(m) for m in rad_morphs], p):
+            raise VerificationFailure("candidate radical is not nilpotent")
 
         eps_mats = [self.action_matrix(e) for e in eps]
         rad_mats = [self.action_matrix(m) for m in rad_morphs]
@@ -168,33 +159,22 @@ class GammaHom:
         return self._simple
 
     def _nonunit_basis(self, x, y, hom):
-        """Basis of the non-isomorphisms X -> Y for isomorphic indecomposables."""
-        p, d = self.p, len(hom)
-        if p ** d > ENUM_CAP:
-            raise CapExceeded("hom block too large to certify its radical")
-        nonunits = []
-        for coeffs in itertools.product(range(p), repeat=d):
-            f = rep.zero_morphism(x, y)
-            for c, b in zip(coeffs, hom):
-                if c:
-                    f = f.add(b.scale(c))
-            if not f.is_iso():
-                nonunits.append(np.array(coeffs, dtype=INT))
-        sub = _rows_subspace(nonunits, d, p)
-        if p ** sub.dim != len(nonunits):
-            raise VerificationFailure("non-isomorphisms do not form a subspace")
+        """Basis of rad(X, Y) for isomorphic indecomposables X, Y: the psi with
+        theta o psi in rad End(X) for every theta in a basis of Hom(Y, X)."""
+        ed, rad = rep.end_radical(x)
+        rows = []
+        for theta in rep.hom_space(y, x):
+            comps = ed.coords_of([rep.total_matrix(theta.compose(psi)) for psi in hom])
+            rows.extend(np.array([rad.reduce(c) for c in comps], dtype=INT).T)
+        ker = kernel(np.array(rows, dtype=INT).reshape(-1, len(hom)), self.p)
         out = []
-        for row in sub.B:
+        for row in ker:
             f = rep.zero_morphism(x, y)
             for c, b in zip(row, hom):
                 if c:
                     f = f.add(b.scale(int(c)))
             out.append(f)
         return out
-
-    def _nonunit_dim(self, x, y):
-        hom = rep.hom_space(x, y)
-        return len(self._nonunit_basis(x, y, hom))
 
     def labels(self):
         """Dimension vectors of the class representatives (for display)."""
@@ -244,30 +224,6 @@ class GammaHom:
         return next(iter(jh))
 
 
-def _total(f):
-    """Block-diagonal total matrix of an endomorphism."""
-    n = f.src.total_dim
-    m = zeros(n, n)
-    off = f.src.offsets()
-    for v, b in enumerate(f.blocks):
-        m[off[v] : off[v + 1], off[v] : off[v + 1]] = b
-    return m
-
-
-def _matrix_span(mats, p):
-    rows = [m.reshape(-1) for m in mats]
-    return _rows_subspace(rows, mats[0].size, p)
-
-
-def _span_product(span, other, n, p):
-    rows = []
-    for a in span.B:
-        am = a.reshape(n, n)
-        for b in other.B:
-            rows.append(((am @ b.reshape(n, n)) % p).reshape(-1))
-    return _rows_subspace(rows, n * n, p)
-
-
 # -- right determination -------------------------------------------------------
 
 
@@ -298,9 +254,9 @@ def almost_factors_strictly(f, pr):
     return not wsub.leq(fp)
 
 
-def minimal_determiner(f, seed=0):
+def minimal_determiner(f):
     """Indecomposables generating the minimal right determiner of f."""
-    fmin, _ = rep.right_minimalize(f, seed)
+    fmin, _ = rep.right_minimalize(f)
     k, _ = rep.kernel(fmin)
     A = f.src.A
     parts = []
@@ -315,10 +271,10 @@ def minimal_determiner(f, seed=0):
     return parts
 
 
-def is_right_determined(f, c, seed=0):
+def is_right_determined(f, c):
     """Whether f is right C-determined (minimal determiner inside add C)."""
     cparts = [s for s, _, _ in rep.decompose(c)]
-    for s in minimal_determiner(f, seed):
+    for s in minimal_determiner(f):
         if not any(rep.is_isomorphic(s, t) for t in cparts):
             return False
     return True

@@ -6,11 +6,12 @@ used everywhere: two subspaces are equal iff their rref bases are bytewise
 equal, which is what makes deduplication by key sound.
 """
 
+import functools
 import itertools
 
 import numpy as np
 
-from .errors import CapExceeded
+from .errors import CapExceeded, VerificationFailure
 
 INT = np.int64
 
@@ -232,7 +233,8 @@ def gaussian_binomial(n, k, q):
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise VerificationFailure("Gaussian binomial is not an integer")
     return num // den
 
 
@@ -307,7 +309,8 @@ def poly_divmod(a, b, p):
     a = poly_trim(amod(a, p))
     b = poly_trim(amod(b, p))
     db = poly_deg(b)
-    assert db >= 0, "division by zero polynomial"
+    if db < 0:
+        raise VerificationFailure("polynomial division by zero")
     q = zeros(1, max(len(a) - db, 1))[0]
     r = a.copy()
     binv = inv_mod(b[db], p)
@@ -343,6 +346,35 @@ def poly_xgcd(a, b, p):
         c = inv_mod(r0[poly_deg(r0)], p)
         r0, s0, t0 = poly_scale(r0, c, p), poly_scale(s0, c, p), poly_scale(t0, c, p)
     return r0, s0, t0
+
+
+def poly_is_irreducible(c, p):
+    """Whether c has positive degree and no factor of smaller positive degree.
+
+    Ben-Or's test: gcd(c, t^(p^i) - t) = 1 for every i <= deg(c) / 2.
+    """
+    c = poly_trim(amod(c, p))
+    t = np.array([0, 1], dtype=INT)
+    h = t
+    for _ in range(poly_deg(c) // 2):
+        hp = np.array([1], dtype=INT)
+        for _ in range(p):
+            hp = poly_divmod(poly_mul(hp, h, p), c, p)[1]
+        h = hp
+        if poly_deg(poly_gcd(c, poly_add(h, (-t) % p, p), p)) > 0:
+            return False
+    return poly_deg(c) > 0
+
+
+@functools.lru_cache(maxsize=None)
+def monic_irreducibles(p, d):
+    """Highest-first coefficient tuples of the monic irreducibles of degree d."""
+    return tuple((1,) + tail for tail in itertools.product(range(p), repeat=d)
+                 if poly_is_irreducible(tail[::-1] + (1,), p))
+
+
+def is_prime(n):
+    return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
 
 
 def poly_eval_mat(c, a, p):
@@ -417,7 +449,7 @@ def minpoly(a, p):
             coeffs[k] = 1
             return coeffs
         stack.append(target)
-    raise AssertionError("minimal polynomial must have degree <= n")
+    raise VerificationFailure("minimal polynomial has degree above n")
 
 
 def rand_mat(rng, m, n, p):

@@ -8,17 +8,12 @@ Hom(C,Y) and the expected shape of its submodule lattice, and verify_table
 recomputes both from scratch.
 """
 
-import itertools
-import warnings
-
 import numpy as np
 
-import sympy
-
-from . import ar, determine, lattice, rep
+from . import ar, determine, ffmat, lattice, rep
 from .algebra import parse_algebra_file
-from .errors import VerificationFailure
-from .ffmat import INT, identity, zeros
+from .errors import ParseError, VerificationFailure
+from .ffmat import identity, zeros
 
 ARROW_NAMES = ["x", "y", "z"]
 
@@ -87,9 +82,9 @@ def _poly_jordan(coeffs, t, p):
 def kR(A, label, t=1):
     """Regular module of quasi-length t in the tube with the given label.
 
-    Labels: an integer lam for the tube of t - lam, the string "inf" for the
-    tube at infinity, or a highest-first tuple of coefficients of a monic
-    irreducible polynomial.
+    Labels: an integer lam in 0..p-1 for the tube of t - lam, the string "inf"
+    for the tube at infinity, or a highest-first tuple of coefficients in
+    0..p-1 of a monic irreducible polynomial of degree at least 2.
     """
     if len(A.quiver.arrows) != 2:
         raise ValueError("regular tubes are classified only for two arrows")
@@ -98,10 +93,19 @@ def kR(A, label, t=1):
         xm, ym = _jordan(0, t, p), identity(t)
         dims = [t, t]
     elif isinstance(label, (int, np.integer)):
+        if label not in range(p):
+            raise ParseError("tube label %d is not an element of F_%d" % (label, p))
         xm, ym = identity(t), _jordan(int(label), t, p)
         dims = [t, t]
     else:
-        coeffs = tuple(int(c) % p for c in label)
+        coeffs = tuple(label) if isinstance(label, (tuple, list)) else ()
+        if not (
+            len(coeffs) >= 3
+            and coeffs[0] == 1
+            and all(c in range(p) for c in coeffs)
+            and ffmat.poly_is_irreducible(coeffs[::-1], p)
+        ):
+            raise ParseError("tube label %r is not a monic irreducible of degree >= 2 over F_%d" % (label, p))
         d = len(coeffs) - 1
         xm, ym = identity(t * d), _poly_jordan(coeffs, t, p)
         dims = [t * d, t * d]
@@ -115,16 +119,7 @@ def defect(m):
 
 def monic_irreducibles(p, d):
     """Highest-first coefficient tuples of the monic irreducibles of degree d."""
-    t = sympy.symbols("t")
-    out = []
-    for tail in itertools.product(range(p), repeat=d):
-        coeffs = (1,) + tail
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            poly = sympy.Poly(list(coeffs), t, modulus=p)
-            if poly.is_irreducible:
-                out.append(coeffs)
-    return out
+    return list(ffmat.monic_irreducibles(p, d))
 
 
 def tube_labels(p, max_deg):

@@ -20,7 +20,7 @@ import os
 import numpy as np
 
 from . import rep
-from .errors import CapExceeded, VerificationFailure
+from .errors import CapExceeded, ParseError, VerificationFailure
 from .ffmat import INT, Subspace, all_vectors, gaussian_binomial, kernel, zeros
 
 DEFAULT_DIM_CAPS = {2: 12, 3: 8, 5: 6}
@@ -42,12 +42,14 @@ def dim_cap(p):
     """
     env = os.environ.get("AUSKIT_CAPS", "").strip()
     if env:
-        if ":" not in env:
-            return int(env)
-        for part in env.split(","):
-            pp, cap = part.split(":")
-            if int(pp) == p:
-                return int(cap)
+        try:
+            if ":" not in env:
+                return int(env)
+            caps = dict(map(int, part.split(":")) for part in env.split(","))
+        except ValueError:
+            raise ParseError("malformed AUSKIT_CAPS %r: want 12 or a list like 2:12,3:8" % env)
+        if p in caps:
+            return caps[p]
     if p in DEFAULT_DIM_CAPS:
         return DEFAULT_DIM_CAPS[p]
     return max(2, int(round(12 / np.log2(p))))

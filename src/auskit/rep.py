@@ -8,10 +8,8 @@ minimalization) reduces to exact linear algebra in ffmat.
 
 import itertools
 import random
-import warnings
 
 import numpy as np
-import sympy
 
 from . import ffmat
 from .errors import VerificationFailure
@@ -113,7 +111,8 @@ class Morphism:
 
     def compose(self, other):
         """self after other."""
-        assert other.tgt is self.src or other.tgt.key() == self.src.key()
+        if other.tgt is not self.src and other.tgt.key() != self.src.key():
+            raise VerificationFailure("composition: target of the first map is not the source of the second")
         return Morphism(
             other.src,
             self.tgt,
@@ -222,7 +221,8 @@ def hom_matrix_precompose(homxy, g, homzy):
     cols = []
     for f in homxy:
         coords = morphism_coords(f.compose(g), homzy)
-        assert coords is not None
+        if coords is None:
+            raise VerificationFailure("precomposed map left the target hom space")
         cols.append(coords)
     if not cols:
         return zeros(len(homzy), 0)
@@ -263,7 +263,8 @@ def image(f):
     onto_blocks = []
     for v in range(len(f.src.dims)):
         coords = ffmat.solve_mat(incl.blocks[v], f.blocks[v], p)
-        assert coords is not None
+        if coords is None:
+            raise VerificationFailure("map does not factor through its image")
         onto_blocks.append(coords)
     onto = Morphism(f.src, i, onto_blocks).check()
     return i, incl, onto
@@ -424,113 +425,219 @@ def structure(x):
     }
 
 
-# --- endomorphism-ring utilities ---------------------------------------------
+# --- endomorphism rings and the splitting engine ------------------------------
+#
+# Every split comes from Fitting's lemma: an endomorphism b that is neither a
+# unit nor nilpotent gives X = Im b^N + Ker b^N.  Every "indecomposable"
+# verdict comes with a verified nilpotent ideal J of End(X) such that End/J is
+# a field (Lux-Szoke, Computing decompositions of modules over
+# finite-dimensional algebras, Exp. Math. 2007).
+
+SPLIT_CANDIDATES = 64  # seeded random elements tried when End/J is not commutative
+
+
+def total_matrix(f):
+    """Block-diagonal matrix of an endomorphism on the total space."""
+    n = f.src.total_dim
+    m = zeros(n, n)
+    off = f.src.offsets()
+    for v, b in enumerate(f.blocks):
+        m[off[v] : off[v + 1], off[v] : off[v + 1]] = b
+    return m
 
 
 class EndData:
-    """End(X) with multiplication in coordinates."""
+    """End(X) with its basis as total matrices and coordinates in that basis.
+
+    Coordinates are read off at the pivot entries of the flattened basis, so
+    a whole stack of matrices costs one product; membership is checked.
+    """
 
     def __init__(self, x):
         self.x = x
         self.p = x.p
         self.basis = end_algebra(x)
         self.dim = len(self.basis)
+        n = x.total_dim
+        self.mats = np.array([total_matrix(b) for b in self.basis], dtype=INT).reshape(self.dim, n, n)
         if self.dim:
-            self._flat = np.array([b.flat() for b in self.basis], dtype=INT).T
-        else:
-            self._flat = zeros(max(x.total_dim, 1), 0)
+            flat = self.mats.reshape(self.dim, n * n)
+            self._piv = ffmat.rref(flat, self.p)[1]
+            if len(self._piv) != self.dim:
+                raise VerificationFailure("endomorphism basis is linearly dependent")
+            self._pinv = ffmat.inv(flat[:, self._piv], self.p)
 
-    def coords(self, f):
-        if self.dim == 0:
-            return np.array([], dtype=INT)
-        c = ffmat.solve(self._flat, f.flat(), self.p)
-        assert c is not None
+    def coords_of(self, ms):
+        """Coordinate rows of a stack of total matrices, each checked to lie in End(X)."""
+        flat = np.asarray(ms, dtype=INT).reshape(len(ms), -1)
+        c = (flat[:, self._piv] @ self._pinv) % self.p
+        if ((c @ self.mats.reshape(self.dim, -1)) % self.p != flat).any():
+            raise VerificationFailure("matrix outside the endomorphism ring")
         return c
 
-    def from_coords(self, c):
-        f = zero_morphism(self.x, self.x)
-        for i, ci in enumerate(c):
-            if ci:
-                f = f.add(self.basis[i].scale(int(ci)))
-        return f
+    def to_mats(self, coords):
+        """Total matrices of a stack of coordinate rows."""
+        return np.tensordot(np.asarray(coords, dtype=INT), self.mats, 1) % self.p
 
-    def total_matrix(self, f):
-        """Block-diagonal matrix of an endomorphism on the total space."""
-        n = self.x.total_dim
-        m = zeros(n, n)
+    def endo(self, m):
+        """The endomorphism whose total matrix is m."""
         off = self.x.offsets()
-        for v in range(len(self.x.dims)):
-            m[off[v] : off[v + 1], off[v] : off[v + 1]] = f.blocks[v]
-        return m
+        return Morphism(
+            self.x, self.x, [m[off[v] : off[v + 1], off[v] : off[v + 1]] for v in range(len(self.x.dims))]
+        )
+
+    def from_coords(self, c):
+        return self.endo(self.to_mats([c])[0])
 
 
-def _find_idempotent_in_nonunital(elements_matrices, p, rng):
-    """Nonzero idempotent in the span, assuming the span is a non-nil algebra
-    closed under multiplication.  Returns a matrix, or None if the span is nil.
+def _fitting_projection(b, p):
+    """Projection onto Im b^N along Ker b^N, N the size of b (Fitting's lemma).
+
+    Zero when b is nilpotent, the identity when b is a unit, and otherwise a
+    nontrivial idempotent that is a polynomial in b without constant term.
     """
-    basis = elements_matrices
-    if not basis:
-        return None
-    n = basis[0].shape[0]
-    # nil test: power up the whole span
-    span = [b for b in basis]
-    cur = ffmat.Subspace(np.array([b.reshape(-1) for b in span], dtype=INT), n * n, p)
-    bs = np.stack(basis)
-    for _ in range(n + 1):
-        if cur.dim == 0:
-            return None
-        prods = np.einsum("dij,ejk->deik", cur.B.reshape(cur.dim, n, n), bs) % p
-        nxt = ffmat.Subspace(prods.reshape(cur.dim * len(basis), n * n), n * n, p)
-        if nxt.dim == 0:
-            return None
-        if nxt.dim == cur.dim:
-            # the chain of power spans is descending; equal dimension means
-            # it has stabilized at a nonzero algebra, so the span is not nil
-            break
-        cur = nxt
-    # non-nil: find a non-nilpotent element, then the idempotent in F_p[a]a
-    candidates = list(basis)
-    for x, y in itertools.combinations(basis, 2):
-        candidates.append((x + y) % p)
-    for _ in range(200):
-        coeffs = [rng.randrange(p) for _ in basis]
-        m = zeros(n, n)
-        for c, b in zip(coeffs, basis):
-            m = (m + c * b) % p
-        candidates.append(m)
-    for a in candidates:
-        mp = ffmat.minpoly(a, p)
-        # strip t^s: a non-nilpotent iff g != const after removing the t-power
-        s = 0
-        while s < len(mp) and mp[s] == 0:
-            s += 1
-        if s == len(mp) - 1 and s > 0:
-            continue  # nilpotent element
-        if s == 0:
-            # a invertible within its span; a itself generates a monoid with identity
-            # e = a^r for r with a^r idempotent: use CRT with t^1? handle via t*g trick:
-            # multiply by t: consider b = a, minpoly without t factor: then the
-            # subalgebra F_p[a] is unital with identity e = g*(a) ... compute below.
-            g = mp
-            # identity of F_p[a]: since gcd(t, g(t)) = 1, write u t + v g = 1;
-            # then e = u(a) a is the identity of F_p[a], an idempotent.
-            gpoly, u, v = ffmat.poly_xgcd(np.array([0, 1], dtype=INT), g, p)
-            assert gpoly.tolist() == [1]
-            e = (ffmat.poly_eval_mat(u, a, p) @ a) % p
-        else:
-            tpow = np.zeros(s + 1, dtype=INT)
-            tpow[s] = 1
-            g = ffmat.poly_divmod(mp, tpow, p)[0]
-            gpoly, u, v = ffmat.poly_xgcd(tpow, g, p)
-            if ffmat.poly_deg(gpoly) != 0:
-                continue
-            e = (ffmat.poly_eval_mat(u, a, p) @ np.linalg.matrix_power(a, s).astype(INT)) % p
-            e = e % p
+    n = b.shape[0]
+    bn, k = b % p, 1
+    while k < n:
+        bn, k = (bn @ bn) % p, 2 * k
+    im = ffmat.Subspace(bn.T, n, p)
+    if im.dim in (0, n):
+        return identity(n) if im.dim else zeros(n, n)
+    basis = np.concatenate([im.B, ffmat.kernel(bn, p)]).T
+    inv = ffmat.inv(basis, p)
+    if inv is None:
+        raise VerificationFailure("Fitting: image and kernel of b^N do not span")
+    return (basis[:, : im.dim] @ inv[: im.dim]) % p
+
+
+def _fitting_split(a, p, maxdeg=1):
+    """A nontrivial Fitting projection of g(a), g monic irreducible over F_p of
+    degree at most maxdeg, or None.
+
+    The shifts a - lambda come first.  The search stops at the first g with
+    g(a) nilpotent: the minimal polynomial of a is then a power of g, so no
+    other g(a) splits.
+    """
+    one = identity(a.shape[0])
+    shifts = ((a - lam * one) % p for lam in range(p))
+    higher = (ffmat.poly_eval_mat(g[::-1], a, p)
+              for d in range(2, maxdeg + 1) for g in ffmat.monic_irreducibles(p, d))
+    for b in itertools.chain(shifts, higher):
+        e = _fitting_projection(b, p)
         if not e.any():
-            continue
-        if (((e @ e) % p) == e).all():
+            return None
+        if (e != one).any():
             return e
     return None
+
+
+def is_nilpotent(mats, p):
+    """Whether the span of the square matrices mats is a nilpotent algebra.
+
+    Its power chain S, S^2, ... must shrink strictly down to 0; a span
+    closed under products that stops shrinking above 0 is not nil.
+    """
+    if not len(mats):
+        return True
+    n = mats[0].shape[0]
+    cur = ffmat.Subspace(np.asarray(mats, dtype=INT).reshape(len(mats), n * n), n * n, p)
+    gens = cur.B.reshape(cur.dim, n, n)
+    while cur.dim:
+        prods = np.einsum("dij,ejk->deik", cur.B.reshape(cur.dim, n, n), gens) % p
+        nxt = ffmat.Subspace(prods.reshape(-1, n * n), n * n, p)
+        if nxt.dim >= cur.dim:
+            return False
+        cur = nxt
+    return True
+
+
+def _max_nil_ideal(ed):
+    """rad End(X) as a Subspace of coordinates, verified nilpotent two-sided ideal.
+
+    The Cohen-Ivanyos-Wales chain: I_-1 = End, I_i = {x in I_i-1 : g_i(yx) = 0
+    for all y}, g_i(m) the coefficient of t^(n - p^i) in det(t - m), while
+    p^i <= n.  The verification does not rely on the chain being right.
+    """
+    p, n = ed.p, ed.x.total_dim
+    cur = ffmat.Subspace(identity(ed.dim), ed.dim, p)
+    i = 0
+    while p ** i <= n and cur.dim:
+        elems = ed.to_mats(cur.B)
+        g = [[ffmat.charpoly((y @ x) % p, p)[n - p ** i] for x in elems] for y in ed.mats]
+        cur = ffmat.Subspace(ffmat.kernel(np.array(g, dtype=INT), p) @ cur.B, ed.dim, p)
+        i += 1
+    if cur.dim:
+        jm = ed.to_mats(cur.B)
+        prods = np.concatenate([np.einsum("aij,bjk->abik", jm, ed.mats).reshape(-1, n, n),
+                                np.einsum("aij,bjk->abik", ed.mats, jm).reshape(-1, n, n)]) % p
+        if any(not cur.contains(c) for c in ed.coords_of(prods)):
+            raise VerificationFailure("radical candidate is not a two-sided ideal")
+        if not is_nilpotent(jm, p):
+            raise VerificationFailure("radical candidate is not nilpotent")
+    return cur
+
+
+def _split_or_certify(ed):
+    """(e, None) with e a nontrivial idempotent total matrix of End(X), or
+    (None, J) with J = rad End(X) certified and End/J a field.
+
+    Candidates a - lambda for the basis elements a are tried first; only when
+    none splits is J computed.  If End/J is commutative, its Frobenius map
+    s -> s^p is injective (J is the whole radical) and its fixed elements are
+    F_p exactly when End/J is a field; a fixed s outside F_p has an
+    eigenvalue lambda in F_p, and s - lambda splits.  A noncommutative End/J
+    is split by g(a) for one of SPLIT_CANDIDATES seeded random elements a and
+    g monic irreducible of degree at most dim End/J, or this raises.
+    """
+    p, n = ed.p, ed.x.total_dim
+    if ed.dim == 1:  # End = F_p, a field
+        return None, ffmat.Subspace.zero(1, p)
+    for a in ed.mats:
+        e = _fitting_split(a, p)
+        if e is not None:
+            return e, None
+    rad = _max_nil_ideal(ed)
+    free = [j for j in range(ed.dim) if j not in rad.pivots]
+    qmats = ed.mats[free]  # lifts of a basis of End/J
+
+    def residues(ms):
+        return np.array([rad.reduce(c)[free] for c in ed.coords_of(ms)], dtype=INT).reshape(-1, len(free))
+
+    prods = np.einsum("aij,bjk->abik", qmats, qmats)
+    if not residues((prods - prods.transpose(1, 0, 2, 3)).reshape(-1, n, n) % p).any():
+        powers = qmats
+        for _ in range(p - 1):
+            powers = np.einsum("aij,ajk->aik", powers, qmats) % p
+        frob = residues(powers).T
+        if ffmat.rank(frob, p) < len(free):
+            raise VerificationFailure("End/J has nilpotents, so J is not the radical")
+        fixed = ffmat.kernel((frob - identity(len(free))) % p, p)
+        if len(fixed) == 1:
+            return None, rad
+        one = residues(identity(n)[None])[0]
+        for s in fixed:
+            if ffmat.rank(np.array([one, s]), p) == 2:
+                e = _fitting_split(np.tensordot(s, qmats, 1) % p, p)
+                if e is not None:
+                    return e, None
+        raise VerificationFailure("no Frobenius-fixed element of End/J splits")
+    rng = random.Random(0)
+    for _ in range(SPLIT_CANDIDATES):
+        a = ed.to_mats([[rng.randrange(p) for _ in range(ed.dim)]])[0]
+        e = _fitting_split(a, p, len(free))
+        if e is not None:
+            return e, None
+    raise VerificationFailure(
+        "no split of a noncommutative End/J within %d candidates" % SPLIT_CANDIDATES
+    )
+
+
+def _verified_idempotent(ed, e):
+    """The endomorphism with total matrix e, checked to be an idempotent morphism."""
+    f = ed.endo(e).check()
+    if (f.compose(f).flat() != f.flat()).any():
+        raise VerificationFailure("claimed idempotent is not idempotent")
+    return f
 
 
 def _split_idempotent(x, e):
@@ -546,254 +653,36 @@ def _split_idempotent(x, e):
     return (i1, u1, r1), (i2, u2, r2)
 
 
-def _nontrivial_idempotent(x, seed=0):
-    """A nontrivial idempotent of End(X), or None if X is indecomposable.
-
-    None is only returned on a certificate: the quotient of End(X) by a
-    verified nilpotent ideal is a commutative algebra whose fixed space under
-    the Frobenius map has dimension 1 (hence a field, hence End(X) local).
-    """
-    p = x.p
-    ed = EndData(x)
-    rng = random.Random(seed)
-    if ed.dim == 0:
-        return None
-    if ed.dim == 1:
-        return None
-    mats = [ed.total_matrix(b) for b in ed.basis]
-    # try element-wise splitting via coprime minimal polynomial factors
-    candidates = list(mats)
-    for xm, ym in itertools.combinations(mats, 2):
-        candidates.append((xm + ym) % p)
-    for _ in range(80):
-        m = zeros(x.total_dim, x.total_dim)
-        for b in mats:
-            m = (m + rng.randrange(p) * b) % p
-        candidates.append(m)
-    one = identity(x.total_dim)
-    for a in candidates:
-        e = _idempotent_from_element(a, one, p)
-        if e is not None:
-            return _verified_endo_idempotent(x, ed, e)
-    # commutative certificate: Frobenius fixed space of End/N for N nilpotent
-    nil = _max_nil_ideal(ed, mats)
-    if nil is not None:
-        comm, frob_dim, e = _berlekamp_split(ed, mats, nil)
-        if comm and frob_dim == 1:
-            return None
-        if e is not None:
-            return _verified_endo_idempotent(x, ed, e)
-        if comm:
-            raise VerificationFailure("commutative Berlekamp split failed")
-    # last resort: exhaustive search over End(X) (small dimensions only)
-    if p ** ed.dim <= 4096:
-        for coeffs in itertools.product(range(p), repeat=ed.dim):
-            m = zeros(x.total_dim, x.total_dim)
-            for c, b in zip(coeffs, mats):
-                m = (m + c * b) % p
-            if not m.any() or ((m - one) % p == 0).all():
-                continue
-            if (((m @ m) % p) == m).all():
-                return _verified_endo_idempotent(x, ed, m)
-        return None
-    raise VerificationFailure("could not split or certify local endomorphism ring")
+def end_radical(x):
+    """(EndData, J) for an indecomposable X, J = rad End(X) as decompose certified it."""
+    if "end_radical" not in x._cache:
+        decompose(x)
+    if "end_radical" not in x._cache:
+        raise VerificationFailure("End(X) is only certified local for indecomposable X")
+    return x._cache["end_radical"]
 
 
-def _idempotent_from_element(a, one, p):
-    """Nontrivial idempotent from an element with a split minimal polynomial."""
-    mp = ffmat.minpoly(a, p)
-    t = sympy.symbols("t")
-    poly = sum(int(c) * t ** i for i, c in enumerate(mp))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fac = sympy.factor_list(sympy.Poly(poly, t, modulus=p))[1]
-    if len(fac) < 2:
-        return None
-    f1, e1 = fac[0]
-    part1 = sympy.Poly(f1 ** e1, t, modulus=p)
-    rest = sympy.Poly(1, t, modulus=p)
-    for fi, ei in fac[1:]:
-        rest = rest * sympy.Poly(fi ** ei, t, modulus=p)
-    c1 = np.array([int(c) % p for c in reversed(part1.all_coeffs())], dtype=INT)
-    c2 = np.array([int(c) % p for c in reversed(sympy.Poly(rest, t, modulus=p).all_coeffs())], dtype=INT)
-    g, u, v = ffmat.poly_xgcd(c1, c2, p)
-    if ffmat.poly_deg(g) != 0:
-        return None
-    # e = (u*c1)(a) kills the c1-primary part and is 1 on the rest
-    e = (ffmat.poly_eval_mat(ffmat.poly_mul(u, c1, p), a, p)) % p
-    if not e.any() or ((e - one) % p == 0).all():
-        return None
-    if (((e @ e) % p) != e).any():
-        return None
-    return e
-
-
-def _verified_endo_idempotent(x, ed, e_mat):
-    """Turn a total-space idempotent matrix back into a checked Morphism."""
-    off = x.offsets()
-    blocks = [e_mat[off[v] : off[v + 1], off[v] : off[v + 1]] for v in range(len(x.dims))]
-    f = Morphism(x, x, blocks).check()
-    if (f.compose(f).flat() != f.flat()).any():
-        raise VerificationFailure("claimed idempotent is not idempotent")
-    return f
-
-
-def _max_nil_ideal(ed, mats):
-    """A verified nilpotent two-sided ideal of End(X) (the radical when the
-    characteristic-p coefficient chain succeeds), as a Subspace of coordinates.
-    """
-    p = ed.p
-    n = mats[0].shape[0] if mats else 0
-    dim = ed.dim
-    cur = ffmat.Subspace(identity(dim), dim, p)
-    i = 0
-    while p ** i <= max(n, 1):
-        rows = []
-        cur_elems = [_coords_to_mat(ed, mats, c) for c in cur.B]
-        for cm in cur_elems:
-            row = []
-            for b in cur.B:
-                bm = _coords_to_mat(ed, mats, b)
-                cp = ffmat.charpoly((cm @ bm) % p, p)
-                row.append(int(cp[n - p ** i]) % p if n - p ** i >= 0 else 0)
-            rows.append(row)
-        if cur.dim == 0:
-            break
-        constraint = np.array(rows, dtype=INT)  # rows indexed by y, cols by x-basis of cur
-        ker = ffmat.kernel(constraint, p)
-        newb = (ker @ cur.B) % p
-        cur = ffmat.Subspace(newb, dim, p)
-        i += 1
-    # verify: two-sided ideal and nilpotent
-    for c in cur.B:
-        cm = _coords_to_mat(ed, mats, c)
-        for bm in mats:
-            for prod in ((cm @ bm) % p, (bm @ cm) % p):
-                pc = _mat_to_coords(ed, mats, prod)
-                if pc is None or not cur.contains(pc):
-                    return None
-    power = [_coords_to_mat(ed, mats, c) for c in cur.B]
-    for _ in range(dim + 1):
-        if not power:
-            break
-        if all(not m.any() for m in power):
-            break
-        nxt = []
-        for m in power:
-            for c in cur.B:
-                nxt.append((m @ _coords_to_mat(ed, mats, c)) % p)
-        sp = ffmat.Subspace(np.array([m.reshape(-1) for m in nxt], dtype=INT), power[0].size, p)
-        power = [row.reshape(power[0].shape) for row in sp.B]
-    else:
-        return None
-    if power and any(m.any() for m in power):
-        return None
-    return cur
-
-
-def _coords_to_mat(ed, mats, coords):
-    m = zeros(mats[0].shape[0], mats[0].shape[1])
-    for c, b in zip(coords, mats):
-        if c:
-            m = (m + int(c) * b) % ed.p
-    return m
-
-
-def _mat_to_coords(ed, mats, m):
-    flat = np.array([b.reshape(-1) for b in mats], dtype=INT).T
-    return ffmat.solve(flat, m.reshape(-1), ed.p)
-
-
-def _berlekamp_split(ed, mats, nil):
-    """(is_commutative, frobenius_fixed_dim, idempotent_or_None) for End/nil."""
-    p = ed.p
-    dim = ed.dim
-    # basis of a complement of nil inside End (coordinates)
-    comp_rows = []
-    space = nil
-    for i in range(dim):
-        e = zeros(1, dim)[0]
-        e[i] = 1
-        if not space.contains(e):
-            comp_rows.append(e)
-            space = space.sum(ffmat.Subspace(e.reshape(1, -1), dim, p))
-    q_basis = comp_rows  # coset representatives of End/nil
-    qd = len(q_basis)
-
-    def mul(cx, cy):
-        mx = _coords_to_mat(ed, mats, cx)
-        my = _coords_to_mat(ed, mats, cy)
-        return _mat_to_coords(ed, mats, (mx @ my) % p)
-
-    def reduce_mod_nil(c):
-        return nil.reduce(c)
-
-    # commutativity of the quotient
-    comm = True
-    for i in range(qd):
-        for j in range(i + 1, qd):
-            d = (mul(q_basis[i], q_basis[j]) - mul(q_basis[j], q_basis[i])) % p
-            if reduce_mod_nil(d).any():
-                comm = False
-                break
-        if not comm:
-            break
-    if not comm:
-        return False, -1, None
-    # coordinates of the quotient: express residues in terms of q_basis residues
-    qmat = np.array([reduce_mod_nil(c) for c in q_basis], dtype=INT).T
-
-    def qcoords(c):
-        s = ffmat.solve(qmat, reduce_mod_nil(c), p)
-        assert s is not None
-        return s
-
-    # Frobenius map s -> s^p on the quotient
-    frob_cols = []
-    for c in q_basis:
-        m = _coords_to_mat(ed, mats, c)
-        mp_ = np.linalg.matrix_power(m, p).astype(INT) % p
-        cp = _mat_to_coords(ed, mats, mp_)
-        frob_cols.append(qcoords(cp))
-    frob = np.array(frob_cols, dtype=INT).T % p
-    fixed = ffmat.kernel((frob - identity(qd)) % p, p)
-    fdim = fixed.shape[0]
-    if fdim <= 1:
-        return True, fdim, None
-    # an idempotent: pick a fixed element outside span(1), CRT-split its minpoly
-    one_q = qcoords(_mat_to_coords(ed, mats, identity(mats[0].shape[0])))
-    span1 = ffmat.Subspace(one_q.reshape(1, -1), qd, p)
-    for row in fixed:
-        if span1.contains(row):
-            continue
-        c = (row @ np.array(q_basis, dtype=INT)) % p
-        a = _coords_to_mat(ed, mats, c)
-        e = _idempotent_from_element(a, identity(a.shape[0]), p)
-        if e is not None:
-            return True, fdim, e
-    return True, fdim, None
-
-
-def decompose(x, seed=0):
+def decompose(x):
     """Indecomposable direct summands as (rep, incl, proj) triples.
 
     The decomposition is certified: each returned projection/inclusion pair
     composes to the identity of the summand, their images sum to X, and each
     summand refused further splitting.
     """
-    key = ("decompose", seed)
-    if key in x._cache:
-        return x._cache[key]
+    if "decompose" in x._cache:
+        return x._cache["decompose"]
     out = []
 
     def walk(y, incl_to_x, proj_from_x):
         if y.total_dim == 0:
             return
-        e = _nontrivial_idempotent(y, seed=seed)
+        ed = EndData(y)
+        e, rad = _split_or_certify(ed)
         if e is None:
+            y._cache["end_radical"] = (ed, rad)
             out.append((y, incl_to_x, proj_from_x))
             return
-        (i1, u1, r1), (i2, u2, r2) = _split_idempotent(y, e)
+        (i1, u1, r1), (i2, u2, r2) = _split_idempotent(y, _verified_idempotent(ed, e))
         if i1.total_dim == 0 or i2.total_dim == 0:
             raise VerificationFailure("trivial split from claimed nontrivial idempotent")
         if i1.total_dim + i2.total_dim != y.total_dim:
@@ -808,7 +697,7 @@ def decompose(x, seed=0):
         total = total.add(u.compose(r))
     if (total.flat() != identity_morphism(x).flat()).any():
         raise VerificationFailure("summand idempotents do not sum to identity")
-    x._cache[key] = out
+    x._cache["decompose"] = out
     return out
 
 
@@ -873,39 +762,35 @@ def krs_count(x):
 # --- right minimality and right equivalence ----------------------------------
 
 
-def right_minimalize(f, seed=0):
-    """(fmin, split) with f = fmin o split, fmin right minimal, split a split epi."""
-    x = f.src
-    if x.total_dim == 0:
-        return f, identity_morphism(x)
-    split_acc = identity_morphism(x)
+def right_minimalize(f):
+    """(fmin, split) with f = fmin o split, fmin right minimal, split a split epi.
+
+    Each round splits off the image of a nonzero idempotent e with f o e = 0:
+    the Fitting projection of a non-nilpotent h in K0 = {h : f o h = 0}, a
+    polynomial in h without constant term, so e stays in K0.  A non-nil K0
+    always has a non-nilpotent basis element, since nilpotents span only a
+    nil algebra; "right minimal" is returned once the power chain of K0
+    proves it nil.
+    """
+    p = f.p
+    split_acc = identity_morphism(f.src)
     cur = f
-    rng = random.Random(seed)
-    for _ in range(x.total_dim + 1):
+    for _ in range(f.src.total_dim + 1):
         src = cur.src
         if src.total_dim == 0:
             break
         ed = EndData(src)
-        if ed.dim == 0:
-            break
-        # K0 = {h in End(src) : cur o h = 0}
-        cols = [cur.compose(b).flat() for b in ed.basis]
-        mat = np.array(cols, dtype=INT).T % f.p
-        if mat.size == 0:
-            k0 = identity(ed.dim)
-        else:
-            k0 = ffmat.kernel(mat, f.p)
-        if k0.shape[0] == 0:
-            break
-        k0_mats = [ed.total_matrix(ed.from_coords(c)) for c in k0]
-        e = _find_idempotent_in_nonunital(k0_mats, f.p, rng)
+        cols = np.array([cur.compose(b).flat() for b in ed.basis], dtype=INT).T
+        k0_mats = ed.to_mats(ffmat.kernel(cols, p))
+        e = next((e for e in (_fitting_projection(h, p) for h in k0_mats) if e.any()), None)
         if e is None:
-            break  # K0 nil: right minimal
-        em = _verified_endo_idempotent(src, ed, e)
+            if not is_nilpotent(k0_mats, p):
+                raise VerificationFailure("K0 is not nil, yet none of its basis elements splits")
+            break
+        em = _verified_idempotent(ed, e)
         if cur.compose(em).flat().any():
             raise VerificationFailure("idempotent not killed by the map")
-        one = identity_morphism(src)
-        comp = one.add(em.scale(f.p - 1))  # 1 - e
+        comp = identity_morphism(src).add(em.scale(p - 1))  # 1 - e
         knew, uk, rk = image(comp)
         if (rk.compose(uk).flat() != identity_morphism(knew).flat()).any():
             raise VerificationFailure("retraction failure during minimalization")

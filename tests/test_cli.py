@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import auskit
 from auskit import catalog, cli
 
 A2_TEXT = """
@@ -111,3 +113,26 @@ def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "auskit.cli", "examples"],
                           capture_output=True, text=True)
     assert proc.returncode == 0 and "instances:" in proc.stdout
+
+
+@pytest.mark.parametrize("caps", ["abc", "2:x"])
+def test_malformed_caps_exit_code(monkeypatch, capsys, caps):
+    monkeypatch.setenv("AUSKIT_CAPS", caps)
+    assert cli.main(["lattice", "--algebra", "kron2", "-c", "kP(1)", "-y", "kQ(1)"]) == 2
+    assert "error: malformed AUSKIT_CAPS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["7", "2", "x"])
+def test_bad_tube_label_exit_code(capsys, label):
+    assert cli.main(["hom", "--algebra", "kron2", "-c", "kR(%s, 1)" % label,
+                     "-y", "kQ(1)"]) == 2
+    assert "error: tube label" in capsys.readouterr().err
+
+
+def test_cli_does_not_import_sympy():
+    src = os.path.dirname(os.path.dirname(auskit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import auskit.cli, sys; assert 'sympy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

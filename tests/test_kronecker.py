@@ -1,7 +1,7 @@
 import pytest
 
 from auskit import factor, kronecker as kr, lattice, rep
-from auskit.errors import VerificationFailure
+from auskit.errors import ParseError, VerificationFailure
 
 
 def test_preprojective_preinjective_dims(kron2):
@@ -54,6 +54,32 @@ def test_monic_irreducibles():
     assert kr.monic_irreducibles(2, 2) == [(1, 1, 1)]
     assert len(kr.monic_irreducibles(3, 2)) == 3
     assert len(kr.monic_irreducibles(2, 3)) == 2
+
+
+def _mobius(n):
+    out, k = 1, 2
+    while n > 1:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            out = -out
+        k += 1
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_monic_irreducibles_gauss_count(p, d):
+    gauss = sum(_mobius(k) * p ** (d // k) for k in range(1, d + 1) if d % k == 0) // d
+    assert len(kr.monic_irreducibles(p, d)) == gauss
+
+
+def test_tube_labels_are_validated(kron2):
+    for bad in (2, 7, (1, 0, 1), (1, 2, 1), (0, 1, 1), (1, 1), "x"):
+        with pytest.raises(ParseError):
+            kr.kR(kron2, bad, 1)
+    assert kr.kR(kron2, (1, 1, 1), 1).total_dim == 4
 
 
 def test_strongly_regular_counts(kron2):

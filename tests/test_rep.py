@@ -1,10 +1,12 @@
 """Representation-level operations: hom spaces, subquotients, decomposition,
 right minimalization and the right-factorization order."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from auskit import ffmat, rep
+from auskit import algebra, ar, ffmat, kronecker as kr, rep
 from auskit.errors import VerificationFailure
 
 
@@ -162,3 +164,217 @@ def test_zero_and_identity(a3lin):
     e = rep.identity_morphism(pc)
     assert e.is_iso()
     assert e.compose(z).is_zero()
+
+
+def test_compose_mismatch_raises(a2):
+    pa, pb = a2.proj("a"), a2.proj("b")
+    with pytest.raises(VerificationFailure):
+        rep.identity_morphism(pa).compose(rep.identity_morphism(pb))
+
+
+# --- the splitting engine against exhaustive search ---------------------------
+
+UNI3_F3 = "field 3\nvertices a\narrow x a a\nrelation x*x*x\n"
+
+
+def _end_elements(x):
+    basis = rep.end_algebra(x)
+    for coeffs in itertools.product(range(x.p), repeat=len(basis)):
+        f = rep.zero_morphism(x, x)
+        for c, b in zip(coeffs, basis):
+            if c:
+                f = f.add(b.scale(c))
+        yield f
+
+
+def _brute_summands(x):
+    """Number of indecomposable summands, by exhaustive idempotent search."""
+    if x.total_dim == 0:
+        return 0
+    one = rep.identity_morphism(x)
+    for e in _end_elements(x):
+        if e.is_zero() or (e.flat() == one.flat()).all():
+            continue
+        if (e.compose(e).flat() == e.flat()).all():
+            rest = one.add(e.scale(x.p - 1))
+            return _brute_summands(rep.image(e)[0]) + _brute_summands(rep.image(rest)[0])
+    return 1
+
+
+def _nonunit_coords(ed):
+    """Coordinates of the non-units of End(X), which form rad End(X) when it is local."""
+    return [c for c in itertools.product(range(ed.p), repeat=ed.dim)
+            if not ed.from_coords(np.array(c)).is_iso()]
+
+
+def _f3_kron2():
+    return kr.kronecker_algebra(2, 3)
+
+
+def _oracle_modules(a2, kron2, loopb, uni4):
+    uni3 = algebra.parse_algebra_file(UNI3_F3, name="uniserial-3-f3")
+    k3 = _f3_kron2()
+    f4 = kr.kR(kron2, (1, 1, 1), 1)
+    f8 = kr.kR(kron2, (1, 0, 1, 1), 1)
+    sa, sa3 = a2.simple("a"), k3.simple(0)
+    return {
+        # local, residue field F_p
+        "uni4-P": uni4.proj("a"),
+        "loopb-Q(a)": loopb.inj("a"),
+        "uni3-F3-P": uni3.proj("a"),
+        "kron2-F3-R[0,2]": kr.kR(k3, 0, 2),
+        # local, residue field F_4
+        "kron2-R[(1,1,1),1]": f4,
+        "kron2-R[(1,1,1),2]": kr.kR(kron2, (1, 1, 1), 2),
+        # commutative End/J
+        "a2-P(b)+S(a)": rep.direct_sum(a2, [a2.proj("b"), sa])[0],
+        "kron2-F3-P0+P1": rep.direct_sum(k3, [kr.kP(k3, 0), kr.kP(k3, 1)])[0],
+        # End/J = M_2(F_p), M_2(F_4) and M_2(F_8)
+        "a2-S+S": rep.direct_sum(a2, [sa, sa])[0],
+        "kron2-F3-S+S": rep.direct_sum(k3, [sa3, sa3])[0],
+        "kron2-R+R": rep.direct_sum(kron2, [f4, f4])[0],
+        "kron2-R3+R3": rep.direct_sum(kron2, [f8, f8])[0],
+        "a2-S+S+P(b)": rep.direct_sum(a2, [sa, sa, a2.proj("b")])[0],
+    }
+
+
+def test_decompose_matches_exhaustive_search(a2, kron2, loopb, uni4):
+    for name, x in _oracle_modules(a2, kron2, loopb, uni4).items():
+        want = _brute_summands(x)
+        parts = rep.decompose(x)
+        assert len(parts) == want, name
+        for s, _, _ in parts:
+            ed, rad = rep.end_radical(s)
+            assert _brute_summands(s) == 1, name
+            # J is exactly the set of non-units of the local ring End(S)
+            nonunits = _nonunit_coords(ed)
+            assert len(nonunits) == x.p ** rad.dim, name
+            assert all(rad.contains(np.array(c)) for c in nonunits), name
+
+
+def test_local_residue_fields(kron2):
+    for t, res in ((1, 2), (2, 2)):
+        ed, rad = rep.end_radical(kr.kR(kron2, (1, 1, 1), t))
+        assert ed.dim - rad.dim == res  # End/J = F_4
+    ed, rad = rep.end_radical(algebra.parse_algebra_file(UNI3_F3).proj("a"))
+    assert (ed.dim, rad.dim) == (3, 2)  # F_3[x]/x^3
+    with pytest.raises(VerificationFailure):
+        rep.end_radical(rep.direct_sum(kron2, [kron2.simple(0)] * 2)[0])
+
+
+def _endo(x, total):
+    m, off = np.array(total) % x.p, x.offsets()
+    return rep.Morphism(x, x, [m[off[v] : off[v + 1], off[v] : off[v + 1]] for v in range(len(x.dims))])
+
+
+def _shift_proof_basis(x, candidates):
+    """A basis of End(X) drawn from elements none of whose shifts a - lambda split."""
+    p = x.p
+    rows = []
+    for f in candidates:
+        if rep._fitting_split(rep.total_matrix(f), p) is None:
+            trial = ffmat.Subspace(np.array(rows + [f.flat()]), len(f.flat()), p)
+            if trial.dim > len(rows):
+                rows.append(f.flat())
+                yield f
+
+
+def test_commutative_split_driven_directly(monkeypatch):
+    # End = F_9 x F_9 for two regular modules from distinct degree-2 tubes
+    k3 = _f3_kron2()
+    labs = kr.monic_irreducibles(3, 2)[:2]
+    x = rep.direct_sum(k3, [kr.kR(k3, lab, 1) for lab in labs])[0]
+    basis = list(_shift_proof_basis(x, _end_elements(x)))
+    assert len(basis) == len(rep.end_algebra(x)) == 4
+    monkeypatch.setattr(rep, "end_algebra", lambda _: basis)
+    monkeypatch.setattr(rep, "SPLIT_CANDIDATES", 0)  # no random candidates
+    ed = rep.EndData(x)
+    e, rad = rep._split_or_certify(ed)
+    assert rad is None
+    f = rep._verified_idempotent(ed, e)
+    assert not f.is_zero() and not f.is_iso()
+
+
+def test_noncommutative_fallback_driven_directly(a2, monkeypatch):
+    # End(S + S) = M_2(F_2) on a basis where no a - lambda splits
+    sa = a2.simple("a")
+    x = rep.direct_sum(a2, [sa, sa])[0]
+    mats = ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 1], [1, 1]], [[1, 1], [1, 0]])
+    basis = [_endo(x, m) for m in mats]
+    monkeypatch.setattr(rep, "end_algebra", lambda _: basis)
+    ed = rep.EndData(x)
+    assert all(rep._fitting_split(a, 2) is None for a in ed.mats)
+    e, rad = rep._split_or_certify(ed)
+    assert rad is None
+    f = rep._verified_idempotent(ed, e)
+    assert not f.is_zero() and not f.is_iso()
+    # with the candidate budget spent, the search raises instead of answering
+    monkeypatch.setattr(rep, "SPLIT_CANDIDATES", 0)
+    with pytest.raises(VerificationFailure):
+        rep._split_or_certify(ed)
+
+
+def test_fallback_splits_without_rational_eigenvalues(kron2, monkeypatch):
+    # End(R + R) = M_2(F_8) for R on a degree-3 tube; diag(b, b^-1) has no
+    # eigenvalue in F_2, and b, b^-1 have distinct minimal polynomials
+    r = kr.kR(kron2, (1, 0, 1, 1), 1)
+    x, incls, projs = rep.direct_sum(kron2, [r, r])
+    one = rep.identity_morphism(r)
+    b = next(h for h in rep.end_algebra(r) if (h.flat() != one.flat()).any())
+    binv = b
+    for _ in range(5):
+        binv = binv.compose(b)
+    d = incls[0].compose(b).compose(projs[0]).add(incls[1].compose(binv).compose(projs[1]))
+    a = rep.total_matrix(d)
+    assert rep._fitting_split(a, 2) is None
+    f = rep._verified_idempotent(rep.EndData(x), rep._fitting_split(a, 2, 3))
+    assert not f.is_zero() and not f.is_iso()
+    # the fallback, driven on a basis where no a - lambda splits
+    basis = list(itertools.islice(_shift_proof_basis(x, _end_elements(x)), 12))
+    assert len(basis) == len(rep.end_algebra(x)) == 12
+    monkeypatch.setattr(rep, "end_algebra", lambda _: basis)
+    e, rad = rep._split_or_certify(rep.EndData(x))
+    assert rad is None
+
+
+def _minimalize_cases(a2, kron2, loopb):
+    k3 = _f3_kron2()
+    out = []
+    qa = a2.inj("a")
+    f1 = a2.yoneda("b", qa, [1])
+    d, _, projs = rep.direct_sum(a2, [a2.proj("b"), a2.proj("a")])
+    out.append(f1.compose(projs[0]))
+    sa = a2.simple("a")
+    out.append(rep.zero_morphism(rep.direct_sum(a2, [sa, sa])[0], qa))
+    sb = loopb.simple("b")
+    p0, cover, _ = ar.proj_cover(sb)
+    d, _, projs = rep.direct_sum(loopb, [p0, loopb.proj("a")])
+    out.append(cover.compose(projs[0]))
+    pb, q1 = k3.proj(1), kr.kQ(k3, 1)
+    g = rep.hom_space(pb, q1)[0]
+    d, _, projs = rep.direct_sum(k3, [pb, pb])
+    out.append(g.compose(projs[0]).add(g.scale(2).compose(projs[1])))
+    r = kr.kR(kron2, (1, 1, 1), 1)
+    d, _, projs = rep.direct_sum(kron2, [r, r])
+    h = rep.hom_space(r, r)[1]
+    out.append(h.compose(projs[0]).add(h.compose(projs[1])))
+    return out
+
+
+def test_right_minimalize_matches_exhaustive_search(a2, kron2, loopb):
+    for f in _minimalize_cases(a2, kron2, loopb):
+        fmin, split = rep.right_minimalize(f)
+        assert fmin.compose(split).key() == f.key()
+        assert rep.is_split_epi(split)
+        for e in _end_elements(fmin.src):
+            if e.is_zero() or not (e.compose(e).flat() == e.flat()).all():
+                continue
+            assert fmin.compose(e).flat().any()
+
+
+def test_right_minimalize_exhausted_search_raises(a2, kron2, loopb, monkeypatch):
+    # K0 is not nil here; a search that finds no split must not answer "minimal"
+    f = _minimalize_cases(a2, kron2, loopb)[0]
+    monkeypatch.setattr(rep, "_fitting_projection", lambda b, p: np.zeros_like(b))
+    with pytest.raises(VerificationFailure):
+        rep.right_minimalize(f)
