@@ -426,7 +426,10 @@ def parse_algebra_file(text, name=""):
         if kw == "field":
             if p is not None or len(toks) != 2:
                 raise ParseError("bad field line: %r" % raw)
-            p = int(toks[1])
+            try:
+                p = int(toks[1])
+            except ValueError:
+                raise ParseError("field size %r is not an integer" % toks[1]) from None
         elif kw == "vertices":
             if vertices is not None or len(toks) < 2:
                 raise ParseError("bad vertices line: %r" % raw)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import ffmat, rep
 from .errors import VerificationFailure
-from .ffmat import INT, zeros
+from .ffmat import INT, identity, zeros
 
 
 def proj_cover(m):
@@ -150,28 +150,17 @@ class ExtData:
         self.omega, self.incl = rep.kernel(self.cover)
         self.cocycles = rep.hom_space(self.omega, k)
         homp0k = rep.hom_space(self.p0, k)
-        rows = [rep.morphism_coords(f.compose(self.incl), self.cocycles) for f in homp0k]
-        rows = [r for r in rows if r is not None and len(r)]
-        self.coboundaries = ffmat.Subspace(np.array(rows, dtype=INT), len(self.cocycles), self.p)
+        rows = rep.hom_matrix_precompose(homp0k, self.incl, self.cocycles).T
+        self.coboundaries = ffmat.Subspace(rows, len(self.cocycles), self.p)
         self.dim = len(self.cocycles) - self.coboundaries.dim
 
     def cocycle(self, coords):
-        xi = rep.zero_morphism(self.omega, self.k)
-        for c, f in zip(coords, self.cocycles):
-            if c % self.p:
-                xi = xi.add(f.scale(int(c)))
-        return xi
+        return self.cocycles.element(coords)
 
     def class_reps(self):
         """Coordinate vectors representing a basis of Ext^1(Y, K)."""
-        out = []
         n = len(self.cocycles)
-        for j in range(n):
-            if j not in self.coboundaries.pivots:
-                e = zeros(1, n)[0]
-                e[j] = 1
-                out.append(e)
-        return out
+        return list(identity(n)[[j for j in range(n) if j not in self.coboundaries.pivots]])
 
     def is_coboundary(self, coords):
         return self.coboundaries.contains(coords)
@@ -179,17 +168,18 @@ class ExtData:
     def realize(self, xi):
         """(X, u, g) with 0 -> K -u-> X -g-> Y -> 0 the extension of class xi.
 
-        xi may be a Morphism Omega -> K or a coordinate vector over cocycles.
+        xi may be a Morphism Omega -> K, with any target K (a direct sum of
+        copies of self.k, for instance), or a coordinate vector over cocycles.
         """
         if not isinstance(xi, rep.Morphism):
             xi = self.cocycle(xi)
-        A = self.y.A
-        d, incls, projs = rep.direct_sum(A, [self.k, self.p0])
+        k = xi.tgt
+        d, incls, projs = rep.direct_sum(self.y.A, [k, self.p0])
         m = incls[0].compose(xi).add(incls[1].compose(self.incl).scale(self.p - 1))
         x, proj = rep.cokernel(m)
         u = proj.compose(incls[0])
         g = _descend(self.cover.compose(projs[1]), proj)
-        if x.total_dim != self.k.total_dim + self.y.total_dim:
+        if x.total_dim != k.total_dim + self.y.total_dim:
             raise VerificationFailure("extension has wrong dimension")
         if not u.is_mono() or not g.is_epi() or not g.compose(u).is_zero():
             raise VerificationFailure("realized sequence is not exact")
@@ -213,14 +203,14 @@ def ext1(y, k):
 
 
 def hom_through_proj(c, y):
-    """(subspace of Hom(C,Y) of maps factoring through a projective, hom basis)."""
+    """(subspace of Hom(C,Y) of maps factoring through a projective, hom basis).
+
+    A map C -> Y factors through a projective iff it factors through the
+    projective cover of Y.
+    """
     homcy = rep.hom_space(c, y)
     p0, cover, _ = proj_cover(y)
-    homcp = rep.hom_space(c, p0)
-    rows = [rep.morphism_coords(cover.compose(h), homcy) for h in homcp]
-    rows = [r for r in rows if r is not None and len(r)]
-    sub = ffmat.Subspace(np.array(rows, dtype=INT), len(homcy), c.p)
-    return sub, homcy
+    return rep.factor_subspace(cover, c, homcy), homcy
 
 
 def ar_formula_check(y, k):
@@ -269,22 +259,18 @@ def min_right_almost_split(y):
         raise VerificationFailure("no extensions of a non-projective by its translate")
     end, rad = rep.end_radical(y)
     radb = [end.from_coords(row) for row in rad.B]
-    oms = [_omega_endo(ed, phi) for phi in radb]
-    reps_ = ed.class_reps()
+    # (- o om) on cocycle coordinates, for the restrictions om of radical endomorphisms
+    acts = [rep.hom_matrix_precompose(ed.cocycles, _omega_endo(ed, phi), ed.cocycles) for phi in radb]
+    reps_ = np.array(ed.class_reps(), dtype=INT).reshape(-1, len(ed.cocycles))
     for coeffs in itertools.product(range(y.p), repeat=len(reps_)):
         if not any(coeffs):
             continue
         if next(c for c in coeffs if c) != 1:  # one representative per scalar line
             continue
-        coords = zeros(1, len(ed.cocycles))[0]
-        for c, r in zip(coeffs, reps_):
-            coords = (coords + c * r) % y.p
-        xi = ed.cocycle(coords)
-        if any(
-            not ed.is_coboundary(rep.morphism_coords(xi.compose(om), ed.cocycles))
-            for om in oms
-        ):
+        coords = (np.array(coeffs, dtype=INT) @ reps_) % y.p
+        if any(not ed.is_coboundary((a @ coords) % y.p) for a in acts):
             continue
+        xi = ed.cocycle(coords)
         x, u, g = ed.realize(xi)
         if rep.is_split_epi(g):
             raise VerificationFailure("candidate almost split sequence splits")

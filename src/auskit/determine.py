@@ -12,22 +12,11 @@ import numpy as np
 
 from . import ar, rep
 from .errors import VerificationFailure
-from .ffmat import INT, Subspace, kernel, zeros
+from .ffmat import INT, Subspace, kernel
 
 
 def _rows_subspace(rows, n, p):
     return Subspace(np.array(rows, dtype=INT), n, p)
-
-
-def factor_subspace(f, w, hom_wy):
-    """Image of Hom(W, f): the maps W -> Y factoring through f, in coordinates."""
-    rows = []
-    for u in rep.hom_space(w, f.src):
-        coords = rep.morphism_coords(f.compose(u), hom_wy)
-        if coords is None:
-            raise VerificationFailure("map through f left Hom(W, Y)")
-        rows.append(coords)
-    return _rows_subspace(rows, len(hom_wy), f.p)
 
 
 class GammaHom:
@@ -81,18 +70,11 @@ class GammaHom:
         """Image of Hom(C, f) as a submodule of Hom(C, Y)."""
         if f.tgt.key() != self.y.key():
             raise VerificationFailure("eta needs a map ending in Y")
-        return factor_subspace(f, self.c, self.basis)
+        return rep.factor_subspace(f, self.c, self.basis)
 
     def through_proj(self):
         """The submodule of maps that factor through a projective."""
-        p0, cover, _ = ar.proj_cover(self.y)
-        rows = []
-        for h in rep.hom_space(self.c, p0):
-            coords = rep.morphism_coords(cover.compose(h), self.basis)
-            if coords is None:
-                raise VerificationFailure("map through the cover left Hom(C, Y)")
-            rows.append(coords)
-        return _rows_subspace(rows, self.n, self.p)
+        return ar.hom_through_proj(self.c, self.y)[0]
 
     # -- composition factors --------------------------------------------------
 
@@ -167,14 +149,7 @@ class GammaHom:
             comps = ed.coords_of([rep.total_matrix(theta.compose(psi)) for psi in hom])
             rows.extend(np.array([rad.reduce(c) for c in comps], dtype=INT).T)
         ker = kernel(np.array(rows, dtype=INT).reshape(-1, len(hom)), self.p)
-        out = []
-        for row in ker:
-            f = rep.zero_morphism(x, y)
-            for c, b in zip(row, hom):
-                if c:
-                    f = f.add(b.scale(int(c)))
-            out.append(f)
-        return out
+        return [hom.element(row) for row in ker]
 
     def labels(self):
         """Dimension vectors of the class representatives (for display)."""
@@ -233,25 +208,17 @@ def almost_factors_strictly(f, pr):
     hom_py = rep.hom_space(pr, y)
     if not hom_py:
         return False
-    fp = factor_subspace(f, pr, hom_py)
+    fp = rep.factor_subspace(f, pr, hom_py)
     r, iota = rep.rad(pr)
     homry = rep.hom_space(r, y)
     if not homry:
         # everything restricts to zero on rad P; W is all of Hom(P,Y)
         return fp.dim < len(hom_py)
-    fr = factor_subspace(f, r, homry)
+    fr = rep.factor_subspace(f, r, homry)
     rmat = rep.hom_matrix_precompose(hom_py, iota, homry)
-    # quotient projection modulo fr, as in a row-reduced complement
-    free = [j for j in range(len(homry)) if j not in fr.pivots]
-    pm = zeros(len(free), len(homry))
-    for k, j in enumerate(free):
-        pm[k, j] = 1
-    for i, cpiv in enumerate(fr.pivots):
-        for k, j in enumerate(free):
-            pm[k, cpiv] = (-fr.B[i, j]) % f.p
-    w = kernel((pm @ rmat) % f.p, f.p)
-    wsub = _rows_subspace(list(w), len(hom_py), f.p)
-    return not wsub.leq(fp)
+    # W: the maps whose restriction to rad P lies in fr; kernel(fr.B) projects mod fr
+    w = kernel((kernel(fr.B, f.p) @ rmat) % f.p, f.p)
+    return not Subspace(w, len(hom_py), f.p).leq(fp)
 
 
 def minimal_determiner(f):

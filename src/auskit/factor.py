@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ar, determine, lattice, rep
 from .errors import CapExceeded, VerificationFailure
-from .ffmat import INT, Subspace, enumerate_subspaces
+from .ffmat import INT, Subspace, enumerate_subspaces, zeros
 
 CAND_CAP = 20000
 
@@ -67,20 +67,9 @@ def _is_generator(c):
 
 
 def _ext_choices(ed):
-    """All subspaces of Ext^1 in cocycle coordinates: (t, tuple of coord rows)."""
-    reps_ = ed.class_reps()
-    e = len(reps_)
-    out = []
-    for sub in enumerate_subspaces(e, ed.p):
-        rows = []
-        for r in sub.B:
-            coords = np.zeros(len(ed.cocycles), dtype=INT)
-            for m, cm in enumerate(r):
-                if cm:
-                    coords = (coords + int(cm) * reps_[m]) % ed.p
-            rows.append(coords)
-        out.append(rows)
-    return out
+    """All subspaces of Ext^1, each as a list of cocycle coordinate rows."""
+    reps_ = np.array(ed.class_reps(), dtype=INT).reshape(-1, len(ed.cocycles))
+    return [list((sub.B @ reps_) % ed.p) for sub in enumerate_subspaces(len(reps_), ed.p)]
 
 
 class FactorizationLattice:
@@ -233,58 +222,36 @@ def _assemble(A, incl, eds, combo):
     xi = rep.zero_morphism(eds[0].omega, ktotal)
     for ki, m in zip(kincls, morphs):
         xi = xi.add(ki.compose(m))
-    x, u, g = _realize(eds[0], ktotal, xi)
+    x, u, g = eds[0].realize(xi)
     return incl.compose(g)
-
-
-def _realize(ed, ktotal, xi):
-    """Extension of ed.y by ktotal along the combined cocycle xi."""
-    A = ed.y.A
-    d, incls, projs = rep.direct_sum(A, [ktotal, ed.p0])
-    m = incls[0].compose(xi).add(incls[1].compose(ed.incl).scale(ed.p - 1))
-    x, proj = rep.cokernel(m)
-    u = proj.compose(incls[0])
-    g = ar._descend(ed.cover.compose(projs[1]), proj)
-    if x.total_dim != ktotal.total_dim + ed.y.total_dim:
-        raise VerificationFailure("extension has wrong dimension")
-    if not u.is_mono() or not g.is_epi() or not g.compose(u).is_zero():
-        raise VerificationFailure("realized sequence is not exact")
-    return x, u, g
 
 
 # -- forks, coforks, and the kernel comparison sequence ------------------------
 
 
 def is_fork(gs):
-    """Whether maps g_i: X -> M_i (M_i indecomposable) form a fork."""
+    """Whether maps g_i: X -> M_i (M_i indecomposable) form a fork: no g_i lies
+    in the span of the phi o g_j, j != i, phi: M_j -> M_i."""
     _check_prongs([g.tgt for g in gs], gs)
-    for i, g in enumerate(gs):
-        basis = rep.hom_space(g.src, g.tgt)
-        rows = []
-        for j, h in enumerate(gs):
-            if j == i:
-                continue
-            for phi in rep.hom_space(h.tgt, g.tgt):
-                rows.append(rep.morphism_coords(phi.compose(h), basis))
-        span = Subspace(np.array(rows, dtype=INT), len(basis), g.p)
-        if span.contains(rep.morphism_coords(g, basis)):
-            return False
-    return True
+    return _no_prong_spanned(gs, lambda h, hom: rep.hom_matrix_precompose(
+        rep.hom_space(h.tgt, hom.y), h, hom).T)
 
 
 def is_cofork(fs):
-    """Whether maps f_i: M_i -> Y (M_i indecomposable) form a cofork."""
+    """Whether maps f_i: M_i -> Y (M_i indecomposable) form a cofork: no f_i lies
+    in the span of the f_j o psi, j != i, psi: M_i -> M_j."""
     _check_prongs([f.src for f in fs], fs)
+    return _no_prong_spanned(fs, lambda g, hom: rep.factor_subspace(g, hom.x, hom).B)
+
+
+def _no_prong_spanned(fs, rows_from):
+    """Whether no f_i lies in the span of the coordinate rows rows_from(f_j, Hom_i)
+    over j != i, Hom_i the HomSpace of f_i."""
     for i, f in enumerate(fs):
-        basis = rep.hom_space(f.src, f.tgt)
-        rows = []
-        for j, g in enumerate(fs):
-            if j == i:
-                continue
-            for psi in rep.hom_space(f.src, g.src):
-                rows.append(rep.morphism_coords(g.compose(psi), basis))
-        span = Subspace(np.array(rows, dtype=INT), len(basis), f.p)
-        if span.contains(rep.morphism_coords(f, basis)):
+        hom = rep.hom_space(f.src, f.tgt)
+        rows = [rows_from(g, hom) for j, g in enumerate(fs) if j != i]
+        span = Subspace(np.concatenate([zeros(0, len(hom))] + rows), len(hom), f.p)
+        if span.contains(rep.morphism_coords(f, hom)):
             return False
     return True
 

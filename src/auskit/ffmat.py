@@ -140,7 +140,10 @@ def inv(a, p):
 
 
 def kron(a, b, p):
-    return np.kron(amod(a, p), amod(b, p)) % p
+    """Kronecker product, as np.kron but by one broadcast product."""
+    a, b = amod(a, p), amod(b, p)
+    prod = a[:, None, :, None] * b[None, :, None, :]
+    return prod.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]) % p
 
 
 # --- subspaces -------------------------------------------------------------
@@ -330,22 +333,6 @@ def poly_gcd(a, b, p):
     if poly_deg(a) >= 0:
         a = poly_scale(a, inv_mod(a[poly_deg(a)], p), p)
     return a
-
-
-def poly_xgcd(a, b, p):
-    """(g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = poly_trim(amod(a, p)), poly_trim(amod(b, p))
-    s0, s1 = np.array([1], dtype=INT), np.array([0], dtype=INT)
-    t0, t1 = np.array([0], dtype=INT), np.array([1], dtype=INT)
-    while poly_deg(r1) >= 0:
-        q, r = poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_add(s0, poly_scale(poly_mul(q, s1, p), -1, p), p)
-        t0, t1 = t1, poly_add(t0, poly_scale(poly_mul(q, t1, p), -1, p), p)
-    if poly_deg(r0) >= 0:
-        c = inv_mod(r0[poly_deg(r0)], p)
-        r0, s0, t0 = poly_scale(r0, c, p), poly_scale(s0, c, p), poly_scale(t0, c, p)
-    return r0, s0, t0
 
 
 def poly_is_irreducible(c, p):

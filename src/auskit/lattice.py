@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rep
 from .errors import CapExceeded, ParseError, VerificationFailure
-from .ffmat import INT, Subspace, all_vectors, gaussian_binomial, kernel, zeros
+from .ffmat import INT, Subspace, all_vectors, gaussian_binomial, kernel
 
 DEFAULT_DIM_CAPS = {2: 12, 3: 8, 5: 6}
 NODE_CAP = 20000
@@ -275,23 +275,6 @@ class VertexTuple:
         return all(a.leq(b) for a, b in zip(self.parts, other.parts))
 
 
-def _rep_close(x, parts):
-    p = x.p
-    subs = list(parts)
-    while True:
-        changed = False
-        for ai, (_, u, v) in enumerate(x.A.quiver.arrows):
-            if subs[u].dim == 0:
-                continue
-            img = (subs[u].B @ x.mats[ai].T) % p
-            grown = subs[v].sum(Subspace(img, x.dims[v], p))
-            if grown.dim != subs[v].dim:
-                subs[v] = grown
-                changed = True
-        if not changed:
-            return VertexTuple(subs)
-
-
 def rep_submodule_lattice(x, node_cap=NODE_CAP):
     """All submodules of a representation, as vertex-graded subspaces."""
     p = x.p
@@ -323,7 +306,7 @@ def rep_submodule_lattice(x, node_cap=NODE_CAP):
                 np.vstack([parts[v].B, r.reshape(1, -1)]), x.dims[v], p
             )
             parts[v] = grown
-            w = _rep_close(x, parts)
+            w = VertexTuple(rep.sub_closure(x, parts))
             k = w.key()
             if k not in seen:
                 if len(seen) >= node_cap:
@@ -374,12 +357,4 @@ def maximal_submodules(x):
 
 def _preimage_rows(pm, h, p):
     """Rows spanning the preimage of a subspace under a linear map."""
-    m = pm.shape[0]
-    free = [j for j in range(m) if j not in h.pivots]
-    qm = zeros(len(free), m)
-    for k, j in enumerate(free):
-        qm[k, j] = 1
-    for i, cpiv in enumerate(h.pivots):
-        for k, j in enumerate(free):
-            qm[k, cpiv] = (-h.B[i, j]) % p
-    return list(kernel((qm @ pm) % p, p))
+    return list(kernel((kernel(h.B, p) @ pm) % p, p))

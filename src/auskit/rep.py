@@ -6,6 +6,7 @@ actions.  Everything downstream (kernels, direct summands, right
 minimalization) reduces to exact linear algebra in ffmat.
 """
 
+import functools
 import itertools
 import random
 
@@ -172,35 +173,76 @@ def morphism_from_flat(x, y, flat):
 # --- hom spaces -------------------------------------------------------------
 
 
-def hom_space(x, y):
-    """Basis of Hom(X, Y) as a list of Morphisms (deterministic order)."""
+def _intertwiner_system(x, y):
+    """(eqs, starts): eqs @ vec(f) = 0 exactly for the morphisms f: X -> Y.
+
+    The unknowns are the row-major vec(f_v), vertex v in the columns
+    starts[v]:starts[v + 1]; an arrow a: u -> v contributes the rows of
+    vec(Y_a f_u - f_v X_a).
+    """
     p = x.p
-    nv = len(x.dims)
-    sizes = [y.dims[v] * x.dims[v] for v in range(nv)]
-    starts = [0]
-    for s in sizes:
-        starts.append(starts[-1] + s)
-    nunk = starts[-1]
-    rows = []
+    starts = list(itertools.accumulate([0] + [a * b for a, b in zip(x.dims, y.dims)]))
+    rows = [zeros(0, starts[-1])]
     for ai, (_, u, v) in enumerate(x.A.quiver.arrows):
-        # vec(Y_a f_u) - vec(f_v X_a) = 0, row-major vec
-        neq = y.dims[v] * x.dims[u]
-        if neq == 0:
-            continue
-        block = zeros(neq, nunk)
-        if sizes[u]:
+        block = zeros(y.dims[v] * x.dims[u], starts[-1])
+        if block.size:
             block[:, starts[u] : starts[u + 1]] = ffmat.kron(y.mats[ai], identity(x.dims[u]), p)
-        if sizes[v]:
-            block[:, starts[v] : starts[v + 1]] = (
-                block[:, starts[v] : starts[v + 1]]
-                - ffmat.kron(identity(y.dims[v]), x.mats[ai].T, p)
-            ) % p
-        rows.append(block)
-    if nunk == 0:
-        return []
-    eqs = np.concatenate(rows, axis=0) if rows else zeros(0, nunk)
-    basis = ffmat.kernel(eqs, p)
-    return [morphism_from_flat(x, y, row) for row in basis]
+            block[:, starts[v] : starts[v + 1]] -= ffmat.kron(identity(y.dims[v]), x.mats[ai].T, p)
+            rows.append(block % p)
+    return np.concatenate(rows), starts
+
+
+class HomSpace(tuple):
+    """A basis of Hom(X, Y): a tuple of Morphisms that reads coordinates.
+
+    The coordinate reader is built on first use: the pivot columns of the
+    flattened basis and the inverse of the basis at those columns, so the
+    coordinates of a whole stack of maps cost one product; membership is
+    checked.
+    """
+
+    def __new__(cls, x, y, basis):
+        self = super().__new__(cls, basis)
+        self.x, self.y = x, y
+        self.width = sum(a * b for a, b in zip(x.dims, y.dims))
+        return self
+
+    @functools.cached_property
+    def matrix(self):
+        """The basis as rows of flattened maps."""
+        return np.array([f.flat() for f in self], dtype=INT).reshape(len(self), self.width)
+
+    @functools.cached_property
+    def _reader(self):
+        # rref [B | 1] = [T B | T]: T B has its identity columns at the pivots
+        # of B, so T inverts B there; a pivot in the right half means B is
+        # not independent
+        n, w = len(self), self.width
+        r, piv = ffmat.rref(np.concatenate([self.matrix, identity(n)], axis=1), self.x.p)
+        if piv and piv[-1] >= w:
+            raise VerificationFailure("hom basis is linearly dependent")
+        return piv, r[:, w:]
+
+    def coords(self, flats):
+        """Coordinate rows of a stack of flattened maps X -> Y, each checked to
+        lie in the span (VerificationFailure otherwise)."""
+        p = self.x.p
+        flats = np.asarray(flats, dtype=INT).reshape(len(flats), self.width)
+        piv, pinv = self._reader
+        c = (flats[:, piv] @ pinv) % p
+        if ((c @ self.matrix) % p != flats).any():
+            raise VerificationFailure("map outside Hom(X, Y)")
+        return c
+
+    def element(self, coords):
+        """The morphism with the given coordinates."""
+        return morphism_from_flat(self.x, self.y, (np.asarray(coords, dtype=INT) @ self.matrix) % self.x.p)
+
+
+def hom_space(x, y):
+    """Basis of Hom(X, Y) as a HomSpace (deterministic order)."""
+    eqs, _ = _intertwiner_system(x, y)
+    return HomSpace(x, y, [morphism_from_flat(x, y, row) for row in ffmat.kernel(eqs, x.p)])
 
 
 def end_algebra(x):
@@ -208,25 +250,20 @@ def end_algebra(x):
 
 
 def morphism_coords(f, basis):
-    """Coordinates of f over a basis of morphisms; None if outside the span."""
-    if not basis:
-        return None if not f.is_zero() else np.array([], dtype=INT)
-    mat = np.array([b.flat() for b in basis], dtype=INT).T
-    return ffmat.solve(mat, f.flat(), f.p)
+    """Coordinates of f over a HomSpace; VerificationFailure outside its span."""
+    return basis.coords([f.flat()])[0]
 
 
 def hom_matrix_precompose(homxy, g, homzy):
     """Matrix of (- o g): Hom(X,Y) -> Hom(Z,Y) for g: Z -> X, in given bases."""
-    p = g.p
-    cols = []
-    for f in homxy:
-        coords = morphism_coords(f.compose(g), homzy)
-        if coords is None:
-            raise VerificationFailure("precomposed map left the target hom space")
-        cols.append(coords)
-    if not cols:
-        return zeros(len(homzy), 0)
-    return np.array(cols, dtype=INT).T % p
+    return homzy.coords([f.compose(g).flat() for f in homxy]).T
+
+
+def factor_subspace(f, w, hom_wy):
+    """Image of Hom(W, f) = (f o -): the maps W -> Y factoring through f, in
+    the coordinates of the HomSpace hom_wy."""
+    rows = hom_wy.coords([f.compose(u).flat() for u in hom_space(w, f.src)])
+    return ffmat.Subspace(rows, len(hom_wy), f.p)
 
 
 # --- subobjects and quotients ------------------------------------------------
@@ -274,30 +311,16 @@ def quotient_by_subspaces(x, subs):
     """(Q, proj) where Q = X / U for arrow-stable vertexwise subspaces U.
 
     Quotient coordinates are the non-pivot coordinates of the subspace's
-    echelon basis; proj(y) reads off those coordinates of y reduced mod U.
+    echelon basis; proj(y) reads off those coordinates of y reduced mod U,
+    which is the kernel basis of U's echelon rows.
     """
     p = x.p
-    projs = []
-    for v in range(len(x.dims)):
-        s = subs[v]
-        d = x.dims[v]
-        free = [j for j in range(d) if j not in s.pivots]
-        pm = zeros(len(free), d)
-        for k, j in enumerate(free):
-            pm[k, j] = 1
-        for i, c in enumerate(s.pivots):
-            for k, j in enumerate(free):
-                pm[k, c] = (-s.B[i, j]) % p
-        projs.append(pm)
-    dims = [m.shape[0] for m in projs]
+    projs = [ffmat.kernel(s.B, p) for s in subs]
     mats = {}
     for ai, (_, u, v) in enumerate(x.A.quiver.arrows):
-        sec = zeros(x.dims[u], dims[u])
-        free_u = [j for j in range(x.dims[u]) if j not in subs[u].pivots]
-        for k, j in enumerate(free_u):
-            sec[j, k] = 1
+        sec = identity(x.dims[u])[:, [j for j in range(x.dims[u]) if j not in subs[u].pivots]]
         mats[ai] = (projs[v] @ x.mats[ai] @ sec) % p
-    q = Rep(x.A, dims, mats, check=False)
+    q = Rep(x.A, [m.shape[0] for m in projs], mats, check=False)
     proj = Morphism(x, q, projs).check()
     return q, proj
 
@@ -310,10 +333,10 @@ def cokernel(f):
     return quotient_by_subspaces(f.tgt, subs)
 
 
-def sub_closure(x, seed_rows):
-    """Smallest arrow-closed family of vertex subspaces containing the seeds."""
+def sub_closure(x, spans):
+    """Smallest arrow-closed family of vertex subspaces containing the Subspaces spans."""
     p = x.p
-    spans = [ffmat.Subspace(seed_rows[v], x.dims[v], p) for v in range(len(x.dims))]
+    spans = list(spans)
     changed = True
     while changed:
         changed = False
@@ -329,7 +352,7 @@ def sub_closure(x, seed_rows):
 
 
 def sub_from_vectors(x, seed_rows):
-    spans = sub_closure(x, seed_rows)
+    spans = sub_closure(x, [ffmat.Subspace(r, d, x.p) for r, d in zip(seed_rows, x.dims)])
     return _sub_rep_from_rows(x, [s.B for s in spans])
 
 
@@ -447,10 +470,10 @@ def total_matrix(f):
 
 
 class EndData:
-    """End(X) with its basis as total matrices and coordinates in that basis.
+    """End(X) with its basis as a stack of total matrices.
 
-    Coordinates are read off at the pivot entries of the flattened basis, so
-    a whole stack of matrices costs one product; membership is checked.
+    Coordinates are read by the HomSpace of the basis, from the entries of
+    the vertex blocks; the entries outside them must be zero.
     """
 
     def __init__(self, x):
@@ -458,22 +481,21 @@ class EndData:
         self.p = x.p
         self.basis = end_algebra(x)
         self.dim = len(self.basis)
-        n = x.total_dim
-        self.mats = np.array([total_matrix(b) for b in self.basis], dtype=INT).reshape(self.dim, n, n)
-        if self.dim:
-            flat = self.mats.reshape(self.dim, n * n)
-            self._piv = ffmat.rref(flat, self.p)[1]
-            if len(self._piv) != self.dim:
-                raise VerificationFailure("endomorphism basis is linearly dependent")
-            self._pinv = ffmat.inv(flat[:, self._piv], self.p)
+        n, off = x.total_dim, x.offsets()
+        inside = np.zeros((n, n), dtype=bool)
+        for v in range(len(x.dims)):
+            inside[off[v] : off[v + 1], off[v] : off[v + 1]] = True
+        self._inside = inside.reshape(-1)  # row-major, so in Morphism.flat order
+        self.mats = zeros(self.dim, n * n)
+        self.mats[:, self._inside] = self.basis.matrix
+        self.mats = self.mats.reshape(self.dim, n, n)
 
     def coords_of(self, ms):
         """Coordinate rows of a stack of total matrices, each checked to lie in End(X)."""
         flat = np.asarray(ms, dtype=INT).reshape(len(ms), -1)
-        c = (flat[:, self._piv] @ self._pinv) % self.p
-        if ((c @ self.mats.reshape(self.dim, -1)) % self.p != flat).any():
+        if flat[:, ~self._inside].any():
             raise VerificationFailure("matrix outside the endomorphism ring")
-        return c
+        return self.basis.coords(flat[:, self._inside])
 
     def to_mats(self, coords):
         """Total matrices of a stack of coordinate rows."""
@@ -481,13 +503,10 @@ class EndData:
 
     def endo(self, m):
         """The endomorphism whose total matrix is m."""
-        off = self.x.offsets()
-        return Morphism(
-            self.x, self.x, [m[off[v] : off[v + 1], off[v] : off[v + 1]] for v in range(len(self.x.dims))]
-        )
+        return morphism_from_flat(self.x, self.x, np.asarray(m).reshape(-1)[self._inside])
 
     def from_coords(self, c):
-        return self.endo(self.to_mats([c])[0])
+        return self.basis.element(c)
 
 
 def _fitting_projection(b, p):
@@ -801,50 +820,28 @@ def right_minimalize(f):
     return cur, split_acc
 
 
-def right_leq(f, g):
-    """(exists h with f = g o h, canonical h or None)."""
-    p = f.p
-    x, z = f.src, g.src
-    nv = len(x.dims)
-    sizes = [z.dims[v] * x.dims[v] for v in range(nv)]
-    starts = [0]
-    for s in sizes:
-        starts.append(starts[-1] + s)
-    nunk = starts[-1]
-    rows = []
-    rhs = []
-    for ai, (_, u, v) in enumerate(x.A.quiver.arrows):
-        neq = z.dims[v] * x.dims[u]
-        if neq == 0:
-            continue
-        block = zeros(neq, nunk)
-        if sizes[u]:
-            block[:, starts[u] : starts[u + 1]] = ffmat.kron(z.mats[ai], identity(x.dims[u]), p)
-        if sizes[v]:
-            block[:, starts[v] : starts[v + 1]] = (
-                block[:, starts[v] : starts[v + 1]] - ffmat.kron(identity(z.dims[v]), x.mats[ai].T, p)
-            ) % p
+def _solve_on_hom(x, y, comp, rhs):
+    """(True, h) for the canonical h: X -> Y with comp[v] @ vec(h_v) = vec(rhs[v])
+    at every vertex v, or (False, None): one solve of the intertwiner system
+    with the composition rows stacked under it."""
+    eqs, starts = _intertwiner_system(x, y)
+    rows, b = [eqs], [zeros(1, len(eqs))[0]]
+    for v, (c, r) in enumerate(zip(comp, rhs)):
+        block = zeros(len(c), starts[-1])
+        block[:, starts[v] : starts[v + 1]] = c
         rows.append(block)
-        rhs.append(zeros(1, neq)[0])
-    for v in range(nv):
-        neq = f.tgt.dims[v] * x.dims[v]
-        if neq == 0:
-            continue
-        block = zeros(neq, nunk)
-        if sizes[v]:
-            block[:, starts[v] : starts[v + 1]] = ffmat.kron(g.blocks[v], identity(x.dims[v]), p)
-        rows.append(block)
-        rhs.append(f.blocks[v].reshape(-1))
-    if nunk == 0:
-        ok = all(not r.any() for r in rhs)
-        return (True, zero_morphism(x, z)) if ok else (False, None)
-    eqs = np.concatenate(rows, axis=0) if rows else zeros(0, nunk)
-    b = np.concatenate(rhs) if rhs else zeros(1, 0)[0]
-    sol = ffmat.solve(eqs, b, p)
+        b.append(r.reshape(-1))
+    sol = ffmat.solve(np.concatenate(rows), np.concatenate(b), x.p)
     if sol is None:
         return False, None
-    h = morphism_from_flat(x, z, sol).check()
-    return True, h
+    return True, morphism_from_flat(x, y, sol).check()
+
+
+def right_leq(f, g):
+    """(exists h with f = g o h, canonical h or None)."""
+    x = f.src
+    comp = [ffmat.kron(gv, identity(d), f.p) for gv, d in zip(g.blocks, x.dims)]
+    return _solve_on_hom(x, g.src, comp, f.blocks)
 
 
 def right_equivalent(f, g):
@@ -857,48 +854,8 @@ def right_equivalent(f, g):
 
 def left_leq(f, g):
     """(exists h with f = h o g, canonical h or None).  f: A->B, g: A->C."""
-    p = f.p
-    b, c = f.tgt, g.tgt
-    nv = len(b.dims)
-    sizes = [b.dims[v] * c.dims[v] for v in range(nv)]
-    starts = [0]
-    for s in sizes:
-        starts.append(starts[-1] + s)
-    nunk = starts[-1]
-    rows = []
-    rhs = []
-    for ai, (_, u, v) in enumerate(b.A.quiver.arrows):
-        neq = b.dims[v] * c.dims[u]
-        if neq == 0:
-            continue
-        block = zeros(neq, nunk)
-        if sizes[u]:
-            block[:, starts[u] : starts[u + 1]] = ffmat.kron(b.mats[ai], identity(c.dims[u]), p)
-        if sizes[v]:
-            block[:, starts[v] : starts[v + 1]] = (
-                block[:, starts[v] : starts[v + 1]] - ffmat.kron(identity(b.dims[v]), c.mats[ai].T, p)
-            ) % p
-        rows.append(block)
-        rhs.append(zeros(1, neq)[0])
-    for v in range(nv):
-        neq = b.dims[v] * f.src.dims[v]
-        if neq == 0:
-            continue
-        block = zeros(neq, nunk)
-        if sizes[v]:
-            block[:, starts[v] : starts[v + 1]] = ffmat.kron(identity(b.dims[v]), g.blocks[v].T, p)
-        rows.append(block)
-        rhs.append(f.blocks[v].reshape(-1))
-    if nunk == 0:
-        ok = all(not r.any() for r in rhs)
-        return (True, zero_morphism(c, b)) if ok else (False, None)
-    eqs = np.concatenate(rows, axis=0) if rows else zeros(0, nunk)
-    vb = np.concatenate(rhs) if rhs else zeros(1, 0)[0]
-    sol = ffmat.solve(eqs, vb, p)
-    if sol is None:
-        return False, None
-    h = morphism_from_flat(c, b, sol).check()
-    return True, h
+    comp = [ffmat.kron(identity(d), gv.T, f.p) for gv, d in zip(g.blocks, f.tgt.dims)]
+    return _solve_on_hom(g.tgt, f.tgt, comp, f.blocks)
 
 
 def is_split_epi(g):

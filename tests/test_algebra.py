@@ -147,9 +147,9 @@ def test_parse_errors():
         algebra.parse_algebra_file("field 2\nvertices a\nfoo bar\n")
     with pytest.raises(ParseError):
         algebra.parse_algebra_file("field 2\nvertices a b\narrow x a q\n")
-    for field in (0, 1, 4, 9):
+    for field in (0, 1, 4, 9, "x"):
         with pytest.raises(ParseError):
-            algebra.parse_algebra_file("field %d\nvertices a\n" % field)
+            algebra.parse_algebra_file("field %s\nvertices a\n" % field)
     with pytest.raises(ParseError):
         algebra.parse_algebra_file("vertices a\n")
     # beta after alpha is not composable in the linear A3 quiver

@@ -35,6 +35,13 @@ def test_check_algebra_file(tmp_path, capsys):
     assert "tiny over F_3" in out
 
 
+def test_check_algebra_bad_field_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_text("field x\nvertices a\n")
+    assert cli.main(["check-algebra", str(path)]) == 2
+    assert "field size 'x' is not an integer" in capsys.readouterr().err
+
+
 def test_check_algebra_unknown(capsys):
     assert cli.main(["check-algebra", "no-such-thing"]) == 2
     assert "no catalog algebra" in capsys.readouterr().err

@@ -286,7 +286,7 @@ def test_commutative_split_driven_directly(monkeypatch):
     x = rep.direct_sum(k3, [kr.kR(k3, lab, 1) for lab in labs])[0]
     basis = list(_shift_proof_basis(x, _end_elements(x)))
     assert len(basis) == len(rep.end_algebra(x)) == 4
-    monkeypatch.setattr(rep, "end_algebra", lambda _: basis)
+    monkeypatch.setattr(rep, "end_algebra", lambda x: rep.HomSpace(x, x, basis))
     monkeypatch.setattr(rep, "SPLIT_CANDIDATES", 0)  # no random candidates
     ed = rep.EndData(x)
     e, rad = rep._split_or_certify(ed)
@@ -301,7 +301,7 @@ def test_noncommutative_fallback_driven_directly(a2, monkeypatch):
     x = rep.direct_sum(a2, [sa, sa])[0]
     mats = ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 1], [1, 1]], [[1, 1], [1, 0]])
     basis = [_endo(x, m) for m in mats]
-    monkeypatch.setattr(rep, "end_algebra", lambda _: basis)
+    monkeypatch.setattr(rep, "end_algebra", lambda x: rep.HomSpace(x, x, basis))
     ed = rep.EndData(x)
     assert all(rep._fitting_split(a, 2) is None for a in ed.mats)
     e, rad = rep._split_or_certify(ed)
@@ -332,7 +332,7 @@ def test_fallback_splits_without_rational_eigenvalues(kron2, monkeypatch):
     # the fallback, driven on a basis where no a - lambda splits
     basis = list(itertools.islice(_shift_proof_basis(x, _end_elements(x)), 12))
     assert len(basis) == len(rep.end_algebra(x)) == 12
-    monkeypatch.setattr(rep, "end_algebra", lambda _: basis)
+    monkeypatch.setattr(rep, "end_algebra", lambda x: rep.HomSpace(x, x, basis))
     e, rad = rep._split_or_certify(rep.EndData(x))
     assert rad is None
 
