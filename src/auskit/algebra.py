@@ -100,6 +100,9 @@ class Algebra:
 
     relations: list of relations, each a list of (coef, path) with all paths
     parallel (same source and target vertex) and of length >= 1.
+
+    Each algebra keeps one answer memo for its modules (see ``memoized``),
+    alive as long as the algebra, with no eviction.
     """
 
     def __init__(self, quiver, p, relations, name="", max_len=64, max_paths=200000):
@@ -110,8 +113,8 @@ class Algebra:
         self.p = p
         self.name = name
         self._op = None
-        self._proj_cache = {}
-        self._inj_cache = {}
+        self._memo = {}
+        self._memo_counts = {}  # kind -> [hits, misses]
         self.relations = self._normalize_relations(relations)
         self._build_basis(max_len, max_paths)
         self._build_mult()
@@ -303,6 +306,30 @@ class Algebra:
     def _vertex_of(self, v):
         return v if isinstance(v, int) else self.quiver.vertex_index(v)
 
+    # -- the answer memo ---------------------------------------------------
+
+    def memoized(self, key, compute):
+        """The answer stored under key, from compute() on the first call.
+
+        Keys start with their kind.  Module answers have content keys
+        (kind, Rep.key(), ...), so every module with the same content shares
+        one answer; Reps are never mutated, which keeps the keys valid.  The
+        projectives and injectives are keyed by vertex.  An exception from
+        compute() stores nothing, so only answers that passed their
+        certificates are kept.
+        """
+        counts = self._memo_counts.setdefault(key[0], [0, 0])
+        if key in self._memo:
+            counts[0] += 1
+            return self._memo[key]
+        counts[1] += 1
+        val = self._memo[key] = compute()
+        return val
+
+    def memo_stats(self):
+        """{kind: (hits, misses)} of the answer memo."""
+        return {kind: tuple(c) for kind, c in self._memo_counts.items()}
+
     # -- distinguished modules ----------------------------------------------
 
     def proj_paths(self, v):
@@ -317,8 +344,9 @@ class Algebra:
     def proj(self, v):
         """Indecomposable projective P(v): paths starting at v."""
         v = self._vertex_of(v)
-        if v in self._proj_cache:
-            return self._proj_cache[v]
+        return self.memoized(("proj", v), lambda: self._proj(v))
+
+    def _proj(self, v):
         pp = self.proj_paths(v)
         loc = {pt: (w, k) for w in range(self.nv) for k, pt in enumerate(pp[w])}
         dims = [len(pp[w]) for w in range(self.nv)]
@@ -331,9 +359,7 @@ class Algebra:
                     ww, kk = loc[self.basis[int(gi)]]
                     m[kk, k] = img[gi]
             mats[ai] = m
-        r = rep.Rep(self, dims, mats)
-        self._proj_cache[v] = r
-        return r
+        return rep.Rep(self, dims, mats)
 
     def simple(self, v):
         v = self._vertex_of(v)
@@ -344,13 +370,12 @@ class Algebra:
     def inj(self, v):
         """Indecomposable injective Q(v): dual of the opposite projective."""
         v = self._vertex_of(v)
-        if v in self._inj_cache:
-            return self._inj_cache[v]
+        return self.memoized(("inj", v), lambda: self._inj(v))
+
+    def _inj(self, v):
         po = self.opposite().proj(v)
         mats = {ai: po.mats[ai].T.copy() for ai in range(len(self.quiver.arrows))}
-        r = rep.Rep(self, po.dims, mats)
-        self._inj_cache[v] = r
-        return r
+        return rep.Rep(self, po.dims, mats)
 
     def opposite(self):
         if self._op is not None:

@@ -136,8 +136,8 @@ def tau(m):
 
 
 def tau_minus(m):
-    """Inverse translate Tr D M (kills injective summands)."""
-    return transpose(dual(m))
+    """Inverse translate Tr D M (kills injective summands), memoized."""
+    return m.A.memoized(("tau_minus", m.key()), lambda: transpose(dual(m)))
 
 
 class ExtData:

@@ -268,8 +268,9 @@ def default_probes(f, c, count=20, seed=0):
             h = probes[rng.randrange(len(probes))]
             if g.src.key() == h.src.key():
                 g = g.add(h)
-        if g.key() not in seen:
-            seen.add(g.key())
+        key = (g.src.key(), g.flat().tobytes())
+        if key not in seen:
+            seen.add(key)
             out.append(g)
     return out
 

@@ -18,7 +18,12 @@ from .ffmat import INT, amod, identity, zeros
 
 
 class Rep:
-    """A finite-dimensional representation of a quiver algebra."""
+    """A finite-dimensional representation of a quiver algebra.
+
+    A Rep is never mutated after construction (its arrow matrices are made
+    read-only): its content key is computed once and kept, and the algebra's
+    answer memo is keyed by it.
+    """
 
     def __init__(self, algebra, dims, mats, check=True):
         self.A = algebra
@@ -28,6 +33,7 @@ class Rep:
         for ai, (_, u, v) in enumerate(q.arrows):
             m = mats.get(ai) if isinstance(mats, dict) else mats[ai]
             m = amod(m, algebra.p).reshape(self.dims[v], self.dims[u])
+            m.flags.writeable = False
             self.mats[ai] = m
         self._cache = {}
         if check:
@@ -51,10 +57,11 @@ class Rep:
         return tuple(self.dims)
 
     def key(self):
-        parts = [tuple(self.dims)]
-        for ai in range(len(self.A.quiver.arrows)):
-            parts.append(ffmat.mat_key(self.mats[ai]))
-        return tuple(parts)
+        """Content key: the dimension vector and the bytes of every arrow matrix."""
+        if "key" not in self._cache:
+            self._cache["key"] = (tuple(self.dims),) + tuple(
+                ffmat.mat_key(self.mats[ai]) for ai in range(len(self.A.quiver.arrows)))
+        return self._cache["key"]
 
     def is_zero(self):
         return self.total_dim == 0
@@ -239,10 +246,19 @@ class HomSpace(tuple):
         return morphism_from_flat(self.x, self.y, (np.asarray(coords, dtype=INT) @ self.matrix) % self.x.p)
 
 
-def hom_space(x, y):
-    """Basis of Hom(X, Y) as a HomSpace (deterministic order)."""
+def _hom_rows(x, y):
+    """The kernel rows of the intertwiner system, in the smallest dtype holding p - 1."""
     eqs, _ = _intertwiner_system(x, y)
-    return HomSpace(x, y, [morphism_from_flat(x, y, row) for row in ffmat.kernel(eqs, x.p)])
+    return ffmat.kernel(eqs, x.p).astype(np.min_scalar_type(x.p - 1))
+
+
+def hom_space(x, y):
+    """Basis of Hom(X, Y) as a HomSpace on x and y (deterministic order).
+
+    The basis rows are memoized per algebra by the content of x and y.
+    """
+    rows = x.A.memoized(("hom", x.key(), y.key()), lambda: _hom_rows(x, y))
+    return HomSpace(x, y, [morphism_from_flat(x, y, row) for row in rows])
 
 
 def end_algebra(x):
@@ -675,9 +691,12 @@ def _split_idempotent(x, e):
 def end_radical(x):
     """(EndData, J) for an indecomposable X, J = rad End(X) as decompose certified it."""
     if "end_radical" not in x._cache:
-        decompose(x)
-    if "end_radical" not in x._cache:
-        raise VerificationFailure("End(X) is only certified local for indecomposable X")
+        parts = decompose(x)
+        if len(parts) != 1:
+            raise VerificationFailure("End(X) is only certified local for indecomposable X")
+        s = parts[0][0]
+        if s is not x:  # certified on a module with the same content
+            x._cache["end_radical"] = (EndData(x), end_radical(s)[1])
     return x._cache["end_radical"]
 
 
@@ -686,10 +705,17 @@ def decompose(x):
 
     The decomposition is certified: each returned projection/inclusion pair
     composes to the identity of the summand, their images sum to X, and each
-    summand refused further splitting.
+    summand refused further splitting.  It is memoized per algebra by the
+    content of x; the summands are shared, and the inclusions and
+    projections are re-based onto x.
     """
-    if "decompose" in x._cache:
-        return x._cache["decompose"]
+    out = x.A.memoized(("decompose", x.key()), lambda: _decompose(x))
+    if not out or out[0][1].tgt is x:
+        return out
+    return tuple((s, Morphism(s, x, u.blocks), Morphism(x, s, r.blocks)) for s, u, r in out)
+
+
+def _decompose(x):
     out = []
 
     def walk(y, incl_to_x, proj_from_x):
@@ -716,8 +742,7 @@ def decompose(x):
         total = total.add(u.compose(r))
     if (total.flat() != identity_morphism(x).flat()).any():
         raise VerificationFailure("summand idempotents do not sum to identity")
-    x._cache["decompose"] = out
-    return out
+    return tuple(out)
 
 
 def is_isomorphic(x, y):

@@ -1,0 +1,166 @@
+"""The per-algebra answer memo: content keys, answers re-based onto the
+caller's modules, nothing stored from a failed computation."""
+
+import numpy as np
+import pytest
+
+from auskit import algebra, ar, catalog, kronecker as kr, rep
+from auskit.errors import VerificationFailure
+
+
+def _twin(x):
+    """A distinct Rep with the same content as x."""
+    return rep.Rep(x.A, x.dims, x.mats)
+
+
+def _kron2_f3():
+    return kr.kronecker_algebra(2, 3)
+
+
+def _modules(A):
+    """Modules with distinct contents: indecomposables and a direct sum."""
+    ms = [kr.kP(A, 1), kr.kP(A, 2), kr.kQ(A, 1), kr.kR(A, 0, 2), A.simple(0)]
+    return ms + [rep.direct_sum(A, [ms[0], ms[3], ms[4]])[0]]
+
+
+def test_rep_content_is_read_only(kron2):
+    x = kron2.proj("b")
+    assert x.key() is x.key()  # computed once and kept
+    with pytest.raises(ValueError):
+        x.mats[0][0, 0] = 1
+
+
+def test_hit_is_built_on_the_callers_reps():
+    A = _kron2_f3()
+    x, y = kr.kP(A, 2), kr.kQ(A, 1)
+    first = rep.hom_space(x, y)
+    x2, y2 = _twin(x), _twin(y)
+    hits = A.memo_stats()["hom"][0]
+    hom = rep.hom_space(x2, y2)
+    assert A.memo_stats()["hom"][0] == hits + 1
+    assert hom.x is x2 and hom.y is y2
+    assert all(f.src is x2 and f.tgt is y2 for f in hom)
+    assert (hom.matrix == first.matrix).all()
+
+    m = rep.direct_sum(A, [kr.kP(A, 1), kr.kR(A, 0, 2), A.simple(0)])[0]
+    parts = rep.decompose(m)
+    m2 = _twin(m)
+    parts2 = rep.decompose(m2)
+    assert [s.key() for s, _, _ in parts2] == [s.key() for s, _, _ in parts]
+    total = rep.zero_morphism(m2, m2)
+    for s, u, r in parts2:
+        assert u.tgt is m2 and r.src is m2 and u.src is s and r.tgt is s
+        u.check()
+        r.check()
+        assert (r.compose(u).flat() == rep.identity_morphism(s).flat()).all()
+        total = total.add(u.compose(r))
+    assert (total.flat() == rep.identity_morphism(m2).flat()).all()
+
+    # covers are not memoized: each is built on the module it covers
+    q = kr.kQ(A, 1)
+    ar.tau_minus(q)
+    q2 = _twin(q)
+    p0, cover, _ = ar.proj_cover(q2)
+    assert cover.tgt is q2 and cover.src is p0 and cover.is_epi()
+    cover.check()
+
+    # an indecomposable whose decomposition came from the memo still has its radical
+    r = kr.kR(A, 0, 2)
+    rep.decompose(r)
+    r2 = _twin(r)
+    ed, rad = rep.end_radical(r2)
+    assert ed.x is r2 and ed.basis.x is r2
+    assert (ed.dim, rad.dim) == (2, 1)  # End = F_3[t]/t^2
+
+
+def _answers(A):
+    ms = _modules(A)
+    return {m.key(): ([rep.hom_space(m, n).matrix for n in map(_twin, ms)],
+                      [s.dim_vector() for s, _, _ in rep.decompose(m)],
+                      ar.tau(m).key(), ar.tau_minus(m).key(), ar.proj_cover(m)[0].key())
+            for m in map(_twin, ms)}
+
+
+def _same(a, b):
+    assert a.keys() == b.keys()
+    for k in a:
+        (ha, *ra), (hb, *rb) = a[k], b[k]
+        assert ra == rb
+        assert len(ha) == len(hb) and all((u == v).all() for u, v in zip(ha, hb))
+
+
+def test_answers_equal_a_fresh_unmemoized_algebra(monkeypatch):
+    A = _kron2_f3()
+    first = _answers(A)
+    before = A.memo_stats()
+    again = _answers(A)  # every answer read back from the memo
+    after = A.memo_stats()
+    assert all(after[k][1] == before[k][1] for k in after)
+    with monkeypatch.context() as mp:
+        mp.setattr(algebra.Algebra, "memoized", lambda self, key, compute: compute())
+        fresh = _kron2_f3()
+        want = _answers(fresh)
+        assert fresh._memo == {}
+    _same(first, want)
+    _same(again, want)
+
+
+def test_hom_rows_are_stored_compactly(kron2):
+    for A in (kron2, _kron2_f3()):
+        x, y = A.proj(1), A.inj(0)
+        rep.hom_space(x, y)
+        rows = A._memo[("hom", x.key(), y.key())]
+        assert rows.dtype == np.min_scalar_type(A.p - 1) == np.uint8
+        assert rows.shape == (2, 4)
+
+
+def test_failed_decomposition_leaves_nothing_behind(monkeypatch):
+    A = _kron2_f3()
+    m = rep.direct_sum(A, [kr.kP(A, 1), kr.kR(A, 0, 2), A.simple(0)])[0]
+    real, calls = rep._split_or_certify, []
+
+    def fail_late(ed):  # the first split succeeds, the walk fails below it
+        calls.append(ed)
+        if len(calls) > 1:
+            raise VerificationFailure("injected")
+        return real(ed)
+
+    monkeypatch.setattr(rep, "_split_or_certify", fail_late)
+    with pytest.raises(VerificationFailure, match="injected"):
+        rep.decompose(m)
+    assert len(calls) == 2
+    assert not [k for k in A._memo if k[0] == "decompose"]
+    monkeypatch.undo()
+    assert len(rep.decompose(m)) == 3
+    assert ("decompose", m.key()) in A._memo
+
+
+def test_failed_tau_minus_leaves_nothing_behind(monkeypatch):
+    A = _kron2_f3()
+    q = kr.kQ(A, 1)
+    calls = []
+
+    def never_epi(f):
+        calls.append(f)
+        return False
+
+    monkeypatch.setattr(rep.Morphism, "is_epi", never_epi)
+    with pytest.raises(VerificationFailure, match="not onto"):
+        ar.tau_minus(q)
+    assert len(calls) == 1
+    assert not [k for k in A._memo if k[0] == "tau_minus"]
+    monkeypatch.undo()
+    ar.tau_minus(q)
+    assert ("tau_minus", q.key()) in A._memo
+
+
+def test_second_identical_check_instance_misses_nothing():
+    A = catalog.resolve_instance("loop-b-ex8")[0]
+    assert catalog.check_instance("loop-b-ex8")["ok"]
+    before = A.memo_stats()
+    assert catalog.check_instance("loop-b-ex8")["ok"]
+    after = A.memo_stats()
+    assert set(after) == set(before) >= {"hom", "decompose", "proj"}
+    for kind, (hits, misses) in after.items():
+        assert misses == before[kind][1], kind
+    assert sum(h for h, _ in after.values()) > sum(h for h, _ in before.values())

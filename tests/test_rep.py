@@ -279,6 +279,15 @@ def _shift_proof_basis(x, candidates):
                 yield f
 
 
+def _counting(fn, calls):
+    """fn, recording its calls: proves that a monkeypatched function was reached
+    and not bypassed by a memoized answer."""
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    return counted
+
+
 def test_commutative_split_driven_directly(monkeypatch):
     # End = F_9 x F_9 for two regular modules from distinct degree-2 tubes
     k3 = _f3_kron2()
@@ -286,9 +295,13 @@ def test_commutative_split_driven_directly(monkeypatch):
     x = rep.direct_sum(k3, [kr.kR(k3, lab, 1) for lab in labs])[0]
     basis = list(_shift_proof_basis(x, _end_elements(x)))
     assert len(basis) == len(rep.end_algebra(x)) == 4
-    monkeypatch.setattr(rep, "end_algebra", lambda x: rep.HomSpace(x, x, basis))
+    calls = []
+    monkeypatch.setattr(rep, "end_algebra", _counting(lambda x: rep.HomSpace(x, x, basis), calls))
     monkeypatch.setattr(rep, "SPLIT_CANDIDATES", 0)  # no random candidates
     ed = rep.EndData(x)
+    assert len(calls) == 1
+    # no basis element splits, so the split below comes from the Frobenius branch
+    assert all(rep._fitting_split(a, 3) is None for a in ed.mats)
     e, rad = rep._split_or_certify(ed)
     assert rad is None
     f = rep._verified_idempotent(ed, e)
@@ -301,8 +314,10 @@ def test_noncommutative_fallback_driven_directly(a2, monkeypatch):
     x = rep.direct_sum(a2, [sa, sa])[0]
     mats = ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 1], [1, 1]], [[1, 1], [1, 0]])
     basis = [_endo(x, m) for m in mats]
-    monkeypatch.setattr(rep, "end_algebra", lambda x: rep.HomSpace(x, x, basis))
+    calls = []
+    monkeypatch.setattr(rep, "end_algebra", _counting(lambda x: rep.HomSpace(x, x, basis), calls))
     ed = rep.EndData(x)
+    assert len(calls) == 1
     assert all(rep._fitting_split(a, 2) is None for a in ed.mats)
     e, rad = rep._split_or_certify(ed)
     assert rad is None
@@ -310,7 +325,7 @@ def test_noncommutative_fallback_driven_directly(a2, monkeypatch):
     assert not f.is_zero() and not f.is_iso()
     # with the candidate budget spent, the search raises instead of answering
     monkeypatch.setattr(rep, "SPLIT_CANDIDATES", 0)
-    with pytest.raises(VerificationFailure):
+    with pytest.raises(VerificationFailure, match="within 0 candidates"):
         rep._split_or_certify(ed)
 
 
@@ -332,8 +347,10 @@ def test_fallback_splits_without_rational_eigenvalues(kron2, monkeypatch):
     # the fallback, driven on a basis where no a - lambda splits
     basis = list(itertools.islice(_shift_proof_basis(x, _end_elements(x)), 12))
     assert len(basis) == len(rep.end_algebra(x)) == 12
-    monkeypatch.setattr(rep, "end_algebra", lambda x: rep.HomSpace(x, x, basis))
+    calls = []
+    monkeypatch.setattr(rep, "end_algebra", _counting(lambda x: rep.HomSpace(x, x, basis), calls))
     e, rad = rep._split_or_certify(rep.EndData(x))
+    assert len(calls) == 1
     assert rad is None
 
 
@@ -375,6 +392,8 @@ def test_right_minimalize_matches_exhaustive_search(a2, kron2, loopb):
 def test_right_minimalize_exhausted_search_raises(a2, kron2, loopb, monkeypatch):
     # K0 is not nil here; a search that finds no split must not answer "minimal"
     f = _minimalize_cases(a2, kron2, loopb)[0]
-    monkeypatch.setattr(rep, "_fitting_projection", lambda b, p: np.zeros_like(b))
-    with pytest.raises(VerificationFailure):
+    calls = []
+    monkeypatch.setattr(rep, "_fitting_projection", _counting(lambda b, p: np.zeros_like(b), calls))
+    with pytest.raises(VerificationFailure, match="K0 is not nil"):
         rep.right_minimalize(f)
+    assert calls
