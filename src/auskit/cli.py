@@ -297,6 +297,7 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    saved_caps = os.environ.get("AUSKIT_CAPS")
     if args.max_dim is not None:
         os.environ["AUSKIT_CAPS"] = str(args.max_dim)
     try:
@@ -313,6 +314,11 @@ def main(argv=None):
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    finally:
+        if saved_caps is None:
+            os.environ.pop("AUSKIT_CAPS", None)
+        else:
+            os.environ["AUSKIT_CAPS"] = saved_caps
 
 
 if __name__ == "__main__":

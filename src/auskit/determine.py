@@ -12,11 +12,7 @@ import numpy as np
 
 from . import ar, rep
 from .errors import VerificationFailure
-from .ffmat import INT, Subspace, kernel
-
-
-def _rows_subspace(rows, n, p):
-    return Subspace(np.array(rows, dtype=INT), n, p)
+from .ffmat import INT, Subspace, closure, kernel
 
 
 class GammaHom:
@@ -30,8 +26,8 @@ class GammaHom:
         self.basis = rep.hom_space(c, y)
         self.n = len(self.basis)
         self.end = rep.end_algebra(c)
-        self.act = [self.action_matrix(phi) for phi in self.end]
-        self._act_stack = None
+        self.act = np.array([self.action_matrix(phi) for phi in self.end],
+                            dtype=INT).reshape(len(self.end), self.n, self.n)
         self._simple = None
 
     def action_matrix(self, phi):
@@ -46,20 +42,7 @@ class GammaHom:
 
     def close(self, rows):
         """Smallest submodule containing the given coordinate rows."""
-        sub = _rows_subspace(list(rows), self.n, self.p)
-        if not self.act:
-            return sub
-        if self._act_stack is None:
-            self._act_stack = np.stack(self.act)
-        while sub.dim:
-            imgs = np.einsum("dj,eij->edi", sub.B, self._act_stack) % self.p
-            grown = Subspace(
-                np.concatenate([sub.B, imgs.reshape(-1, self.n)]), self.n, self.p
-            )
-            if grown.dim == sub.dim:
-                return grown
-            sub = grown
-        return sub
+        return closure(rows, self.act, self.n, self.p)
 
     def is_submodule(self, sub):
         return all(

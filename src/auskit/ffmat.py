@@ -224,9 +224,30 @@ class Subspace:
             yield (np.array(coeffs, dtype=INT) @ self.B) % self.p
 
 
+def closure(rows, mats, n, p):
+    """Smallest subspace of F_p^n containing rows and stable under v -> m v
+    for every m in the (k, n, n) stack mats."""
+    sub = Subspace(np.array(list(rows), dtype=INT), n, p)
+    while sub.dim and len(mats):
+        imgs = np.einsum("dj,eij->edi", sub.B, mats) % p
+        grown = Subspace(np.concatenate([sub.B, imgs.reshape(-1, n)]), n, p)
+        if grown.dim == sub.dim:
+            return grown
+        sub = grown
+    return sub
+
+
 def all_vectors(n, p):
     for coeffs in itertools.product(range(p), repeat=n):
         yield np.array(coeffs, dtype=INT)
+
+
+def projective_points(n, p):
+    """One nonzero vector per line of F_p^n: those whose first nonzero entry is 1."""
+    for v in all_vectors(n, p):
+        nz = np.flatnonzero(v)
+        if nz.size and v[nz[0]] == 1:
+            yield v
 
 
 def gaussian_binomial(n, k, q):

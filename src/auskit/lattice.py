@@ -1,10 +1,13 @@
 """Submodule lattices of Hom(C, Y) and of representations.
 
-The Gamma-side lattice enumerates every End(C)-submodule of Hom(C,Y) by a
-closure search: starting from zero, adjoin one vector at a time and close
-under the action.  Every submodule arises this way, since any submodule can be
-grown from any of its proper submodules by adjoining a single element.  The
-representation-side enumeration works per vertex with arrow closure.
+Both sides use one search.  Every submodule is the sum of the cyclic
+submodules of its elements, so the search closes each seed vector once to its
+cyclic submodule and then forms plain subspace sums, with no closure per step;
+the inclusion order and the covers are read off the sums it formed.  On the
+Gamma side the submodules are the End(C)-stable subspaces of Hom(C, Y) in
+its coordinates; on the representation side they are the subspaces of the
+total space F_p^{total_dim} stable under the arrows (rep.total_arrows), which
+are vertex-graded.
 
 Shape certificates:
   ("G", d, q)  -- the full subspace lattice of a d-dimensional space over F_q,
@@ -14,14 +17,15 @@ Shape certificates:
   ("other",)   -- anything else.
 """
 
-import json
+import heapq
 import os
 
 import numpy as np
 
 from . import rep
 from .errors import CapExceeded, ParseError, VerificationFailure
-from .ffmat import INT, Subspace, all_vectors, gaussian_binomial, kernel
+from .ffmat import (INT, Subspace, closure, gaussian_binomial, kernel, mat_key,
+                    projective_points)
 
 DEFAULT_DIM_CAPS = {2: 12, 3: 8, 5: 6}
 NODE_CAP = 20000
@@ -55,56 +59,86 @@ def dim_cap(p):
     return max(2, int(round(12 / np.log2(p))))
 
 
-def _closure_bfs(zero, seeds, close_fn, node_cap=NODE_CAP):
-    seen = {zero.key(): zero}
-    frontier = [zero]
-    while frontier:
-        u = frontier.pop()
-        tried = set()
-        for v in seeds:
-            # adjoining v only depends on its residue mod u
-            r = u.reduce(v)
-            if not r.any():
-                continue
-            rk = r.tobytes()
-            if rk in tried:
-                continue
-            tried.add(rk)
-            w = close_fn(list(u.B) + [r])
-            k = w.key()
-            if k not in seen:
-                if len(seen) >= node_cap:
+def _cyclic_search(zero, seeds, close, order):
+    """Every submodule, as a sum of cyclic submodules, with its order read off.
+
+    Each seed g is closed once to its cyclic submodule C(g).  A node u grows
+    along an edge u -> u + C(g) for each g not in u, a plain subspace sum, so
+    the submodules reached are the sums of cyclic submodules, which is all of
+    them.  Nodes are expanded in increasing order(u) (dimension first), so
+    every edge runs from an expanded node to a later one, and a node's index
+    is fixed before anything above it is expanded.
+
+    Every cover a < b is an edge: for g in b but not in a, a < a + C(g) <= b,
+    so a + C(g) = b.  Hence a <= b iff a chain of edges runs from a up to b,
+    and the lower covers of b are the maximal elements among its lower
+    edge-neighbours: if a < c < b, the lower cover of b above c is a
+    neighbour above a.  Returns (nodes, below, lower_covers): below[j] and
+    lower_covers[j] are bitsets over node indices, below[j] including j.
+    """
+    cyclic = {}
+    for g in seeds:
+        cg = close([g])
+        cyclic.setdefault(cg.key(), (g, cg))
+    gens = list(cyclic.values())
+    gen_rows = np.array([g for g, _ in gens], dtype=INT).reshape(len(gens), zero.n)
+    # node key -> [node, lower edge-neighbours, everything strictly below them]
+    pending = {zero.key(): [zero, 0, 0]}
+    heap = [(order(zero), zero.key())]
+    nodes, below, lower_covers = [], [], []
+    while heap:
+        _, k = heapq.heappop(heap)
+        u, nbrs, under = pending.pop(k)
+        i = len(nodes)
+        nodes.append(u)
+        below.append(nbrs | under | (1 << i))
+        lower_covers.append(nbrs & ~under)
+        # g lies in u iff its residue mod u's echelon rows is zero
+        residues = (gen_rows - gen_rows[:, u.pivots] @ u.B) % zero.p
+        for t in np.flatnonzero(residues.any(axis=1)):
+            w = u.sum(gens[t][1])
+            kw = w.key()
+            entry = pending.get(kw)
+            if entry is None:
+                if len(nodes) + len(pending) >= NODE_CAP:
                     raise CapExceeded("submodule lattice exceeds the node cap")
-                seen[k] = w
-                frontier.append(w)
-    return sorted(seen.values(), key=lambda s: (s.dim, s.key()))
+                entry = pending[kw] = [w, 0, 0]
+                heapq.heappush(heap, (order(w), kw))
+            entry[1] |= 1 << i
+            entry[2] |= below[i] ^ (1 << i)
+    return nodes, below, lower_covers
+
+
+def _bit_rows(bitsets, n):
+    """Boolean matrix whose row r holds bits 0..n-1 of bitsets[r]."""
+    width = (n + 7) // 8
+    raw = b"".join(b.to_bytes(width, "little") for b in bitsets)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(bitsets), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
 
 
 class SubmoduleLattice:
     """All End(C)-submodules of Hom(C, Y), ordered by inclusion."""
 
-    def __init__(self, gh, nodes):
+    def __init__(self, gh, nodes, below, lower_covers):
         self.gh = gh
         self.nodes = nodes
         self._by_key = {s.key(): i for i, s in enumerate(nodes)}
-        n = len(nodes)
-        self.leq = np.zeros((n, n), dtype=bool)
-        for i, a in enumerate(nodes):
-            for j, b in enumerate(nodes):
-                self.leq[i, j] = a.leq(b)
+        self.leq = _bit_rows(below, len(nodes)).T
+        self._lower_covers = lower_covers
         self._covers = None
         self._labels = None
 
     @classmethod
-    def build(cls, gh, node_cap=NODE_CAP):
+    def build(cls, gh):
         if gh.n > dim_cap(gh.p):
             raise CapExceeded(
                 "Hom space dimension %d over F_%d exceeds the enumeration cap"
                 % (gh.n, gh.p)
             )
-        seeds = [v for v in all_vectors(gh.n, gh.p) if v.any()]
-        nodes = _closure_bfs(gh.zero_sub(), seeds, gh.close, node_cap)
-        return cls(gh, nodes)
+        seeds = projective_points(gh.n, gh.p)
+        return cls(gh, *_cyclic_search(gh.zero_sub(), seeds, gh.close,
+                                       lambda s: (s.dim, s.key())))
 
     def __len__(self):
         return len(self.nodes)
@@ -125,19 +159,8 @@ class SubmoduleLattice:
 
     def covers(self):
         if self._covers is None:
-            out = []
-            n = len(self.nodes)
-            for i in range(n):
-                for j in range(n):
-                    if i == j or not self.leq[i, j]:
-                        continue
-                    if any(
-                        self.leq[i, k] and self.leq[k, j] and k != i and k != j
-                        for k in range(n)
-                    ):
-                        continue
-                    out.append((i, j))
-            self._covers = out
+            lower = _bit_rows(self._lower_covers, len(self.nodes)).T
+            self._covers = [tuple(ij) for ij in np.argwhere(lower).tolist()]
         return self._covers
 
     def cover_labels(self):
@@ -152,8 +175,8 @@ class SubmoduleLattice:
         return self.index_of(self.nodes[i].intersect(self.nodes[j]))
 
     def join(self, i, j):
-        rows = list(self.nodes[i].B) + list(self.nodes[j].B)
-        return self.index_of(self.gh.close(rows))
+        # a sum of submodules is a submodule
+        return self.index_of(self.nodes[i].sum(self.nodes[j]))
 
     def height(self):
         """Longest cover chain from bottom to top."""
@@ -175,10 +198,7 @@ class SubmoduleLattice:
         return out
 
     def is_chain(self):
-        n = len(self.nodes)
-        return all(
-            self.leq[i, j] or self.leq[j, i] for i in range(n) for j in range(i)
-        )
+        return bool((self.leq | self.leq.T).all())
 
     def check_modular(self, max_nodes=60):
         """Verify a v (b ^ c) == (a v b) ^ c whenever a <= c."""
@@ -255,84 +275,40 @@ class SubmoduleLattice:
 # -- representation-side enumeration ------------------------------------------
 
 
-class VertexTuple:
-    """A vertex-graded subspace closed under the arrow action."""
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-
-    def key(self):
-        return tuple(s.key() for s in self.parts)
-
-    @property
-    def dim(self):
-        return sum(s.dim for s in self.parts)
-
-    def dims(self):
-        return tuple(s.dim for s in self.parts)
-
-    def leq(self, other):
-        return all(a.leq(b) for a, b in zip(self.parts, other.parts))
-
-
-def rep_submodule_lattice(x, node_cap=NODE_CAP):
-    """All submodules of a representation, as vertex-graded subspaces."""
+def rep_submodule_lattice(x):
+    """All submodules of a representation, as vertex-graded subspaces of the
+    total space (see rep.total_arrows), ordered by dimension and then by the
+    keys of their vertex parts."""
     p = x.p
     for d in x.dims:
         if d > dim_cap(p):
             raise CapExceeded("vertex dimension exceeds the enumeration cap")
-    zero = VertexTuple([Subspace.zero(d, p) for d in x.dims])
+    n, off = x.total_dim, x.offsets()
     seeds = []
     for v, d in enumerate(x.dims):
-        for vec in all_vectors(d, p):
-            if vec.any():
-                seeds.append((v, vec))
-    seen = {zero.key(): zero}
-    frontier = [zero]
-    while frontier:
-        u = frontier.pop()
-        tried = set()
-        for v, vec in seeds:
-            # adjoining vec only depends on its residue mod the part at v
-            r = u.parts[v].reduce(vec)
-            if not r.any():
-                continue
-            rk = (v, r.tobytes())
-            if rk in tried:
-                continue
-            tried.add(rk)
-            parts = list(u.parts)
-            grown = Subspace(
-                np.vstack([parts[v].B, r.reshape(1, -1)]), x.dims[v], p
-            )
-            parts[v] = grown
-            w = VertexTuple(rep.sub_closure(x, parts))
-            k = w.key()
-            if k not in seen:
-                if len(seen) >= node_cap:
-                    raise CapExceeded("submodule lattice exceeds the node cap")
-                seen[k] = w
-                frontier.append(w)
-    return sorted(seen.values(), key=lambda t: (t.dim, t.key()))
+        for vec in projective_points(d, p):
+            g = np.zeros(n, dtype=INT)
+            g[off[v] : off[v + 1]] = vec
+            seeds.append(g)
+    arrows = rep.total_arrows(x)
+
+    def order(s):
+        # (d, mat_key(r)) is the key of the vertex part as a Subspace: r is its RREF
+        return (s.dim, tuple((d, mat_key(r)) for r, d in zip(rep.vertex_rows(x, s), x.dims)))
+
+    nodes, _, _ = _cyclic_search(Subspace.zero(n, p), seeds,
+                                 lambda rows: closure(rows, arrows, n, p), order)
+    return nodes
 
 
-def sub_rep_of(x, vt):
-    """Realize a vertex-graded submodule as a representation with inclusion."""
-    return rep.sub_from_vectors(x, [s.B for s in vt.parts])
+def sub_rep_of(x, sub):
+    """Realize a submodule of the total space as a representation with inclusion."""
+    return rep._sub_rep_from_rows(x, rep.vertex_rows(x, sub))
 
 
 def hyperplanes(n, p):
     """All codimension-one subspaces of F_p^n."""
-    out = []
-    for a in all_vectors(n, p):
-        if not a.any():
-            continue
-        # normalize the first nonzero entry to 1 so each hyperplane appears once
-        first = next(i for i in range(n) if a[i])
-        if a[first] != 1:
-            continue
-        out.append(Subspace(kernel(a.reshape(1, -1), p), n, p))
-    return out
+    return [Subspace(kernel(a.reshape(1, -1), p), n, p) for a in projective_points(n, p)]
 
 
 def maximal_submodules(x):

@@ -349,27 +349,38 @@ def cokernel(f):
     return quotient_by_subspaces(f.tgt, subs)
 
 
-def sub_closure(x, spans):
-    """Smallest arrow-closed family of vertex subspaces containing the Subspaces spans."""
-    p = x.p
-    spans = list(spans)
-    changed = True
-    while changed:
-        changed = False
-        for ai, (_, u, v) in enumerate(x.A.quiver.arrows):
-            if spans[u].dim == 0:
-                continue
-            img = ffmat.Subspace((spans[u].B @ x.mats[ai].T) % p, x.dims[v], p)
-            newer = spans[v].sum(img)
-            if newer.dim != spans[v].dim:
-                spans[v] = newer
-                changed = True
-    return spans
+def total_arrows(x):
+    """The arrows as one (arrows, n, n) stack acting on the total space F_p^n,
+    the vertex blocks in vertex order; its stable subspaces are the submodules."""
+    n, off = x.total_dim, x.offsets()
+    out = np.zeros((len(x.mats), n, n), dtype=INT)
+    for ai, (_, u, v) in enumerate(x.A.quiver.arrows):
+        out[ai, off[v] : off[v + 1], off[u] : off[u + 1]] = x.mats[ai]
+    return out
+
+
+def vertex_rows(x, sub):
+    """Per-vertex row bases of a vertex-graded subspace of the total space.
+
+    The RREF of a graded subspace is block diagonal, so the rows whose pivot
+    lies in a vertex block are that vertex's RREF basis.
+    """
+    off = x.offsets()
+    cuts = np.searchsorted(sub.pivots, off)
+    return [sub.B[cuts[v] : cuts[v + 1], off[v] : off[v + 1]] for v in range(len(x.dims))]
 
 
 def sub_from_vectors(x, seed_rows):
-    spans = sub_closure(x, [ffmat.Subspace(r, d, x.p) for r, d in zip(seed_rows, x.dims)])
-    return _sub_rep_from_rows(x, [s.B for s in spans])
+    """The submodule generated by per-vertex seed rows, with its inclusion."""
+    n, off = x.total_dim, x.offsets()
+    rows = []
+    for v, r in enumerate(seed_rows):
+        r = amod(r, x.p).reshape(-1, x.dims[v]) if np.size(r) else zeros(0, x.dims[v])
+        block = zeros(len(r), n)
+        block[:, off[v] : off[v + 1]] = r
+        rows.extend(block)
+    sub = ffmat.closure(rows, total_arrows(x), n, x.p)
+    return _sub_rep_from_rows(x, vertex_rows(x, sub))
 
 
 def rad(x):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import auskit
-from auskit import catalog, cli
+from auskit import catalog, cli, lattice
 
 A2_TEXT = """
 field 3
@@ -98,6 +98,14 @@ def test_max_dim_exit_code(monkeypatch, capsys):
     assert cli.main(["--max-dim", "1", "lattice", "--algebra", "kron3",
                      "-c", "kP(2)", "-y", "kQ(0)"]) == 3
     assert "cap exceeded" in capsys.readouterr().err
+
+
+def test_max_dim_leaves_environment(monkeypatch, capsys):
+    monkeypatch.delenv("AUSKIT_CAPS", raising=False)
+    assert cli.main(["--max-dim", "1", "lattice", "--algebra", "kron3",
+                     "-c", "kP(2)", "-y", "kQ(0)"]) == 3
+    assert "AUSKIT_CAPS" not in os.environ
+    assert lattice.dim_cap(2) == 12
 
 
 def test_kronecker_sigma(capsys):

@@ -1,0 +1,137 @@
+"""Both lattice searches against brute force on small seeded modules.
+
+Over F_2 and F_3, for the Kronecker, loop-b and k[x]/x^3 algebras, modules
+are direct sums of one or two indecomposables (projectives, injectives,
+simples, tau-minus of simples), put in a random basis at each vertex.  The
+Gamma side is checked against every subspace of Hom(C, Y) that is closed
+under End(C), the representation side against every vertex-graded
+arrow-closed subspace, and the order, covers, meets and joins against
+pairwise inclusion.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from auskit import algebra, ar, determine, lattice, rep
+from auskit.ffmat import Subspace, enumerate_subspaces, inv, rand_mat
+
+ALGEBRAS = {
+    "kron2": "vertices a b\narrow x b a\narrow y b a\n",
+    "loop-b": "vertices a b\narrow alpha a a\narrow beta b a\nrelation alpha*alpha\n",
+    "kx-x3": "vertices a\narrow x a a\nrelation x*x*x\n",
+}
+CASES = [(name, p) for name in ALGEBRAS for p in (2, 3)]
+MAX_HOM = {2: 5, 3: 4}  # brute force walks every subspace of Hom(C, Y)
+MAX_REP = {2: 5, 3: 4}  # and every graded subspace of the module
+
+
+def _pool(A):
+    out = []
+    for v in range(A.nv):
+        out += [A.proj(v), A.inj(v), A.simple(v), ar.tau_minus(A.simple(v))]
+    return [m for m in out if 0 < m.total_dim <= 4]
+
+
+def _rebased(x, rng):
+    """x in a random basis at each vertex."""
+    p = x.p
+    s = []
+    for d in x.dims:
+        while True:
+            m = rand_mat(rng, d, d, p).reshape(d, d)
+            if d == 0 or inv(m, p) is not None:
+                s.append(m)
+                break
+    mats = {}
+    for ai, (_, u, v) in enumerate(x.A.quiver.arrows):
+        su_inv = inv(s[u], p) if x.dims[u] else s[u]
+        mats[ai] = (s[v] @ x.mats[ai] @ su_inv) % p
+    return rep.Rep(x.A, x.dims, mats)
+
+
+def _modules(name, p, count, cap, seed):
+    A = algebra.parse_algebra_file("field %d\n%s" % (p, ALGEBRAS[name]), name=name)
+    pool = _pool(A)
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        parts = rng.sample(pool, rng.choice((1, 2)))
+        x = parts[0] if len(parts) == 1 else rep.direct_sum(A, parts)[0]
+        if x.total_dim <= cap:
+            out.append(_rebased(x, rng))
+    return A, out
+
+
+def _covers_reference(leq):
+    n = len(leq)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or not leq[i, j]:
+                continue
+            if any(leq[i, k] and leq[k, j] and k != i and k != j for k in range(n)):
+                continue
+            out.append((i, j))
+    return out
+
+
+def _graded_submodules(x):
+    """Every tuple of vertex subspaces closed under the arrows, by brute force."""
+    p = x.p
+    per_vertex = [enumerate_subspaces(d, p) for d in x.dims]
+    out = []
+    for parts in itertools.product(*per_vertex):
+        if all(
+            all(parts[v].contains((x.mats[ai] @ row) % p) for row in parts[u].B)
+            for ai, (_, u, v) in enumerate(x.A.quiver.arrows)
+        ):
+            out.append(parts)
+    return out
+
+
+@pytest.mark.parametrize("name,p", CASES)
+def test_gamma_lattice_matches_brute_force(name, p):
+    _, mods = _modules(name, p, 8, 4, seed=p)
+    checked = 0
+    for c, y in itertools.product(mods, repeat=2):
+        gh = determine.GammaHom(c, y)
+        if not 0 < gh.n <= MAX_HOM[p]:
+            continue
+        lat = lattice.SubmoduleLattice.build(gh)
+        want = sorted((s for s in enumerate_subspaces(gh.n, p) if gh.is_submodule(s)),
+                      key=lambda s: (s.dim, s.key()))
+        assert [s.key() for s in lat.nodes] == [s.key() for s in want]
+        n = len(want)
+        leq = np.array([[a.leq(b) for b in want] for a in want], dtype=bool)
+        assert lat.leq.shape == (n, n) and (lat.leq == leq).all()
+        assert lat.covers() == _covers_reference(leq)
+        chain = all(leq[i, j] or leq[j, i] for i in range(n) for j in range(i))
+        assert lat.is_chain() == chain
+        for i, j in itertools.product(range(n), repeat=2):
+            ups = np.flatnonzero(leq[i] & leq[j])
+            downs = np.flatnonzero(leq[:, i] & leq[:, j])
+            assert [lat.join(i, j)] == list(ups[leq[np.ix_(ups, ups)].all(axis=1)])
+            assert [lat.meet(i, j)] == list(downs[leq[np.ix_(downs, downs)].all(axis=0)])
+        checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("name,p", CASES)
+def test_rep_lattice_matches_brute_force(name, p):
+    _, mods = _modules(name, p, 6, MAX_REP[p], seed=10 + p)
+    for x in mods:
+        nodes = lattice.rep_submodule_lattice(x)
+        got = []
+        for s in nodes:
+            parts = [Subspace(r, d, p) for r, d in zip(rep.vertex_rows(x, s), x.dims)]
+            assert sum(t.dim for t in parts) == s.dim  # graded
+            got.append(tuple(t.key() for t in parts))
+        want = sorted(_graded_submodules(x),
+                      key=lambda parts: (sum(t.dim for t in parts), tuple(t.key() for t in parts)))
+        assert got == [tuple(t.key() for t in parts) for parts in want]
+        for s in nodes:
+            sub, incl = lattice.sub_rep_of(x, s)
+            assert sub.total_dim == s.dim and incl.is_mono()
