@@ -10,7 +10,6 @@ in composition order: the leftmost arrow is applied last, so the path written
 "a*b" acts as "first b, then a".
 """
 
-import os
 import re
 
 import numpy as np
@@ -88,13 +87,6 @@ def path_target(quiver, path):
     return v
 
 
-def path_str(quiver, path):
-    v, names = path
-    if not names:
-        return "e_%s" % quiver.vertices[v]
-    return "*".join(quiver.arrows[ai][0] for ai in names)
-
-
 class Algebra:
     """kQ/I with a tabulated monomial basis.
 
@@ -115,6 +107,7 @@ class Algebra:
         self._op = None
         self._memo = {}
         self._memo_counts = {}  # kind -> [hits, misses]
+        self._proj_paths = {}
         self.relations = self._normalize_relations(relations)
         self._build_basis(max_len, max_paths)
         self._build_mult()
@@ -333,13 +326,16 @@ class Algebra:
     # -- distinguished modules ----------------------------------------------
 
     def proj_paths(self, v):
-        """Per-vertex ordered basis paths of P(v): paths with source v."""
+        """Per-vertex ordered basis paths of P(v): paths with source v (a
+        shared tuple of tuples)."""
         v = self._vertex_of(v)
-        out = [[] for _ in range(self.nv)]
-        for i, pt in enumerate(self.basis):
-            if self.basis_src[i] == v:
-                out[self.basis_tgt[i]].append(pt)
-        return out
+        if v not in self._proj_paths:
+            out = [[] for _ in range(self.nv)]
+            for i, pt in enumerate(self.basis):
+                if self.basis_src[i] == v:
+                    out[self.basis_tgt[i]].append(pt)
+            self._proj_paths[v] = tuple(map(tuple, out))
+        return self._proj_paths[v]
 
     def proj(self, v):
         """Indecomposable projective P(v): paths starting at v."""
@@ -396,16 +392,8 @@ class Algebra:
     def yoneda(self, v, module, vec):
         """Morphism P(v) -> module sending e_v to vec (an element of module at v)."""
         v = self._vertex_of(v)
-        pv = self.proj(v)
-        pp = self.proj_paths(v)
         vec = amod(np.asarray(vec, dtype=INT), self.p).reshape(module.dims[v])
-        blocks = []
-        for w in range(self.nv):
-            b = zeros(module.dims[w], pv.dims[w])
-            for k, pt in enumerate(pp[w]):
-                b[:, k] = (module.path_matrix(pt) @ vec) % self.p
-            blocks.append(b)
-        return rep.Morphism(pv, module, blocks)
+        return rep.Morphism(self.proj(v), module, [(module.path_stack(v, w) @ vec).T for w in range(self.nv)])
 
     def right_mult(self, ai):
         """Right multiplication by arrow ai as a morphism P(tgt) -> P(src)."""
@@ -489,12 +477,6 @@ def parse_algebra_file(text, name=""):
         if terms:
             relations.append(terms)
     return Algebra(q, p, relations, name=name)
-
-
-def load_algebra(path):
-    with open(path) as fh:
-        text = fh.read()
-    return parse_algebra_file(text, name=os.path.splitext(os.path.basename(path))[0])
 
 
 _TOKEN = re.compile(r"\+\+|\^|\(|\)|,|[A-Za-z_][A-Za-z0-9_]*|\d+")

@@ -110,12 +110,7 @@ def transpose(m):
             for i, u in enumerate(v0):
                 wi = pv.dims[u]
                 if hj and wi:
-                    blk = zeros(hj, wi)
-                    for sidx, s in enumerate(A.proj_paths(u)[w]):
-                        c = int(delta[j][i][sidx])
-                        if c:
-                            blk = (blk + c * pv.path_matrix(s)) % p
-                    mt[ro : ro + hj, co : co + wi] = blk
+                    mt[ro : ro + hj, co : co + wi] = np.tensordot(delta[j][i], pv.path_stack(u, w), 1) % p
                 co += wi
             ro += hj
         blocks.append(mt)

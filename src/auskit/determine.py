@@ -231,30 +231,38 @@ def is_right_determined(f, c):
 
 
 def default_probes(f, c, count=20, seed=0):
-    """Deterministic probe maps into the target of f."""
+    """Deterministic probe maps into the target of f: basis maps of Hom(W, Y), W among
+    f.src, C, the projectives and Y, or sums of two with sources of equal content.
+    Draws work on flat rows and source ids; only a kept draw becomes a Morphism."""
     import random
 
     y = f.tgt
     A = y.A
     sources = [f.src, c] + [A.proj(v) for v in range(A.nv)] + [y]
-    probes = []
+    group = {}
+    srcs, ids, flats = [], [], []
     for w in sources:
-        probes.extend(rep.hom_space(w, y))
+        hom = rep.hom_space(w, y)
+        gid = group.setdefault(w.key(), len(group))
+        srcs.extend([w] * len(hom))
+        ids.extend([gid] * len(hom))
+        flats.extend(hom.matrix)
     rng = random.Random(seed)
     out = []
     seen = set()
     for _ in range(20 * count):
-        if not probes or len(out) >= count:
+        if not flats or len(out) >= count:
             break
-        g = probes[rng.randrange(len(probes))]
-        if rng.random() < 0.5 and len(probes) > 1:
-            h = probes[rng.randrange(len(probes))]
-            if g.src.key() == h.src.key():
-                g = g.add(h)
-        key = (g.src.key(), g.flat().tobytes())
+        i = rng.randrange(len(flats))
+        flat = flats[i]
+        if rng.random() < 0.5 and len(flats) > 1:
+            j = rng.randrange(len(flats))
+            if ids[i] == ids[j]:
+                flat = (flat + flats[j]) % y.p
+        key = (ids[i], flat.tobytes())
         if key not in seen:
             seen.add(key)
-            out.append(g)
+            out.append(rep.morphism_from_flat(srcs[i], y, flat))
     return out
 
 

@@ -152,10 +152,6 @@ class FactorizationLattice:
         """The C-length |f>: length of Hom(C,Y)/eta(f) over End(C)."""
         return self.gh.length_between(self.lat.nodes[i], self.gh.full_sub())
 
-    def c_type(self, i):
-        """Multiset of composition factor labels of Hom(C,Y)/eta(f)."""
-        return self.gh.jh_between(self.lat.nodes[i], self.gh.full_sub())
-
     def length_one_indices(self):
         return [i for i in range(len(self.classes)) if self.c_length(i) == 1]
 

@@ -71,7 +71,8 @@ def rank(a, p):
     return len(rref(a, p)[1])
 
 
-def _kernel_from_rref(r, pivots, n, p):
+def kernel_from_rref(r, pivots, n, p):
+    """Kernel basis of a matrix from its RREF: the identity on the free columns."""
     free = [j for j in range(n) if j not in pivots]
     basis = zeros(len(free), n)
     for k, j in enumerate(free):
@@ -86,7 +87,7 @@ def kernel(a, p):
     a = amod(a, p)
     n = a.shape[1]
     r, piv = rref(a, p)
-    return _kernel_from_rref(r, piv, n, p)
+    return kernel_from_rref(r, piv, n, p)
 
 
 def solve_all(a, b, p):
@@ -105,7 +106,7 @@ def solve_all(a, b, p):
     x0 = zeros(1, n)[0]
     for i, c in enumerate(piv):
         x0[c] = r[i, n]
-    ker = _kernel_from_rref(r[:, :n], piv, n, p)
+    ker = kernel_from_rref(r[:, :n], piv, n, p)
     return x0, ker
 
 
@@ -134,16 +135,9 @@ def inv(a, p):
     a = amod(a, p)
     n = a.shape[0]
     r, piv = rref(np.concatenate([a, identity(n)], axis=1), p)
-    if len(piv) < n or piv[n - 1] != n - 1:
+    if piv != list(range(n)):
         return None
     return r[:, n:].copy()
-
-
-def kron(a, b, p):
-    """Kronecker product, as np.kron but by one broadcast product."""
-    a, b = amod(a, p), amod(b, p)
-    prod = a[:, None, :, None] * b[None, :, None, :]
-    return prod.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]) % p
 
 
 # --- subspaces -------------------------------------------------------------
@@ -260,10 +254,6 @@ def gaussian_binomial(n, k, q):
     if num % den:
         raise VerificationFailure("Gaussian binomial is not an integer")
     return num // den
-
-
-def count_all_subspaces(n, q):
-    return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
 def enumerate_subspaces(n, p, dim=None, cap=10 ** 6):

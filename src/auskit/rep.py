@@ -77,12 +77,24 @@ class Rep:
                 raise VerificationFailure("relation not satisfied by representation")
 
     def path_matrix(self, path):
-        """Matrix of a path acting on this representation (composition order)."""
-        src, names = path
-        m = identity(self.dims[src])
-        for ai in reversed(names):
-            m = (self.mats[ai] @ m) % self.p
-        return m
+        """Matrix of a path acting on this representation (composition order),
+        cached: each path is its cached tail extended by one arrow."""
+        paths = self._cache.setdefault("paths", {})
+        if path not in paths:
+            src, names = path
+            paths[path] = ((self.mats[names[0]] @ self.path_matrix((src, names[1:]))) % self.p
+                           if names else identity(self.dims[src]))
+        return paths[path]
+
+    def path_stack(self, v, w):
+        """The matrices of the basis paths of P(v) ending at w, as one cached
+        (paths, dims[w], dims[v]) stack."""
+        key = ("path_stack", v, w)
+        if key not in self._cache:
+            paths = self.A.proj_paths(v)[w]
+            self._cache[key] = np.array([self.path_matrix(s) for s in paths], dtype=INT
+                                        ).reshape(len(paths), self.dims[w], self.dims[v])
+        return self._cache[key]
 
     def __repr__(self):
         return "Rep%s" % (self.dim_vector(),)
@@ -142,10 +154,7 @@ class Morphism:
         return all(ffmat.rank(b, self.p) == self.tgt.dims[v] for v, b in enumerate(self.blocks))
 
     def is_iso(self):
-        return (
-            self.src.dim_vector() == self.tgt.dim_vector()
-            and self.is_mono()
-        )
+        return self.src.dim_vector() == self.tgt.dim_vector() and self.is_mono()
 
     def check(self):
         for ai, (_, u, v) in enumerate(self.src.A.quiver.arrows):
@@ -168,50 +177,36 @@ def identity_morphism(x):
 
 
 def morphism_from_flat(x, y, flat):
-    blocks = []
-    pos = 0
-    for v in range(len(x.dims)):
-        sz = y.dims[v] * x.dims[v]
-        blocks.append(np.asarray(flat[pos : pos + sz], dtype=INT).reshape(y.dims[v], x.dims[v]))
-        pos += sz
-    return Morphism(x, y, blocks)
+    return Morphism(x, y, [b[0] for b in _vertex_blocks(x, y, np.asarray(flat, dtype=INT).reshape(1, -1))])
 
 
 # --- hom spaces -------------------------------------------------------------
-
-
-def _intertwiner_system(x, y):
-    """(eqs, starts): eqs @ vec(f) = 0 exactly for the morphisms f: X -> Y.
-
-    The unknowns are the row-major vec(f_v), vertex v in the columns
-    starts[v]:starts[v + 1]; an arrow a: u -> v contributes the rows of
-    vec(Y_a f_u - f_v X_a).
-    """
-    p = x.p
-    starts = list(itertools.accumulate([0] + [a * b for a, b in zip(x.dims, y.dims)]))
-    rows = [zeros(0, starts[-1])]
-    for ai, (_, u, v) in enumerate(x.A.quiver.arrows):
-        block = zeros(y.dims[v] * x.dims[u], starts[-1])
-        if block.size:
-            block[:, starts[u] : starts[u + 1]] = ffmat.kron(y.mats[ai], identity(x.dims[u]), p)
-            block[:, starts[v] : starts[v + 1]] -= ffmat.kron(identity(y.dims[v]), x.mats[ai].T, p)
-            rows.append(block % p)
-    return np.concatenate(rows), starts
+#
+# A map X -> Y is fixed by the images of generators of X (Lux-Szoke, Computing
+# homomorphism spaces between modules over finite dimensional algebras, Exp.
+# Math. 2003): the generators g_i at vertices v_i span a complement of rad X,
+# the columns X_s g_i over the basis paths s of P(v_i) span X, and images y_i
+# in Y_{v_i} extend to a map exactly when every linear relation among those
+# columns holds among the Y_s y_i.
 
 
 class HomSpace(tuple):
     """A basis of Hom(X, Y): a tuple of Morphisms that reads coordinates.
 
-    The coordinate reader is built on first use: the pivot columns of the
-    flattened basis and the inverse of the basis at those columns, so the
-    coordinates of a whole stack of maps cost one product; membership is
-    checked.
+    The coordinate reader is the pivot columns of the flattened basis and the
+    inverse of the basis at those columns, so the coordinates of a whole stack
+    of maps cost one product; membership is checked.  A canonical basis (from
+    hom_space) is the identity on its free columns, the last nonzero entry of
+    each row, so its reader needs no RREF; any other costs one on first use.
     """
 
-    def __new__(cls, x, y, basis):
+    def __new__(cls, x, y, basis, canonical=None):
         self = super().__new__(cls, basis)
         self.x, self.y = x, y
         self.width = sum(a * b for a, b in zip(x.dims, y.dims))
+        self._canonical = canonical is not None
+        if self._canonical:
+            self.matrix = canonical
         return self
 
     @functools.cached_property
@@ -221,10 +216,12 @@ class HomSpace(tuple):
 
     @functools.cached_property
     def _reader(self):
+        n, w = len(self), self.width
+        if self._canonical:
+            return list(_last_nonzero(self.matrix)), identity(n)
         # rref [B | 1] = [T B | T]: T B has its identity columns at the pivots
         # of B, so T inverts B there; a pivot in the right half means B is
         # not independent
-        n, w = len(self), self.width
         r, piv = ffmat.rref(np.concatenate([self.matrix, identity(n)], axis=1), self.x.p)
         if piv and piv[-1] >= w:
             raise VerificationFailure("hom basis is linearly dependent")
@@ -246,19 +243,111 @@ class HomSpace(tuple):
         return morphism_from_flat(self.x, self.y, (np.asarray(coords, dtype=INT) @ self.matrix) % self.x.p)
 
 
+def _last_nonzero(rows):
+    """The column of the last nonzero entry of each row (the last column for a zero row)."""
+    return rows.shape[1] - 1 - np.argmax(rows[:, ::-1] != 0, axis=1) if len(rows) else np.zeros(0, dtype=INT)
+
+
+def _right_echelon(f, p):
+    """The basis of the row space of f (rank len(f)) that is the identity on the last
+    nonzero column of each row, in the order of those columns: f reordered if it is one."""
+    last = _last_nonzero(f)
+    if (f[:, last] == identity(len(f))).all():
+        return f[np.argsort(last)]
+    r, piv = ffmat.rref(f[:, ::-1], p)
+    if len(piv) != len(f):
+        raise VerificationFailure("generator images do not give independent maps")
+    return r[::-1, ::-1]
+
+
+def _vertex_blocks(x, y, flats):
+    """Rows of flattened maps X -> Y as per-vertex stacks (rows, dims_Y[v], dims_X[v])."""
+    out, pos = [], 0
+    for dx, dy in zip(x.dims, y.dims):
+        out.append(flats[:, pos : pos + dx * dy].reshape(len(flats), dy, dx))
+        pos += dx * dy
+    return out
+
+
+def _flatten(stacks, k):
+    """Per-vertex stacks of k maps as k flattened rows (inverse of _vertex_blocks)."""
+    return np.concatenate([zeros(k, 0)] + [s.reshape(k, s.shape[1] * s.shape[2]) for s in stacks], axis=1)
+
+
+def _generators(x):
+    """(verts, rels): the vertex of each generator of X (the unit vectors outside
+    the pivots of rad X at that vertex), and per vertex w, over the columns X_s g
+    (generators g, then the basis paths s of P(v) ending at w), rels[w] = (omega,
+    piv, sec): omega spans their relations, and sec inverts the columns piv, so a
+    map sending them to M has f_w = M[:, piv] @ sec.  The columns must span X_w,
+    which certifies that the cover by the generators is onto.
+    """
+    A, p = x.A, x.p
+    cols = []
+    for v, d in enumerate(x.dims):
+        into = [x.mats[ai].T for ai, (_, _, w) in enumerate(A.quiver.arrows) if w == v and d]
+        pivots = ffmat.rref(np.concatenate(into), p)[1] if into else []
+        cols.extend((v, j) for j in range(d) if j not in pivots)
+    rels = []
+    for w, d in enumerate(x.dims):
+        g = np.concatenate([zeros(d, 0)] + [x.path_stack(v, w)[:, :, j].T for v, j in cols], axis=1)
+        n = g.shape[1]
+        if g.shape == (d, d) and (g == identity(d)).all():  # the generators alone: no relations
+            rels.append((zeros(0, d), list(range(d)), g))
+            continue
+        r, piv = ffmat.rref(np.concatenate([g, identity(d)], axis=1), p)
+        if piv and piv[-1] >= n:
+            raise VerificationFailure("generator columns do not span the module")
+        rels.append((ffmat.kernel_from_rref(r[:, :n], piv, n, p), piv, r[:, n:]))
+    return [v for v, _ in cols], rels
+
+
 def _hom_rows(x, y):
-    """The kernel rows of the intertwiner system, in the smallest dtype holding p - 1."""
-    eqs, _ = _intertwiner_system(x, y)
-    return ffmat.kernel(eqs, x.p).astype(np.min_scalar_type(x.p - 1))
+    """The basis of Hom(X, Y) as flattened rows, in the smallest dtype holding
+    p - 1: the identity on its free columns, the last nonzero entry of each
+    row (the free-column kernel basis of the intertwiner equations).
+
+    Solves for the images y_i of the generators with sum_c omega_c Y_s y_i = 0
+    for every relation omega (c = (i, s)), reads the maps through the
+    section, and certifies that they are independent and intertwine.
+    """
+    p = x.p
+    verts, rels = x.A.memoized(("gens", x.key()), lambda: _generators(x))
+    starts = list(itertools.accumulate([0] + [y.dims[v] for v in verts]))
+    maps = []  # per w, (columns, dims_Y[w], unknowns): the unknowns to Y_s y_i
+    for w, dw in enumerate(y.dims):
+        stacks = [y.path_stack(v, w) for v in verts]
+        cuts = list(itertools.accumulate([0] + [len(s) for s in stacks]))
+        maps.append(np.zeros((cuts[-1], dw, starts[-1]), dtype=INT))
+        for i, s in enumerate(stacks):
+            maps[-1][cuts[i] : cuts[i + 1], :, starts[i] : starts[i + 1]] = s
+    eqs = np.concatenate([zeros(0, starts[-1])] + [
+        (om @ t.reshape(len(t), t.shape[1] * starts[-1])).reshape(len(om) * t.shape[1], starts[-1])
+        for (om, _, _), t in zip(rels, maps)]) % p
+    sol = ffmat.kernel(eqs, p) if len(eqs) else identity(starts[-1])
+    f = _flatten([(t[piv] @ sol.T).transpose(2, 1, 0) @ sec
+                  for (_, piv, sec), t in zip(rels, maps)], len(sol))
+    rows = _right_echelon(f % p, p)
+    blocks = _vertex_blocks(x, y, rows)
+    for ai, (_, u, v) in enumerate(x.A.quiver.arrows):
+        if ((y.mats[ai] @ blocks[u] - blocks[v] @ x.mats[ai]) % p).any():
+            raise VerificationFailure("a Hom basis map is not a morphism")
+    return rows.astype(np.min_scalar_type(p - 1))
 
 
 def hom_space(x, y):
     """Basis of Hom(X, Y) as a HomSpace on x and y (deterministic order).
 
-    The basis rows are memoized per algebra by the content of x and y.
+    The canonical basis rows are memoized per algebra by the content of x
+    and y; a memo hit does no RREF.
     """
-    rows = x.A.memoized(("hom", x.key(), y.key()), lambda: _hom_rows(x, y))
-    return HomSpace(x, y, [morphism_from_flat(x, y, row) for row in rows])
+    matrix = x.A.memoized(("hom", x.key(), y.key()), lambda: _hom_rows(x, y)).astype(INT)
+    matrix.flags.writeable = False
+    stacks = _vertex_blocks(x, y, matrix)
+    maps = [Morphism.__new__(Morphism) for _ in matrix]
+    for i, f in enumerate(maps):  # views of the read-only rows, already reduced
+        f.src, f.tgt, f.blocks = x, y, [s[i] for s in stacks]
+    return HomSpace(x, y, maps, matrix)
 
 
 def end_algebra(x):
@@ -270,15 +359,24 @@ def morphism_coords(f, basis):
     return basis.coords([f.flat()])[0]
 
 
+def _compose_rows(hom, g, after):
+    """Flattened rows of g o h (after) or of h o g over the basis h of hom."""
+    a, b = (hom.y, g.src) if after else (g.tgt, hom.x)
+    if a is not b and a.key() != b.key():
+        raise VerificationFailure("composition: target of the first map is not the source of the second")
+    hs = _vertex_blocks(hom.x, hom.y, hom.matrix)
+    return _flatten([gv @ hv if after else hv @ gv for gv, hv in zip(g.blocks, hs)], len(hom)) % g.p
+
+
 def hom_matrix_precompose(homxy, g, homzy):
     """Matrix of (- o g): Hom(X,Y) -> Hom(Z,Y) for g: Z -> X, in given bases."""
-    return homzy.coords([f.compose(g).flat() for f in homxy]).T
+    return homzy.coords(_compose_rows(homxy, g, False)).T
 
 
 def factor_subspace(f, w, hom_wy):
     """Image of Hom(W, f) = (f o -): the maps W -> Y factoring through f, in
     the coordinates of the HomSpace hom_wy."""
-    rows = hom_wy.coords([f.compose(u).flat() for u in hom_space(w, f.src)])
+    rows = hom_wy.coords(_compose_rows(hom_space(w, f.src), f, True))
     return ffmat.Subspace(rows, len(hom_wy), f.p)
 
 
@@ -342,11 +440,7 @@ def quotient_by_subspaces(x, subs):
 
 
 def cokernel(f):
-    p = f.p
-    subs = [
-        ffmat.Subspace(f.blocks[v].T, f.tgt.dims[v], p) for v in range(len(f.tgt.dims))
-    ]
-    return quotient_by_subspaces(f.tgt, subs)
+    return quotient_by_subspaces(f.tgt, [ffmat.Subspace(b.T, d, f.p) for b, d in zip(f.blocks, f.tgt.dims)])
 
 
 def total_arrows(x):
@@ -393,63 +487,35 @@ def rad(x):
 
 def soc(x):
     """(S, incl) with S the socle (joint kernel of all arrows)."""
-    p = x.p
     rows = []
     for v in range(len(x.dims)):
         stacked = [x.mats[ai] for ai, (_, u, _w) in enumerate(x.A.quiver.arrows) if u == v]
-        if stacked:
-            rows.append(ffmat.kernel(np.concatenate(stacked, axis=0), p))
-        else:
-            rows.append(identity(x.dims[v]))
+        rows.append(ffmat.kernel(np.concatenate(stacked), x.p) if stacked else identity(x.dims[v]))
     return _sub_rep_from_rows(x, rows)
 
 
 def top(x):
     """(T, proj) with T = X / rad X."""
-    r, incl = rad(x)
-    subs = [
-        ffmat.Subspace(incl.blocks[v].T, x.dims[v], x.p) for v in range(len(x.dims))
-    ]
-    return quotient_by_subspaces(x, subs)
+    return cokernel(rad(x)[1])
 
 
 def direct_sum(algebra, reps):
     """(D, inclusions, projections)."""
     if not reps:
-        z = zero_rep(algebra)
-        return z, [], []
-    p = algebra.p
-    nv = len(algebra.quiver.vertices)
-    dims = [sum(r.dims[v] for r in reps) for v in range(nv)]
-    mats = {}
-    for ai in range(len(algebra.quiver.arrows)):
-        _, u, v = algebra.quiver.arrows[ai]
-        m = zeros(dims[v], dims[u])
-        ro = co = 0
-        for r in reps:
-            m[ro : ro + r.dims[v], co : co + r.dims[u]] = r.mats[ai]
-            ro += r.dims[v]
-            co += r.dims[u]
-        mats[ai] = m
-    d = Rep(algebra, dims, mats, check=False)
-    incls, projs = [], []
-    offs = [[0] * nv]
+        return zero_rep(algebra), [], []
+    offs = [[0] * len(algebra.quiver.vertices)]
     for r in reps:
-        offs.append([offs[-1][v] + r.dims[v] for v in range(nv)])
-    for i, r in enumerate(reps):
-        ib, pb = [], []
-        for v in range(nv):
-            inc = zeros(dims[v], r.dims[v])
-            prj = zeros(r.dims[v], dims[v])
-            o = offs[i][v]
-            for j in range(r.dims[v]):
-                inc[o + j, j] = 1
-                prj[j, o + j] = 1
-            ib.append(inc)
-            pb.append(prj)
-        incls.append(Morphism(r, d, ib))
-        projs.append(Morphism(d, r, pb))
-    return d, incls, projs
+        offs.append([o + d for o, d in zip(offs[-1], r.dims)])
+    dims = offs[-1]
+    mats = {}
+    for ai, (_, u, v) in enumerate(algebra.quiver.arrows):
+        mats[ai] = zeros(dims[v], dims[u])
+        for r, o in zip(reps, offs):
+            mats[ai][o[v] : o[v] + r.dims[v], o[u] : o[u] + r.dims[u]] = r.mats[ai]
+    d = Rep(algebra, dims, mats, check=False)
+    incls = [Morphism(r, d, [identity(n)[:, a : a + k] for n, a, k in zip(dims, o, r.dims)])
+             for r, o in zip(reps, offs)]
+    return d, incls, [Morphism(d, r, [b.T for b in u.blocks]) for r, u in zip(reps, incls)]
 
 
 def structure(x):
@@ -465,14 +531,8 @@ def structure(x):
     while y.total_dim:
         s, incl = soc(y)
         socs.append(s.dim_vector())
-        subs = [ffmat.Subspace(incl.blocks[v].T, y.dims[v], y.p) for v in range(len(y.dims))]
-        y = quotient_by_subspaces(y, subs)[0]
-    t, _ = top(x)
-    return {
-        "radical_series": series,
-        "socle_series": socs,
-        "top": t.dim_vector(),
-    }
+        y = cokernel(incl)[0]
+    return {"radical_series": series, "socle_series": socs, "top": top(x)[0].dim_vector()}
 
 
 # --- endomorphism rings and the splitting engine ------------------------------
@@ -761,20 +821,14 @@ def is_isomorphic(x, y):
         return False
     if x.total_dim == 0:
         return True
-    dx = decompose(x)
-    dy = decompose(y)
-    if len(dx) != len(dy):
+    dx, left = decompose(x), [s for s, _, _ in decompose(y)]
+    if len(dx) != len(left):
         return False
-    used = [False] * len(dy)
-    for (sx, _, _) in dx:
-        found = False
-        for j, (sy, _, _) in enumerate(dy):
-            if not used[j] and _is_iso_indec(sx, sy):
-                used[j] = True
-                found = True
-                break
-        if not found:
+    for sx, _, _ in dx:  # match each summand of x to the first unused isomorphic one of y
+        j = next((j for j, sy in enumerate(left) if _is_iso_indec(sx, sy)), None)
+        if j is None:
             return False
+        del left[j]
     return True
 
 
@@ -784,16 +838,8 @@ def _is_iso_indec(x, y):
         return False
     if x.total_dim == 0:
         return True
-    fwd = hom_space(x, y)
-    bwd = hom_space(y, x)
-    if not fwd or not bwd:
-        return False
-    for u in fwd:
-        for v in bwd:
-            w = v.compose(u)
-            if w.is_iso():
-                return True
-    return False
+    fwd, bwd = hom_space(x, y), hom_space(y, x)
+    return any(v.compose(u).is_iso() for u in fwd for v in bwd)
 
 
 def iso_classes(reps):
@@ -807,11 +853,6 @@ def iso_classes(reps):
         else:
             classes.append([r])
     return [(cl[0], len(cl)) for cl in classes]
-
-
-def krs_count(x):
-    """Number of indecomposable direct summands, with multiplicity."""
-    return len(decompose(x))
 
 
 # --- right minimality and right equivalence ----------------------------------
@@ -856,42 +897,27 @@ def right_minimalize(f):
     return cur, split_acc
 
 
-def _solve_on_hom(x, y, comp, rhs):
-    """(True, h) for the canonical h: X -> Y with comp[v] @ vec(h_v) = vec(rhs[v])
-    at every vertex v, or (False, None): one solve of the intertwiner system
-    with the composition rows stacked under it."""
-    eqs, starts = _intertwiner_system(x, y)
-    rows, b = [eqs], [zeros(1, len(eqs))[0]]
-    for v, (c, r) in enumerate(zip(comp, rhs)):
-        block = zeros(len(c), starts[-1])
-        block[:, starts[v] : starts[v + 1]] = c
-        rows.append(block)
-        b.append(r.reshape(-1))
-    sol = ffmat.solve(np.concatenate(rows), np.concatenate(b), x.p)
-    if sol is None:
-        return False, None
-    return True, morphism_from_flat(x, y, sol).check()
+def _solve_on(hom, g, f, after):
+    """(True, h) for the canonical h in hom (free coordinates 0) with
+    f = g o h (after) or f = h o g, or (False, None)."""
+    c = ffmat.solve(_compose_rows(hom, g, after).T, f.flat(), f.p)
+    return (False, None) if c is None else (True, hom.element(c).check())
 
 
 def right_leq(f, g):
-    """(exists h with f = g o h, canonical h or None)."""
-    x = f.src
-    comp = [ffmat.kron(gv, identity(d), f.p) for gv, d in zip(g.blocks, x.dims)]
-    return _solve_on_hom(x, g.src, comp, f.blocks)
+    """(exists h with f = g o h, h or None), solved on hom_space(f.src, g.src);
+    the witness is canonical in its coordinates."""
+    return _solve_on(hom_space(f.src, g.src), g, f, True)
 
 
 def right_equivalent(f, g):
-    a, _ = right_leq(f, g)
-    if not a:
-        return False
-    b, _ = right_leq(g, f)
-    return b
+    return right_leq(f, g)[0] and right_leq(g, f)[0]
 
 
 def left_leq(f, g):
-    """(exists h with f = h o g, canonical h or None).  f: A->B, g: A->C."""
-    comp = [ffmat.kron(identity(d), gv.T, f.p) for gv, d in zip(g.blocks, f.tgt.dims)]
-    return _solve_on_hom(g.tgt, f.tgt, comp, f.blocks)
+    """(exists h with f = h o g, h or None), f: A->B, g: A->C, solved on
+    hom_space(g.tgt, f.tgt); the witness is canonical in its coordinates."""
+    return _solve_on(hom_space(g.tgt, f.tgt), g, f, False)
 
 
 def is_split_epi(g):
@@ -921,6 +947,5 @@ def meet_map(f, g):
 
 
 def join_map(f, g):
-    algebra = f.src.A
-    d, incls, projs = direct_sum(algebra, [f.src, g.src])
+    _, _, projs = direct_sum(f.src.A, [f.src, g.src])
     return f.compose(projs[0]).add(g.compose(projs[1]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from auskit import ar, determine, rep
+from auskit import ar, catalog, determine, factor, rep
 from auskit.algebra import parse_module_expr
 from auskit.errors import VerificationFailure
 
@@ -166,3 +166,44 @@ def test_factoring_probe_raises_nothing(a2):
     f = rep.identity_morphism(y)
     c = a2.simple(1)
     assert determine.definitional_check(f, c, count=10) == []
+
+
+def _probes_by_morphisms(f, c, count, seed):
+    """default_probes as it was first written: a Morphism for every draw."""
+    import random
+
+    y = f.tgt
+    A = y.A
+    sources = [f.src, c] + [A.proj(v) for v in range(A.nv)] + [y]
+    probes = []
+    for w in sources:
+        probes.extend(rep.hom_space(w, y))
+    rng = random.Random(seed)
+    out = []
+    seen = set()
+    for _ in range(20 * count):
+        if not probes or len(out) >= count:
+            break
+        g = probes[rng.randrange(len(probes))]
+        if rng.random() < 0.5 and len(probes) > 1:
+            h = probes[rng.randrange(len(probes))]
+            if g.src.key() == h.src.key():
+                g = g.add(h)
+        key = (g.src.key(), g.flat().tobytes())
+        if key not in seen:
+            seen.add(key)
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("name", ["kron2-ex14", "loop-b-ex8", "subspace3-ex9"])
+def test_default_probes_match_the_morphism_loop(name):
+    _, c, y = catalog.resolve_instance(name)
+    fl = factor.FactorizationLattice.build(c, y, certify=False)
+    for rc in fl.classes:
+        for count, seed in ((20, 0), (7, 3)):
+            got = determine.default_probes(rc.f, c, count, seed)
+            want = _probes_by_morphisms(rc.f, c, count, seed)
+            assert [(g.src.key(), g.flat().tobytes()) for g in got] == \
+                [(g.src.key(), g.flat().tobytes()) for g in want]
+            assert all(g.tgt is y and g.check() for g in got)

@@ -1,8 +1,11 @@
 """The Hom layer against brute force on tiny representations over F_2 and F_3.
 
 Every vertexwise linear map X -> Y is enumerated and tested for the
-intertwining property with plain matrix products, independently of the
-intertwiner system that hom_space, right_leq and left_leq solve.
+intertwining property with plain matrix products, independently of how
+hom_space finds its basis (from the images of generators of X) and of how
+right_leq and left_leq solve on it.  The rows hom_space stores are also
+compared byte for byte with the free-column kernel basis of the full
+intertwiner system, built here.
 """
 
 import itertools
@@ -16,6 +19,7 @@ from auskit import kronecker as kr
 from auskit.errors import VerificationFailure
 
 UNI3_F3 = "field 3\nvertices a\narrow x a a\nrelation x*x*x\n"
+KRON2_F2 = "field 2\nvertices a b\narrow x b a\narrow y b a\n"
 
 
 def _random_rep(alg, rng, maxdim=2):
@@ -205,3 +209,116 @@ def test_realize_cocycle_into_a_sum_of_copies(kron2):
     assert not rep.is_split_epi(g)
     x, u, g = realize(zero, zero)
     assert rep.is_split_epi(g) and rep.is_split_mono(u)
+
+
+# --- generators: several at one vertex, and relations among their images ------
+
+
+def _intertwiner_rows(x, y):
+    """The free-column kernel basis of the intertwiner system: the unknowns
+    are the row-major vec(f_v), and an arrow a: u -> v gives the rows of
+    vec(Y_a f_u - f_v X_a)."""
+    p = x.p
+    starts = list(itertools.accumulate([0] + [a * b for a, b in zip(x.dims, y.dims)]))
+    rows = [np.zeros((0, starts[-1]), dtype=np.int64)]
+    for ai, (_, u, v) in enumerate(x.A.quiver.arrows):
+        block = np.zeros((y.dims[v] * x.dims[u], starts[-1]), dtype=np.int64)
+        if block.size:
+            block[:, starts[u] : starts[u + 1]] = np.kron(y.mats[ai], np.eye(x.dims[u], dtype=np.int64))
+            block[:, starts[v] : starts[v + 1]] -= np.kron(np.eye(y.dims[v], dtype=np.int64), x.mats[ai].T)
+            rows.append(block % p)
+    return ffmat.kernel(np.concatenate(rows), p).astype(np.min_scalar_type(p - 1))
+
+
+def _generator_pools(kron2, loopb, sub3):
+    """Modules with several generators at one vertex, and modules whose
+    generator columns satisfy relations."""
+    two_pa_sb = rep.direct_sum(kron2, [kron2.proj("a"), kron2.proj("a"), kron2.simple("b")])[0]
+    pa_sa = rep.direct_sum(loopb, [loopb.proj("a"), loopb.simple("a")])[0]
+    return {
+        "kron2": [two_pa_sb, kron2.proj("b"), kron2.inj("a"), kron2.simple("b"),
+                  rep.direct_sum(kron2, [kron2.simple("a"), kron2.simple("b")])[0]],
+        "loop-b": [pa_sa, loopb.proj("b"), loopb.inj("a"), rep.rad(loopb.proj("b"))[0],
+                   loopb.simple("b")],
+        "subspace3": [sub3.inj("a"), ar.tau(sub3.inj("a")), sub3.proj("b1"), sub3.simple("a"),
+                      rep.direct_sum(sub3, [sub3.simple("b1"), sub3.simple("b2")])[0]],
+    }
+
+
+def test_pools_have_several_generators_and_relations(kron2, loopb, sub3):
+    pools = _generator_pools(kron2, loopb, sub3)
+    verts = [rep._generators(x)[0] for mods in pools.values() for x in mods]
+    assert any(len(vs) > len(set(vs)) for vs in verts)  # two generators at one vertex
+    for name, mods in pools.items():
+        assert any(len(om) for x in mods for om, _, _ in rep._generators(x)[1]), name
+
+
+def test_generator_rows_equal_the_intertwiner_kernel(kron2, loopb, sub3):
+    for name, x, y in _pairs(_generator_pools(kron2, loopb, sub3)):
+        got, want = rep._hom_rows(x, y), _intertwiner_rows(x, y)
+        assert got.dtype == want.dtype and got.shape == want.shape, (name, x, y)
+        assert got.tobytes() == want.tobytes(), (name, x, y)
+        flats, ok = _all_maps(x, y)
+        assert int(ok.sum()) == x.p ** len(got), (name, x, y)
+
+
+def test_order_witnesses_compose_back(kron2, loopb, sub3):
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for name, mods in _generator_pools(kron2, loopb, sub3).items():
+        for x, z, y in itertools.product(mods, repeat=3):
+            g = _random_map(rep.hom_space(z, y), rng)
+            for f in (g.compose(_random_map(rep.hom_space(x, z), rng)),
+                      _random_map(rep.hom_space(x, y), rng)):
+                ok, h = rep.right_leq(f, g)
+                if ok:
+                    assert _same(g.compose(h), f), name
+                seen[ok] += 1
+            u = _random_map(rep.hom_space(y, z), rng)
+            for f in (_random_map(rep.hom_space(z, x), rng).compose(u),
+                      _random_map(rep.hom_space(y, x), rng)):
+                ok, h = rep.left_leq(f, u)
+                if ok:
+                    assert _same(h.compose(u), f), name
+                seen[ok] += 1
+    assert min(seen.values()) > 20
+
+
+def test_memo_hit_does_no_rref(monkeypatch, kron2, loopb, sub3):
+    pairs = list(_pairs(_generator_pools(kron2, loopb, sub3)))
+    for _, x, y in pairs:
+        rep.hom_space(x, y)
+    twins = [(rep.Rep(x.A, x.dims, x.mats), rep.Rep(y.A, y.dims, y.mats)) for _, x, y in pairs]
+    calls = []
+    real = ffmat.rref
+    monkeypatch.setattr(ffmat, "rref", lambda a, p: calls.append(p) or real(a, p))
+    for x, y in twins:
+        hom = rep.hom_space(x, y)
+        assert (hom.coords(hom.matrix) == np.eye(len(hom), dtype=np.int64)).all()
+    assert calls == []
+
+
+def _fresh_kron2():
+    """A Kronecker algebra with an empty memo."""
+    return algebra.parse_algebra_file(KRON2_F2, name="kron2")
+
+
+def test_generator_columns_short_of_rank_raise(monkeypatch):
+    A = _fresh_kron2()
+    x, y = A.proj("b"), A.inj("a")
+    real = rep.Rep.path_stack
+    monkeypatch.setattr(rep.Rep, "path_stack", lambda self, v, w: 0 * real(self, v, w))
+    with pytest.raises(VerificationFailure, match="do not span"):
+        rep.hom_space(x, y)
+    assert not [k for k in A._memo if k[0] in ("gens", "hom")]
+
+
+def test_basis_map_that_does_not_intertwine_raises(monkeypatch):
+    # with every relation dropped, the image e_b -> 1 of the generator of S(b)
+    # gives a map S(b) -> P(b) that does not commute with the arrows
+    A = _fresh_kron2()
+    x, y = A.simple("b"), A.proj("b")
+    monkeypatch.setattr(ffmat, "kernel", lambda a, p: np.eye(np.shape(a)[1], dtype=np.int64))
+    with pytest.raises(VerificationFailure, match="not a morphism"):
+        rep.hom_space(x, y)
+    assert ("hom", x.key(), y.key()) not in A._memo
