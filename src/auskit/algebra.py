@@ -107,7 +107,6 @@ class Algebra:
         self._op = None
         self._memo = {}
         self._memo_counts = {}  # kind -> [hits, misses]
-        self._proj_paths = {}
         self.relations = self._normalize_relations(relations)
         self._build_basis(max_len, max_paths)
         self._build_mult()
@@ -211,6 +210,8 @@ class Algebra:
         self._bindex = {pt: i for i, pt in enumerate(basis)}
         self.basis_src = [pt[0] for pt in basis]
         self.basis_tgt = [tgt_of[pt] for pt in basis]
+        self._proj_paths = [tuple(tuple(pt for pt, s, t in zip(basis, self.basis_src, self.basis_tgt)
+                                        if (s, t) == (v, w)) for w in range(nv)) for v in range(nv)]
         self._path_tgt = tgt_of
         self._max_len = L
 
@@ -327,15 +328,8 @@ class Algebra:
 
     def proj_paths(self, v):
         """Per-vertex ordered basis paths of P(v): paths with source v (a
-        shared tuple of tuples)."""
-        v = self._vertex_of(v)
-        if v not in self._proj_paths:
-            out = [[] for _ in range(self.nv)]
-            for i, pt in enumerate(self.basis):
-                if self.basis_src[i] == v:
-                    out[self.basis_tgt[i]].append(pt)
-            self._proj_paths[v] = tuple(map(tuple, out))
-        return self._proj_paths[v]
+        tuple of tuples, tabulated with the basis)."""
+        return self._proj_paths[self._vertex_of(v)]
 
     def proj(self, v):
         """Indecomposable projective P(v): paths starting at v."""

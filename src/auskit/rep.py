@@ -114,6 +114,14 @@ class Morphism:
             amod(b, p).reshape(tgt.dims[v], src.dims[v]) for v, b in enumerate(blocks)
         ]
 
+    @classmethod
+    def _from_views(cls, src, tgt, blocks):
+        """A morphism on blocks that are already reduced and shaped, kept
+        without a copy (hom_space's basis maps are views of its rows)."""
+        self = cls.__new__(cls)
+        self.src, self.tgt, self.blocks = src, tgt, list(blocks)
+        return self
+
     @property
     def p(self):
         return self.src.p
@@ -154,7 +162,10 @@ class Morphism:
         return all(ffmat.rank(b, self.p) == self.tgt.dims[v] for v, b in enumerate(self.blocks))
 
     def is_iso(self):
-        return self.src.dim_vector() == self.tgt.dim_vector() and self.is_mono()
+        return (
+            self.src.dim_vector() == self.tgt.dim_vector()
+            and self.is_mono()
+        )
 
     def check(self):
         for ai, (_, u, v) in enumerate(self.src.A.quiver.arrows):
@@ -248,18 +259,6 @@ def _last_nonzero(rows):
     return rows.shape[1] - 1 - np.argmax(rows[:, ::-1] != 0, axis=1) if len(rows) else np.zeros(0, dtype=INT)
 
 
-def _right_echelon(f, p):
-    """The basis of the row space of f (rank len(f)) that is the identity on the last
-    nonzero column of each row, in the order of those columns: f reordered if it is one."""
-    last = _last_nonzero(f)
-    if (f[:, last] == identity(len(f))).all():
-        return f[np.argsort(last)]
-    r, piv = ffmat.rref(f[:, ::-1], p)
-    if len(piv) != len(f):
-        raise VerificationFailure("generator images do not give independent maps")
-    return r[::-1, ::-1]
-
-
 def _vertex_blocks(x, y, flats):
     """Rows of flattened maps X -> Y as per-vertex stacks (rows, dims_Y[v], dims_X[v])."""
     out, pos = [], 0
@@ -292,9 +291,6 @@ def _generators(x):
     for w, d in enumerate(x.dims):
         g = np.concatenate([zeros(d, 0)] + [x.path_stack(v, w)[:, :, j].T for v, j in cols], axis=1)
         n = g.shape[1]
-        if g.shape == (d, d) and (g == identity(d)).all():  # the generators alone: no relations
-            rels.append((zeros(0, d), list(range(d)), g))
-            continue
         r, piv = ffmat.rref(np.concatenate([g, identity(d)], axis=1), p)
         if piv and piv[-1] >= n:
             raise VerificationFailure("generator columns do not span the module")
@@ -324,10 +320,14 @@ def _hom_rows(x, y):
     eqs = np.concatenate([zeros(0, starts[-1])] + [
         (om @ t.reshape(len(t), t.shape[1] * starts[-1])).reshape(len(om) * t.shape[1], starts[-1])
         for (om, _, _), t in zip(rels, maps)]) % p
-    sol = ffmat.kernel(eqs, p) if len(eqs) else identity(starts[-1])
+    sol = ffmat.kernel(eqs, p)
     f = _flatten([(t[piv] @ sol.T).transpose(2, 1, 0) @ sec
                   for (_, piv, sec), t in zip(rels, maps)], len(sol))
-    rows = _right_echelon(f % p, p)
+    # the free-column kernel basis: rref of the reversed columns, reversed back
+    r, piv = ffmat.rref(f[:, ::-1] % p, p)
+    if len(piv) != len(f):
+        raise VerificationFailure("generator images do not give independent maps")
+    rows = r[::-1, ::-1]
     blocks = _vertex_blocks(x, y, rows)
     for ai, (_, u, v) in enumerate(x.A.quiver.arrows):
         if ((y.mats[ai] @ blocks[u] - blocks[v] @ x.mats[ai]) % p).any():
@@ -344,9 +344,7 @@ def hom_space(x, y):
     matrix = x.A.memoized(("hom", x.key(), y.key()), lambda: _hom_rows(x, y)).astype(INT)
     matrix.flags.writeable = False
     stacks = _vertex_blocks(x, y, matrix)
-    maps = [Morphism.__new__(Morphism) for _ in matrix]
-    for i, f in enumerate(maps):  # views of the read-only rows, already reduced
-        f.src, f.tgt, f.blocks = x, y, [s[i] for s in stacks]
+    maps = [Morphism._from_views(x, y, [s[i] for s in stacks]) for i in range(len(matrix))]
     return HomSpace(x, y, maps, matrix)
 
 
@@ -440,7 +438,11 @@ def quotient_by_subspaces(x, subs):
 
 
 def cokernel(f):
-    return quotient_by_subspaces(f.tgt, [ffmat.Subspace(b.T, d, f.p) for b, d in zip(f.blocks, f.tgt.dims)])
+    p = f.p
+    subs = [
+        ffmat.Subspace(f.blocks[v].T, f.tgt.dims[v], p) for v in range(len(f.tgt.dims))
+    ]
+    return quotient_by_subspaces(f.tgt, subs)
 
 
 def total_arrows(x):
@@ -487,10 +489,14 @@ def rad(x):
 
 def soc(x):
     """(S, incl) with S the socle (joint kernel of all arrows)."""
+    p = x.p
     rows = []
     for v in range(len(x.dims)):
         stacked = [x.mats[ai] for ai, (_, u, _w) in enumerate(x.A.quiver.arrows) if u == v]
-        rows.append(ffmat.kernel(np.concatenate(stacked), x.p) if stacked else identity(x.dims[v]))
+        if stacked:
+            rows.append(ffmat.kernel(np.concatenate(stacked, axis=0), p))
+        else:
+            rows.append(identity(x.dims[v]))
     return _sub_rep_from_rows(x, rows)
 
 
@@ -502,20 +508,40 @@ def top(x):
 def direct_sum(algebra, reps):
     """(D, inclusions, projections)."""
     if not reps:
-        return zero_rep(algebra), [], []
-    offs = [[0] * len(algebra.quiver.vertices)]
-    for r in reps:
-        offs.append([o + d for o, d in zip(offs[-1], r.dims)])
-    dims = offs[-1]
+        z = zero_rep(algebra)
+        return z, [], []
+    p = algebra.p
+    nv = len(algebra.quiver.vertices)
+    dims = [sum(r.dims[v] for r in reps) for v in range(nv)]
     mats = {}
-    for ai, (_, u, v) in enumerate(algebra.quiver.arrows):
-        mats[ai] = zeros(dims[v], dims[u])
-        for r, o in zip(reps, offs):
-            mats[ai][o[v] : o[v] + r.dims[v], o[u] : o[u] + r.dims[u]] = r.mats[ai]
+    for ai in range(len(algebra.quiver.arrows)):
+        _, u, v = algebra.quiver.arrows[ai]
+        m = zeros(dims[v], dims[u])
+        ro = co = 0
+        for r in reps:
+            m[ro : ro + r.dims[v], co : co + r.dims[u]] = r.mats[ai]
+            ro += r.dims[v]
+            co += r.dims[u]
+        mats[ai] = m
     d = Rep(algebra, dims, mats, check=False)
-    incls = [Morphism(r, d, [identity(n)[:, a : a + k] for n, a, k in zip(dims, o, r.dims)])
-             for r, o in zip(reps, offs)]
-    return d, incls, [Morphism(d, r, [b.T for b in u.blocks]) for r, u in zip(reps, incls)]
+    incls, projs = [], []
+    offs = [[0] * nv]
+    for r in reps:
+        offs.append([offs[-1][v] + r.dims[v] for v in range(nv)])
+    for i, r in enumerate(reps):
+        ib, pb = [], []
+        for v in range(nv):
+            inc = zeros(dims[v], r.dims[v])
+            prj = zeros(r.dims[v], dims[v])
+            o = offs[i][v]
+            for j in range(r.dims[v]):
+                inc[o + j, j] = 1
+                prj[j, o + j] = 1
+            ib.append(inc)
+            pb.append(prj)
+        incls.append(Morphism(r, d, ib))
+        projs.append(Morphism(d, r, pb))
+    return d, incls, projs
 
 
 def structure(x):
@@ -532,7 +558,12 @@ def structure(x):
         s, incl = soc(y)
         socs.append(s.dim_vector())
         y = cokernel(incl)[0]
-    return {"radical_series": series, "socle_series": socs, "top": top(x)[0].dim_vector()}
+    t, _ = top(x)
+    return {
+        "radical_series": series,
+        "socle_series": socs,
+        "top": t.dim_vector(),
+    }
 
 
 # --- endomorphism rings and the splitting engine ------------------------------
@@ -821,14 +852,20 @@ def is_isomorphic(x, y):
         return False
     if x.total_dim == 0:
         return True
-    dx, left = decompose(x), [s for s, _, _ in decompose(y)]
-    if len(dx) != len(left):
+    dx = decompose(x)
+    dy = decompose(y)
+    if len(dx) != len(dy):
         return False
-    for sx, _, _ in dx:  # match each summand of x to the first unused isomorphic one of y
-        j = next((j for j, sy in enumerate(left) if _is_iso_indec(sx, sy)), None)
-        if j is None:
+    used = [False] * len(dy)
+    for (sx, _, _) in dx:
+        found = False
+        for j, (sy, _, _) in enumerate(dy):
+            if not used[j] and _is_iso_indec(sx, sy):
+                used[j] = True
+                found = True
+                break
+        if not found:
             return False
-        del left[j]
     return True
 
 
@@ -838,8 +875,16 @@ def _is_iso_indec(x, y):
         return False
     if x.total_dim == 0:
         return True
-    fwd, bwd = hom_space(x, y), hom_space(y, x)
-    return any(v.compose(u).is_iso() for u in fwd for v in bwd)
+    fwd = hom_space(x, y)
+    bwd = hom_space(y, x)
+    if not fwd or not bwd:
+        return False
+    for u in fwd:
+        for v in bwd:
+            w = v.compose(u)
+            if w.is_iso():
+                return True
+    return False
 
 
 def iso_classes(reps):
@@ -911,7 +956,11 @@ def right_leq(f, g):
 
 
 def right_equivalent(f, g):
-    return right_leq(f, g)[0] and right_leq(g, f)[0]
+    a, _ = right_leq(f, g)
+    if not a:
+        return False
+    b, _ = right_leq(g, f)
+    return b
 
 
 def left_leq(f, g):
@@ -947,5 +996,6 @@ def meet_map(f, g):
 
 
 def join_map(f, g):
-    _, _, projs = direct_sum(f.src.A, [f.src, g.src])
+    algebra = f.src.A
+    d, incls, projs = direct_sum(algebra, [f.src, g.src])
     return f.compose(projs[0]).add(g.compose(projs[1]))
