@@ -148,10 +148,8 @@ class GammaHom:
         v = hi
         p = self.p
         while v.dim > lo.dim:
-            t = lo
-            for m in rad_mats:
-                if v.dim:
-                    t = t.sum(Subspace((v.B @ m.T) % p, self.n, p))
+            t = Subspace(np.concatenate([lo.B] + [(v.B @ m.T) % p for m in rad_mats]),
+                         self.n, p)
             if not t.leq(v):
                 raise VerificationFailure("radical image escapes the submodule")
             gap = v.dim - t.dim
@@ -159,7 +157,7 @@ class GammaHom:
                 raise VerificationFailure("radical peeling made no progress")
             acc = 0
             for i, m in enumerate(eps_mats):
-                part = t.sum(Subspace((v.B @ m.T) % p, self.n, p))
+                part = Subspace(np.concatenate([t.B, (v.B @ m.T) % p]), self.n, p)
                 di = part.dim - t.dim
                 if di % residue[i]:
                     raise VerificationFailure("isotypic block is not a multiple of the residue dimension")

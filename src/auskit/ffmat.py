@@ -448,7 +448,3 @@ def minpoly(a, p):
             return coeffs
         stack.append(target)
     raise VerificationFailure("minimal polynomial has degree above n")
-
-
-def rand_mat(rng, m, n, p):
-    return np.array([[rng.randrange(p) for _ in range(n)] for _ in range(m)], dtype=INT)

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import rep
 from .errors import CapExceeded, ParseError, VerificationFailure
-from .ffmat import (INT, Subspace, closure, gaussian_binomial, kernel, mat_key,
-                    projective_points)
+from .ffmat import (INT, Subspace, closure, gaussian_binomial, inv_mod, kernel,
+                    mat_key, projective_points)
 
 DEFAULT_DIM_CAPS = {2: 12, 3: 8, 5: 6}
 NODE_CAP = 20000
@@ -75,13 +75,22 @@ def _cyclic_search(zero, seeds, close, order):
     edge-neighbours: if a < c < b, the lower cover of b above c is a
     neighbour above a.  Returns (nodes, below, lower_covers): below[j] and
     lower_covers[j] are bitsets over node indices, below[j] including j.
+
+    One sum is formed per residue line, not per generator.  If g - c g' lies
+    in u for some c != 0, then g lies in the submodule u + C(g'), so
+    u + C(g) <= u + C(g'), and by symmetry the two sums are equal.  Nodes are
+    popped by (order(w), key) and below/lower_covers are ORs over edges, so
+    the result depends only on the set of sums, not on which generator of a
+    line formed each one.
     """
+    p = zero.p
     cyclic = {}
     for g in seeds:
         cg = close([g])
         cyclic.setdefault(cg.key(), (g, cg))
     gens = list(cyclic.values())
     gen_rows = np.array([g for g, _ in gens], dtype=INT).reshape(len(gens), zero.n)
+    inverse = np.array([0] + [inv_mod(a, p) for a in range(1, p)], dtype=INT)
     # node key -> [node, lower edge-neighbours, everything strictly below them]
     pending = {zero.key(): [zero, 0, 0]}
     heap = [(order(zero), zero.key())]
@@ -94,8 +103,17 @@ def _cyclic_search(zero, seeds, close, order):
         below.append(nbrs | under | (1 << i))
         lower_covers.append(nbrs & ~under)
         # g lies in u iff its residue mod u's echelon rows is zero
-        residues = (gen_rows - gen_rows[:, u.pivots] @ u.B) % zero.p
-        for t in np.flatnonzero(residues.any(axis=1)):
+        residues = (gen_rows - gen_rows[:, u.pivots] @ u.B) % p
+        outside = np.flatnonzero(residues.any(axis=1))
+        if not outside.size:
+            continue
+        res = residues[outside]
+        # scale each residue so its first nonzero entry is 1: one row per line
+        lead = res[np.arange(len(res)), (res != 0).argmax(axis=1)]
+        lines = {}
+        for t, row in zip(outside.tolist(), (res * inverse[lead][:, None]) % p):
+            lines.setdefault(row.tobytes(), t)
+        for t in lines.values():
             w = u.sum(gens[t][1])
             kw = w.key()
             entry = pending.get(kw)

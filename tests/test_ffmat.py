@@ -17,6 +17,7 @@ from auskit.ffmat import (
     rref,
     solve_all,
 )
+from helpers import rand_mat
 
 
 def test_rref_collapses_equal_rows():
@@ -94,8 +95,8 @@ def test_dimension_formula_random():
     for _ in range(60):
         n = rng.randrange(2, 6)
         p = rng.choice([2, 3, 5])
-        u = Subspace(ffmat.rand_mat(rng, rng.randrange(1, n + 1), n, p), n, p)
-        w = Subspace(ffmat.rand_mat(rng, rng.randrange(1, n + 1), n, p), n, p)
+        u = Subspace(rand_mat(rng, rng.randrange(1, n + 1), n, p), n, p)
+        w = Subspace(rand_mat(rng, rng.randrange(1, n + 1), n, p), n, p)
         assert u.sum(w).dim + u.intersect(w).dim == u.dim + w.dim
         assert u.intersect(w).leq(u)
         assert u.leq(u.sum(w))
@@ -144,7 +145,7 @@ def test_charpoly_consistent_with_determinant():
     for _ in range(40):
         n = rng.randrange(1, 5)
         p = rng.choice([2, 3, 5])
-        a = ffmat.rand_mat(rng, n, n, p)
+        a = rand_mat(rng, n, n, p)
         cp = charpoly(a, p)
         assert len(cp) == n + 1 and cp[n] == 1
         # Cayley-Hamilton
@@ -162,7 +163,7 @@ def test_minpoly_divides_charpoly():
     for _ in range(40):
         n = rng.randrange(1, 5)
         p = rng.choice([2, 3])
-        a = ffmat.rand_mat(rng, n, n, p)
+        a = rand_mat(rng, n, n, p)
         mp = minpoly(a, p)
         _, rem = poly_divmod(charpoly(a, p), mp, p)
         assert ffmat.poly_deg(rem) == -1
@@ -184,8 +185,8 @@ def test_zassenhaus_vs_pointwise():
     for _ in range(30):
         n = rng.randrange(2, 5)
         p = rng.choice([2, 3])
-        u = Subspace(ffmat.rand_mat(rng, 2, n, p), n, p)
-        w = Subspace(ffmat.rand_mat(rng, 2, n, p), n, p)
+        u = Subspace(rand_mat(rng, 2, n, p), n, p)
+        w = Subspace(rand_mat(rng, 2, n, p), n, p)
         inter = u.intersect(w)
         members = [tuple(v) for v in u.vectors() if w.contains(v)]
         assert len(members) == p ** inter.dim

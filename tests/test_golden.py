@@ -3,20 +3,27 @@
 The files under tests/data/golden/ hold the stdout of `auskit hom --format
 json`, `classes --format json` and `determiner` for each catalog instance
 other than subspace3-ex21 (the slowest), of `auskit verify`, and of the
-F_3 `kronecker table --format json`.  After a deliberate output change,
-rewrite them with
+F_3 `kronecker table --format json`.  lattices.sha256 holds one digest per
+lattice: the node keys in order, `leq` and `covers()` of every Gamma-lattice
+`kronecker.verify_table(p, 3, 3)` builds for p = 2, 3, and the node keys in
+order of `lattice.rep_submodule_lattice` on each catalog instance's Y and C.
+After a deliberate output change, rewrite them all with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from auskit import catalog, cli
+from auskit import catalog, cli, kronecker, lattice
+from auskit.errors import CapExceeded
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 SKIPPED = ("subspace3-ex21",)
@@ -46,6 +53,68 @@ def _run(argv):
     return code, buf.getvalue()
 
 
+LATTICE_DIGEST = "lattices.sha256"
+
+
+def _node_lines(nodes):
+    for s in nodes:
+        shape, raw = s.key()[1]
+        yield "%d %d %s %s" % (s.n, s.p, shape, raw.hex())
+
+
+def _digest(lines):
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def _kronecker_lattices():
+    """(label, lattice) for every Gamma-lattice verify_table(p, 3, 3) builds."""
+    real = lattice.SubmoduleLattice.build.__func__
+    out = []
+    for p in (2, 3):
+        built = []
+
+        def recording(cls, gh):
+            built.append(real(cls, gh))
+            return built[-1]
+
+        with mock.patch.object(lattice.SubmoduleLattice, "build", classmethod(recording)):
+            rows, _ = kronecker.verify_table(p, 3, 3)
+        if len(built) != len(rows):
+            raise RuntimeError("expected one lattice per table row")
+        out += [("F_%d %s -> %s" % (p, r["c"], r["y"]), lat) for r, lat in zip(rows, built)]
+    return out
+
+
+def lattice_digest_text():
+    lines = []
+    for label, lat in _kronecker_lattices():
+        body = list(_node_lines(lat.nodes))
+        body.append(np.packbits(lat.leq).tobytes().hex())
+        body.append(repr(lat.covers()))
+        lines.append("gamma %s nodes=%d covers=%d %s"
+                     % (label, len(lat), len(lat.covers()), _digest(body)))
+    for name in catalog.instance_names():
+        _, c, y = catalog.resolve_instance(name)
+        for side, x in (("Y", y), ("C", c)):
+            try:
+                nodes = lattice.rep_submodule_lattice(x)
+            except CapExceeded:
+                lines.append("rep %s %s cap" % (name, side))
+                continue
+            lines.append("rep %s %s nodes=%d %s"
+                         % (name, side, len(nodes), _digest(_node_lines(nodes))))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_lattice_digest():
+    with open(os.path.join(GOLDEN, LATTICE_DIGEST)) as fh:
+        want = fh.read()
+    assert lattice_digest_text() == want
+
+
 @pytest.mark.parametrize("fname,argv", CASES, ids=[c[0] for c in CASES])
 def test_golden_output(fname, argv):
     code, out = _run(argv)
@@ -63,7 +132,9 @@ def main():
             raise SystemExit("%s exited %d" % (" ".join(argv), code))
         with open(os.path.join(GOLDEN, fname), "w") as fh:
             fh.write(out)
-    print("wrote %d files to %s" % (len(CASES), GOLDEN))
+    with open(os.path.join(GOLDEN, LATTICE_DIGEST), "w") as fh:
+        fh.write(lattice_digest_text())
+    print("wrote %d files to %s" % (len(CASES) + 1, GOLDEN))
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import pytest
 from auskit import algebra, ar, ffmat, rep
 from auskit import kronecker as kr
 from auskit.errors import VerificationFailure
+from helpers import rand_mat
 
 UNI3_F3 = "field 3\nvertices a\narrow x a a\nrelation x*x*x\n"
 KRON2_F2 = "field 2\nvertices a b\narrow x b a\narrow y b a\n"
@@ -24,7 +25,7 @@ KRON2_F2 = "field 2\nvertices a b\narrow x b a\narrow y b a\n"
 
 def _random_rep(alg, rng, maxdim=2):
     dims = [rng.randrange(maxdim + 1) for _ in alg.quiver.vertices]
-    mats = {ai: ffmat.rand_mat(rng, dims[v], dims[u], alg.p)
+    mats = {ai: rand_mat(rng, dims[v], dims[u], alg.p)
             for ai, (_, u, v) in enumerate(alg.quiver.arrows)}
     return rep.Rep(alg, dims, mats)
 

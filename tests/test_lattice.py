@@ -1,6 +1,6 @@
 import pytest
 
-from auskit import ar, determine, lattice, rep
+from auskit import ar, determine, ffmat, kronecker, lattice, rep
 from auskit.errors import CapExceeded
 
 
@@ -117,6 +117,54 @@ def test_caps(monkeypatch, kron3):
     assert lattice.dim_cap(2) == 6
     monkeypatch.delenv("AUSKIT_CAPS")
     assert lattice.dim_cap(2) == 12
+
+
+def test_search_forms_one_sum_per_cover():
+    # kP(0) -> kP(2) over F_3 is G(3, 3): every residue line mod a node gives
+    # one sum, and here each sum is a cover, so the sums are exactly the covers
+    A = kronecker.kronecker_algebra(2, 3)
+    gh = determine.GammaHom(kronecker.kP(A, 0), kronecker.kP(A, 2))
+    sums = []
+    real = ffmat.Subspace.sum
+
+    def counting(self, other):
+        sums.append(other)
+        return real(self, other)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ffmat.Subspace, "sum", counting)
+        lat = lattice.SubmoduleLattice.build(gh)
+    assert lat.classify() == ("G", 3, 3)
+    assert len(lat) == 28
+    assert len(sums) == len(lat.covers()) == 78
+
+
+def _lattice_facts(lat):
+    return [s.key() for s in lat.nodes], lat.leq.tobytes(), lat.covers()
+
+
+def test_node_cap(monkeypatch, kron2):
+    A = kronecker.kronecker_algebra(2, 3)
+    gh = determine.GammaHom(kronecker.kP(A, 0), kronecker.kP(A, 2))
+    x = kron2.inj(0)
+    want_gamma = _lattice_facts(lattice.SubmoduleLattice.build(gh))
+    want_rep = [s.key() for s in lattice.rep_submodule_lattice(x)]
+    gh_state = dict(vars(gh))
+    memos = {alg: set(alg._memo) for alg in (A, kron2)}
+
+    monkeypatch.setattr(lattice, "NODE_CAP", 5)
+    with pytest.raises(CapExceeded, match="node cap"):
+        lattice.SubmoduleLattice.build(gh)
+    with pytest.raises(CapExceeded, match="node cap"):
+        lattice.rep_submodule_lattice(x)
+    # nothing half-built is kept: no new memo entries, no new attributes
+    assert {alg: set(alg._memo) for alg in (A, kron2)} == memos
+    assert vars(gh).keys() == gh_state.keys()
+    assert all(vars(gh)[k] is v for k, v in gh_state.items())
+
+    monkeypatch.undo()
+    assert _lattice_facts(lattice.SubmoduleLattice.build(gh)) == want_gamma
+    assert [s.key() for s in lattice.rep_submodule_lattice(x)] == want_rep
 
 
 def test_exports(kron2):

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from auskit import algebra, ar, determine, lattice, rep
-from auskit.ffmat import Subspace, enumerate_subspaces, inv, rand_mat
+from auskit.ffmat import Subspace, enumerate_subspaces, inv
+from helpers import rand_mat
 
 ALGEBRAS = {
     "kron2": "vertices a b\narrow x b a\narrow y b a\n",
