@@ -18,6 +18,9 @@ from . import rep
 from .errors import BadRelation, NotFiniteDimensional, ParseError
 from .ffmat import INT, Subspace, amod, is_prime, zeros
 
+MAX_PATH_LEN = 64  # longest path tried before an algebra is refused as infinite
+MAX_PATHS = 200000  # most paths enumerated before an algebra is refused
+
 
 class Quiver:
     """Finite quiver: named vertices and named arrows (name, src, tgt)."""
@@ -97,7 +100,7 @@ class Algebra:
     alive as long as the algebra, with no eviction.
     """
 
-    def __init__(self, quiver, p, relations, name="", max_len=64, max_paths=200000):
+    def __init__(self, quiver, p, relations, name=""):
         p = int(p)
         if not is_prime(p):
             raise ParseError("field size %d is not prime" % p)
@@ -108,7 +111,7 @@ class Algebra:
         self._memo = {}
         self._memo_counts = {}  # kind -> [hits, misses]
         self.relations = self._normalize_relations(relations)
-        self._build_basis(max_len, max_paths)
+        self._build_basis()
         self._build_mult()
         self._self_check()
 
@@ -143,7 +146,7 @@ class Algebra:
                     )
         return out
 
-    def _build_basis(self, max_len, max_paths):
+    def _build_basis(self):
         q = self.quiver
         nv = len(q.vertices)
         by_src = [[] for _ in range(nv)]  # arrows grouped by source vertex
@@ -164,11 +167,11 @@ class Algebra:
                     new.append(((src, (ai,) + names), w))
             paths.append(new)
             allp = [pt for lvl in paths for pt in lvl]
-            if len(allp) > max_paths:
-                raise NotFiniteDimensional("path count exceeds cap (%d)" % max_paths)
+            if len(allp) > MAX_PATHS:
+                raise NotFiniteDimensional("path count exceeds cap (%d)" % MAX_PATHS)
             if L < maxrel:
-                if L >= max_len:
-                    raise NotFiniteDimensional("relation terms exceed length cap %d" % max_len)
+                if L >= MAX_PATH_LEN:
+                    raise NotFiniteDimensional("relation terms exceed length cap %d" % MAX_PATH_LEN)
                 continue
 
             # column order: longest paths first, then deterministic tie-break
@@ -198,8 +201,8 @@ class Algebra:
             pivset = set(ideal.pivots)
             if all(pos[pt] in pivset for pt, _ in paths[L]):
                 break
-            if L >= max_len:
-                raise NotFiniteDimensional("no basis stabilization up to length %d" % max_len)
+            if L >= MAX_PATH_LEN:
+                raise NotFiniteDimensional("no basis stabilization up to length %d" % MAX_PATH_LEN)
 
         free = [k for k in range(ncols) if k not in pivset]
         inv_order = {k: i for k, i in enumerate(order)}
@@ -213,7 +216,6 @@ class Algebra:
         self._proj_paths = [tuple(tuple(pt for pt, s, t in zip(basis, self.basis_src, self.basis_tgt)
                                         if (s, t) == (v, w)) for w in range(nv)) for v in range(nv)]
         self._path_tgt = tgt_of
-        self._max_len = L
 
         # normal form of every enumerated path, as a vector over the basis
         basis_col = {pos[pt]: i for pt, i in self._bindex.items()}

@@ -4,6 +4,10 @@ tau and tau_minus are computed from minimal projective presentations via the
 transpose (an op-algebra representation), and Ext^1(Y, K) as the cokernel of
 Hom(P0, K) -> Hom(Omega Y, K).  ExtData keeps the cocycle coordinates so
 individual extensions can be realized as honest short exact sequences.
+
+Generators are chosen only by rep.generators (memoized as "gens"): the cover
+P0 -> M is built from its blocks, and P1 -> P0 sends the generators of P1 to
+those of Omega M = Ker(P0 -> M).
 """
 
 import itertools
@@ -16,56 +20,29 @@ from .ffmat import INT, identity, zeros
 
 
 def proj_cover(m):
-    """(P0, cover: P0 -> M, verts) with P0 = ⊕ P(verts[i]) a projective cover."""
+    """(P0, cover: P0 -> M, verts) with P0 = ⊕ P(verts[i]) a projective cover,
+    read off the memoized generators of M (rep.generators)."""
     A = m.A
-    t, onto = rep.top(m)
-    verts, vecs = [], []
-    for v in range(A.nv):
-        for k in range(t.dims[v]):
-            e = zeros(1, t.dims[v])[0]
-            e[k] = 1
-            x = ffmat.solve(onto.blocks[v], e, A.p)
-            if x is None:
-                raise VerificationFailure("top vector does not lift to the module")
-            verts.append(v)
-            vecs.append(x)
-    p0, incls, projs = rep.direct_sum(A, [A.proj(v) for v in verts])
-    cover = rep.zero_morphism(p0, m)
-    for i, v in enumerate(verts):
-        cover = cover.add(A.yoneda(v, m, vecs[i]).compose(projs[i]))
+    verts, _, blocks, _ = rep.generators(m)
+    p0 = rep.direct_sum(A, [A.proj(v) for v in verts])[0]
+    cover = rep.Morphism(p0, m, blocks)
     if not cover.is_epi():
         raise VerificationFailure("projective cover is not onto")
     return p0, cover, verts
 
 
-def min_presentation(m):
-    """(P1, P0, d, cover, v1, v0): minimal presentation P1 -d-> P0 -cover-> M."""
-    p0, cover, v0 = proj_cover(m)
-    om, incl = rep.kernel(cover)
-    p1, cover1, v1 = proj_cover(om)
-    return p1, p0, incl.compose(cover1), cover, v1, v0
-
-
 def _hom_proj_rep(A, verts):
-    """The A^op representation v |-> Hom(⊕ P(verts[i]), P(v)).
+    """The A^op representation v |-> Hom(⊕ P(verts[i]), P(v)), the direct sum
+    of the v |-> Hom(P(u), P(v)) for u in verts.
 
     Coordinates of the v-component: the bases of P(v) at each verts[i],
     concatenated; a morphism P(u) -> P(v) is identified with the image of e_u.
     """
     op = A.opposite()
-    dims = [sum(A.proj(v).dims[u] for u in verts) for v in range(A.nv)]
     rms = [A.right_mult(ai) for ai in range(len(A.quiver.arrows))]
-    mats = {}
-    for ai, (_, u, w) in enumerate(A.quiver.arrows):
-        m = zeros(dims[u], dims[w])
-        ro = co = 0
-        for ui in verts:
-            blk = rms[ai].blocks[ui]
-            m[ro : ro + blk.shape[0], co : co + blk.shape[1]] = blk
-            ro += blk.shape[0]
-            co += blk.shape[1]
-        mats[ai] = m
-    return rep.Rep(op, dims, mats)
+    homs = [rep.Rep(op, [A.proj(v).dims[u] for v in range(A.nv)], [rm.blocks[u] for rm in rms])
+            for u in verts]
+    return rep.direct_sum(op, homs)[0]
 
 
 def transpose(m):
@@ -73,31 +50,19 @@ def transpose(m):
     A = m.A
     if m.total_dim == 0:
         return rep.zero_rep(A.opposite())
-    p1, p0, d, cover, v1, v0 = min_presentation(m)
+    p0, cover, v0 = proj_cover(m)
+    om, incl = rep.kernel(cover)
+    v1, lifts, _, _ = rep.generators(om)
     t0 = _hom_proj_rep(A, v0)
     t1 = _hom_proj_rep(A, v1)
 
-    # delta[j][i]: coordinates of the j-th column of d in P(v0[i]) at v1[j]
+    # delta[j][i]: the image of the j-th generator of Omega M (at v1[j]) in
+    # P(v0[i]), i.e. the column of d = incl o cover_1 at that generator
     p = A.p
-    p0s = [A.proj(u) for u in v0]
-    off0 = {}
-    for v in range(A.nv):
-        offs = [0]
-        for r in p0s:
-            offs.append(offs[-1] + r.dims[v])
-        off0[v] = offs
-    pos1 = [0] * len(v1)
-    for v in range(A.nv):
-        acc = 0
-        for j, w in enumerate(v1):
-            if w == v:
-                pos1[j] = acc
-            acc += A.proj(w).dims[v]
     delta = []
-    for j, w in enumerate(v1):
-        col = pos1[j] + A.proj_paths(w)[w].index((w, ()))
-        dv = d.blocks[w][:, col]
-        delta.append([dv[off0[w][i] : off0[w][i + 1]] for i in range(len(v0))])
+    for w, g in zip(v1, lifts):
+        cuts = np.cumsum([A.proj(u).dims[w] for u in v0])[:-1]
+        delta.append(np.split((incl.blocks[w] @ g) % p, cuts))
 
     blocks = []
     for v in range(A.nv):
@@ -217,8 +182,8 @@ def ar_formula_check(y, k):
 
 
 def is_projective(m):
-    p0, cover, _ = proj_cover(m)
-    return cover.is_iso()
+    # the cover is certified onto, so it is an iso iff the dimensions agree
+    return proj_cover(m)[0].dim_vector() == m.dim_vector()
 
 
 def is_injective(m):

@@ -82,7 +82,7 @@ class FactorizationLattice:
         self.classes = classes  # aligned with lat.nodes
 
     @classmethod
-    def build(cls, c, y, certify=True, cand_cap=CAND_CAP):
+    def build(cls, c, y, certify=True):
         gh = determine.GammaHom(c, y)
         lat = lattice.SubmoduleLattice.build(gh)
         kclasses = _kernel_classes(c)
@@ -98,7 +98,7 @@ class FactorizationLattice:
             option_lists = [_ext_choices(ed) for ed in eds]
             for combo in itertools.product(*option_lists):
                 n_cand += 1
-                if n_cand > cand_cap:
+                if n_cand > CAND_CAP:
                     raise CapExceeded("too many factorization candidates")
                 f = _assemble(A, incl, eds, combo)
                 ts = [len(rows) for rows in combo]

@@ -197,13 +197,11 @@ def _shape_row(A, c, y, cdesc, ydesc, want_dim, want_shape):
     }
 
 
-def verify_table(p, max_sum=3, max_t=3, include_deg2=True):
+def verify_table(p, max_sum=3, max_t=3):
     """Recompute the whole (C, Y) shape table; returns (rows, all_ok)."""
     A = kronecker_algebra(2, p)
     rows = []
-    tubes = list(range(p)) + ["inf"]
-    if include_deg2:
-        tubes += monic_irreducibles(p, 2)[:1]
+    tubes = list(range(p)) + ["inf"] + monic_irreducibles(p, 2)[:1]
 
     for i in range(max_sum + 1):
         for j in range(i, max_sum + 1):

@@ -18,6 +18,7 @@ Shape certificates:
 """
 
 import heapq
+import math
 import os
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from . import rep
 from .errors import CapExceeded, ParseError, VerificationFailure
 from .ffmat import (INT, Subspace, closure, gaussian_binomial, inv_mod, kernel,
-                    mat_key, projective_points)
+                    mat_key, projective_points, rank, zeros)
 
 DEFAULT_DIM_CAPS = {2: 12, 3: 8, 5: 6}
 NODE_CAP = 20000
@@ -293,6 +294,20 @@ class SubmoduleLattice:
 # -- representation-side enumeration ------------------------------------------
 
 
+def _submodule_lower_bound(x):
+    """A lower bound on the number of submodules of X: every graded subspace of
+    soc X is one, and so is the preimage of every graded subspace of top X."""
+    p, arrows, nv = x.p, x.A.quiver.arrows, len(x.dims)
+
+    def corank(v, mats):
+        return x.dims[v] - rank(np.concatenate([zeros(0, x.dims[v])] + mats), p)
+    # soc X_v is the joint kernel of the arrows out of v; top X_v is X_v modulo
+    # the images of the arrows into v
+    soc = [corank(v, [x.mats[ai] for ai, (_, u, _) in enumerate(arrows) if u == v]) for v in range(nv)]
+    top = [corank(v, [x.mats[ai].T for ai, (_, _, w) in enumerate(arrows) if w == v]) for v in range(nv)]
+    return max(math.prod(sum(gaussian_binomial(d, k, p) for k in range(d + 1)) for d in dims) for dims in (soc, top))
+
+
 def rep_submodule_lattice(x):
     """All submodules of a representation, as vertex-graded subspaces of the
     total space (see rep.total_arrows), ordered by dimension and then by the
@@ -301,6 +316,8 @@ def rep_submodule_lattice(x):
     for d in x.dims:
         if d > dim_cap(p):
             raise CapExceeded("vertex dimension exceeds the enumeration cap")
+    if _submodule_lower_bound(x) > NODE_CAP:
+        raise CapExceeded("submodule lattice exceeds the node cap")
     n, off = x.total_dim, x.offsets()
     seeds = []
     for v, d in enumerate(x.dims):

@@ -274,28 +274,43 @@ def _flatten(stacks, k):
 
 
 def _generators(x):
-    """(verts, rels): the vertex of each generator of X (the unit vectors outside
-    the pivots of rad X at that vertex), and per vertex w, over the columns X_s g
-    (generators g, then the basis paths s of P(v) ending at w), rels[w] = (omega,
-    piv, sec): omega spans their relations, and sec inverts the columns piv, so a
-    map sending them to M has f_w = M[:, piv] @ sec.  The columns must span X_w,
-    which certifies that the cover by the generators is onto.
+    """(verts, lifts, blocks, rels): the generators of X and their relations.
+
+    The generators at v are the lifts, with free variables 0, of the unit
+    vectors of top X_v along kernel(RREF(rad X_v)); lifts[i] lies at verts[i].
+    blocks[w] holds the columns X_s g (generators g, then the basis paths s
+    of P(v) ending at w): the cover by the generators at w.  rels[w] = (omega,
+    piv, sec): omega spans the relations of those columns, and sec inverts the
+    columns piv, so a map sending them to M has f_w = M[:, piv] @ sec.  The
+    columns must span X_w, which certifies that the cover is onto.
     """
     A, p = x.A, x.p
-    cols = []
+    verts, lifts = [], []
     for v, d in enumerate(x.dims):
-        into = [x.mats[ai].T for ai, (_, _, w) in enumerate(A.quiver.arrows) if w == v and d]
-        pivots = ffmat.rref(np.concatenate(into), p)[1] if into else []
-        cols.extend((v, j) for j in range(d) if j not in pivots)
-    rels = []
+        into = [x.mats[ai].T for ai, (_, _, w) in enumerate(A.quiver.arrows) if w == v]
+        r, piv = ffmat.rref(np.concatenate([zeros(0, d)] + into), p)
+        onto = ffmat.kernel_from_rref(r, piv, d, p)
+        sol = ffmat.solve_mat(onto, identity(len(onto)), p)
+        if sol is None:
+            raise VerificationFailure("top vector does not lift to the module")
+        verts.extend([v] * len(onto))
+        lifts.extend(sol.T)
+    blocks, rels = [], []
     for w, d in enumerate(x.dims):
-        g = np.concatenate([zeros(d, 0)] + [x.path_stack(v, w)[:, :, j].T for v, j in cols], axis=1)
+        g = np.concatenate([zeros(d, 0)] + [(x.path_stack(v, w) @ lift).T for v, lift in zip(verts, lifts)],
+                           axis=1) % p
         n = g.shape[1]
         r, piv = ffmat.rref(np.concatenate([g, identity(d)], axis=1), p)
         if piv and piv[-1] >= n:
             raise VerificationFailure("generator columns do not span the module")
+        blocks.append(g)
         rels.append((ffmat.kernel_from_rref(r[:, :n], piv, n, p), piv, r[:, n:]))
-    return [v for v, _ in cols], rels
+    return verts, lifts, blocks, rels
+
+
+def generators(x):
+    """The memoized generator data of X (see _generators)."""
+    return x.A.memoized(("gens", x.key()), lambda: _generators(x))
 
 
 def _hom_rows(x, y):
@@ -308,7 +323,7 @@ def _hom_rows(x, y):
     section, and certifies that they are independent and intertwine.
     """
     p = x.p
-    verts, rels = x.A.memoized(("gens", x.key()), lambda: _generators(x))
+    verts, _, _, rels = generators(x)
     starts = list(itertools.accumulate([0] + [y.dims[v] for v in verts]))
     maps = []  # per w, (columns, dims_Y[w], unknowns): the unknowns to Y_s y_i
     for w, dw in enumerate(y.dims):
@@ -510,7 +525,6 @@ def direct_sum(algebra, reps):
     if not reps:
         z = zero_rep(algebra)
         return z, [], []
-    p = algebra.p
     nv = len(algebra.quiver.vertices)
     dims = [sum(r.dims[v] for r in reps) for v in range(nv)]
     mats = {}
@@ -529,18 +543,9 @@ def direct_sum(algebra, reps):
     for r in reps:
         offs.append([offs[-1][v] + r.dims[v] for v in range(nv)])
     for i, r in enumerate(reps):
-        ib, pb = [], []
-        for v in range(nv):
-            inc = zeros(dims[v], r.dims[v])
-            prj = zeros(r.dims[v], dims[v])
-            o = offs[i][v]
-            for j in range(r.dims[v]):
-                inc[o + j, j] = 1
-                prj[j, o + j] = 1
-            ib.append(inc)
-            pb.append(prj)
+        ib = [identity(dims[v])[:, offs[i][v] : offs[i + 1][v]] for v in range(nv)]
         incls.append(Morphism(r, d, ib))
-        projs.append(Morphism(d, r, pb))
+        projs.append(Morphism(d, r, [b.T for b in ib]))
     return d, incls, projs
 
 

@@ -251,7 +251,7 @@ def test_pools_have_several_generators_and_relations(kron2, loopb, sub3):
     verts = [rep._generators(x)[0] for mods in pools.values() for x in mods]
     assert any(len(vs) > len(set(vs)) for vs in verts)  # two generators at one vertex
     for name, mods in pools.items():
-        assert any(len(om) for x in mods for om, _, _ in rep._generators(x)[1]), name
+        assert any(len(om) for x in mods for om, _, _ in rep._generators(x)[3]), name
 
 
 def test_generator_rows_equal_the_intertwiner_kernel(kron2, loopb, sub3):

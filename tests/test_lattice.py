@@ -1,6 +1,6 @@
 import pytest
 
-from auskit import ar, determine, ffmat, kronecker, lattice, rep
+from auskit import ar, catalog, determine, ffmat, kronecker, lattice, rep
 from auskit.errors import CapExceeded
 
 
@@ -165,6 +165,15 @@ def test_node_cap(monkeypatch, kron2):
     monkeypatch.undo()
     assert _lattice_facts(lattice.SubmoduleLattice.build(gh)) == want_gamma
     assert [s.key() for s in lattice.rep_submodule_lattice(x)] == want_rep
+
+
+def test_modules_over_the_node_cap_are_refused_before_the_search(monkeypatch):
+    monkeypatch.setattr(lattice, "_cyclic_search", lambda *args: pytest.fail("search entered"))
+    for name in ("kron3-ex10", "subspace3-ex21"):
+        c = catalog.resolve_instance(name)[1]
+        assert lattice._submodule_lower_bound(c) > lattice.NODE_CAP
+        with pytest.raises(CapExceeded, match="node cap"):
+            lattice.rep_submodule_lattice(c)
 
 
 def test_exports(kron2):

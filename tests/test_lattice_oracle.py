@@ -136,3 +136,13 @@ def test_rep_lattice_matches_brute_force(name, p):
         for s in nodes:
             sub, incl = lattice.sub_rep_of(x, s)
             assert sub.total_dim == s.dim and incl.is_mono()
+
+
+@pytest.mark.parametrize("name,p", CASES)
+def test_node_lower_bound_never_exceeds_the_count(name, p):
+    A, mods = _modules(name, p, 6, MAX_REP[p], seed=10 + p)
+    for x in mods:
+        assert lattice._submodule_lower_bound(x) <= len(_graded_submodules(x))
+    # on a semisimple module every graded subspace is a submodule: the bound is exact
+    s = rep.direct_sum(A, [A.simple(v) for v in range(A.nv)] * 2)[0]
+    assert lattice._submodule_lower_bound(s) == len(_graded_submodules(s)) > 2
