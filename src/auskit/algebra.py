@@ -10,6 +10,7 @@ in composition order: the leftmost arrow is applied last, so the path written
 "a*b" acts as "first b, then a".
 """
 
+import inspect
 import re
 
 import numpy as np
@@ -204,10 +205,7 @@ class Algebra:
             if L >= MAX_PATH_LEN:
                 raise NotFiniteDimensional("no basis stabilization up to length %d" % MAX_PATH_LEN)
 
-        free = [k for k in range(ncols) if k not in pivset]
-        inv_order = {k: i for k, i in enumerate(order)}
-        free_paths = [allp[inv_order[k]][0] for k in free]
-        basis = sorted(free_paths, key=lambda pt: (len(pt[1]), pt))
+        basis = sorted((allp[order[k]][0] for k in ideal.free()), key=lambda pt: (len(pt[1]), pt))
         self.basis = basis
         self.dim = len(basis)
         self._bindex = {pt: i for i, pt in enumerate(basis)}
@@ -217,17 +215,11 @@ class Algebra:
                                         if (s, t) == (v, w)) for w in range(nv)) for v in range(nv)]
         self._path_tgt = tgt_of
 
-        # normal form of every enumerated path, as a vector over the basis
-        basis_col = {pos[pt]: i for pt, i in self._bindex.items()}
-        self._nf = {}
-        for pt, _t in allp:
-            v = zeros(1, ncols)[0]
-            v[pos[pt]] = 1
-            r = ideal.reduce(v)
-            out = zeros(1, self.dim)[0]
-            for k in np.nonzero(r)[0]:
-                out[basis_col[int(k)]] = r[k]
-            self._nf[pt] = out
+        # normal form of every enumerated path: the residue of its unit
+        # vector mod the ideal, read at the basis columns
+        units = np.eye(ncols, dtype=INT)[[pos[pt] for pt, _ in allp]]
+        nf = ideal.residues(units)[:, [pos[pt] for pt in basis]]
+        self._nf = dict(zip((pt for pt, _ in allp), nf))
 
     def _build_mult(self):
         q = self.quiver
@@ -515,8 +507,10 @@ def parse_module_expr(algebra, text, env=None):
         base = parse_base()
         if peek() == "^":
             take()
-            n = int(take())
-            return rep.direct_sum(algebra, [base] * n)[0]
+            n = take()
+            if not n.isdigit():
+                raise ParseError("exponent %r in %r is not an integer" % (n, text))
+            return rep.direct_sum(algebra, [base] * int(n))[0]
         return base
 
     def parse_base():
@@ -549,6 +543,10 @@ def parse_module_expr(algebra, text, env=None):
                     if peek() == ",":
                         take(",")
                 take(")")
+                try:
+                    inspect.signature(val).bind(*args)
+                except TypeError:
+                    raise ParseError("wrong number of arguments to %s in %r" % (t, text))
                 return val(*args)
             return val
         raise ParseError("unknown module name %r" % t)

@@ -119,11 +119,7 @@ class ExtData:
 
     def class_reps(self):
         """Coordinate vectors representing a basis of Ext^1(Y, K)."""
-        n = len(self.cocycles)
-        return list(identity(n)[[j for j in range(n) if j not in self.coboundaries.pivots]])
-
-    def is_coboundary(self, coords):
-        return self.coboundaries.contains(coords)
+        return list(identity(len(self.cocycles))[self.coboundaries.free()])
 
     def realize(self, xi):
         """(X, u, g) with 0 -> K -u-> X -g-> Y -> 0 the extension of class xi.
@@ -147,14 +143,13 @@ class ExtData:
 
 
 def _descend(h, proj):
-    """Factor h through an epi: unique hbar with hbar o proj = h."""
-    blocks = []
-    for v in range(len(proj.src.dims)):
-        sol = ffmat.solve_mat(proj.blocks[v].T, h.blocks[v].T, h.p)
-        if sol is None:
-            raise VerificationFailure("map does not descend along the projection")
-        blocks.append(sol.T)
-    return rep.Morphism(proj.tgt, h.tgt, blocks).check()
+    """Factor h through the projection of rep.quotient_by_subspaces: the unique
+    hbar with hbar o proj = h is h read at the columns where proj is the
+    identity, the last nonzero entry of each of its rows."""
+    hbar = rep.Morphism(proj.tgt, h.tgt, [b[:, rep._last_nonzero(k)] for b, k in zip(h.blocks, proj.blocks)])
+    if (hbar.compose(proj).flat() != h.flat()).any():
+        raise VerificationFailure("map does not descend along the projection")
+    return hbar.check()
 
 
 def ext1(y, k):
@@ -228,7 +223,7 @@ def min_right_almost_split(y):
         if next(c for c in coeffs if c) != 1:  # one representative per scalar line
             continue
         coords = (np.array(coeffs, dtype=INT) @ reps_) % y.p
-        if any(not ed.is_coboundary((a @ coords) % y.p) for a in acts):
+        if ed.coboundaries.residues(np.array([a @ coords for a in acts]).reshape(-1, len(coords))).any():
             continue
         xi = ed.cocycle(coords)
         x, u, g = ed.realize(xi)

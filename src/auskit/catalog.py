@@ -12,7 +12,7 @@ from importlib import resources
 
 from . import kronecker
 from .algebra import parse_algebra_file, parse_module_expr
-from .errors import AuskitError
+from .errors import AuskitError, ParseError
 
 _DATA = resources.files(__package__).joinpath("data/catalog")
 
@@ -31,15 +31,22 @@ def load_catalog_algebra(name):
     return parse_algebra_file(text, name=name)
 
 
+def _count(a):
+    """An index argument of a module expression name: a nonnegative integer."""
+    if not isinstance(a, int):
+        raise ParseError("expected a nonnegative integer, got %r" % (a,))
+    return a
+
+
 def module_env(algebra):
     """Names usable in module expressions for this algebra."""
     env = {}
     arrows = algebra.quiver.arrows
     if len(algebra.quiver.vertices) == 2 and arrows and all(a[1:] == (1, 0) for a in arrows):
-        env["kP"] = lambda i: kronecker.kP(algebra, i)
-        env["kQ"] = lambda j: kronecker.kQ(algebra, j)
+        env["kP"] = lambda i: kronecker.kP(algebra, _count(i))
+        env["kQ"] = lambda j: kronecker.kQ(algebra, _count(j))
         if len(arrows) == 2:
-            env["kR"] = lambda lab, t=1: kronecker.kR(algebra, lab, t)
+            env["kR"] = lambda lab, t=1: kronecker.kR(algebra, lab, _count(t))
     return env
 
 

@@ -45,9 +45,7 @@ class GammaHom:
         return closure(rows, self.act, self.n, self.p)
 
     def is_submodule(self, sub):
-        return all(
-            sub.contains((row @ m.T) % self.p) for m in self.act for row in sub.B
-        )
+        return not sub.residues(np.concatenate([sub.B] + [sub.B @ m.T for m in self.act])).any()
 
     def eta(self, f):
         """Image of Hom(C, f) as a submodule of Hom(C, Y)."""
@@ -83,8 +81,8 @@ class GammaHom:
                 _, incl, proj = trips[k]
                 e = e.add(incl.compose(proj))
             eps.append(e)
-        total = eps[0]
-        for e in eps[1:]:
+        total = rep.zero_morphism(self.c, self.c)
+        for e in eps:
             total = total.add(e)
         if (total.flat() != rep.identity_morphism(self.c).flat()).any():
             raise VerificationFailure("summand idempotents do not sum to the identity")
@@ -130,7 +128,7 @@ class GammaHom:
         rows = []
         for theta in rep.hom_space(y, x):
             comps = ed.coords_of([rep.total_matrix(theta.compose(psi)) for psi in hom])
-            rows.extend(np.array([rad.reduce(c) for c in comps], dtype=INT).T)
+            rows.extend(rad.residues(comps).T)
         ker = kernel(np.array(rows, dtype=INT).reshape(-1, len(hom)), self.p)
         return [hom.element(row) for row in ker]
 
@@ -197,8 +195,8 @@ def almost_factors_strictly(f, pr):
         return fp.dim < len(hom_py)
     fr = rep.factor_subspace(f, r, homry)
     rmat = rep.hom_matrix_precompose(hom_py, iota, homry)
-    # W: the maps whose restriction to rad P lies in fr; kernel(fr.B) projects mod fr
-    w = kernel((kernel(fr.B, f.p) @ rmat) % f.p, f.p)
+    # W: the maps whose restriction to rad P lies in fr, which the annihilator of fr kills
+    w = kernel((fr.annihilator() @ rmat) % f.p, f.p)
     return not Subspace(w, len(hom_py), f.p).leq(fp)
 
 

@@ -144,7 +144,11 @@ def inv(a, p):
 
 
 class Subspace:
-    """A subspace of F_p^n held in reduced row echelon form (rows = basis)."""
+    """A subspace of F_p^n held in reduced row echelon form (rows = basis).
+
+    B is the identity at its pivot columns, so residues, coordinates and the
+    annihilator are read off there, with no further elimination.
+    """
 
     __slots__ = ("B", "n", "p", "pivots")
 
@@ -181,21 +185,35 @@ class Subspace:
     def __repr__(self):
         return "Subspace(dim=%d, n=%d, p=%d)" % (self.dim, self.n, self.p)
 
-    def reduce(self, v):
-        """Residue of v modulo this subspace (eliminate at pivot columns)."""
-        v = amod(v, self.p).reshape(-1).copy()
-        for i, c in enumerate(self.pivots):
-            if v[c]:
-                v = (v - v[c] * self.B[i]) % self.p
-        return v
+    def residues(self, rows):
+        """Residues of a stack of integer rows (not necessarily reduced mod p)
+        modulo this subspace: each row minus its pivot entries times B, zero
+        exactly on the members."""
+        rows = np.atleast_2d(np.asarray(rows, dtype=INT))
+        return (rows - rows[:, self.pivots] @ self.B) % self.p
+
+    def coords(self, rows, failure="vector outside the subspace"):
+        """Coordinates over B of a stack of member rows: their pivot entries.
+        A row outside the span raises VerificationFailure(failure)."""
+        rows = np.atleast_2d(np.asarray(rows, dtype=INT))
+        if self.residues(rows).any():
+            raise VerificationFailure(failure)
+        return rows[:, self.pivots] % self.p
+
+    def annihilator(self):
+        """Rows spanning {x : B x = 0}, the identity on the free columns; as a
+        map it sends a vector to the free entries of its residue."""
+        return kernel_from_rref(self.B, self.pivots, self.n, self.p)
+
+    def free(self):
+        """The non-pivot columns."""
+        return sorted(set(range(self.n)) - set(self.pivots))
 
     def contains(self, v):
-        return not self.reduce(v).any()
+        return not self.residues(v).any()
 
     def leq(self, other):
-        if self.dim > other.dim:
-            return False
-        return all(other.contains(row) for row in self.B)
+        return self.dim <= other.dim and not other.residues(self.B).any()
 
     def sum(self, other):
         return Subspace(np.concatenate([self.B, other.B], axis=0), self.n, self.p)

@@ -103,8 +103,7 @@ def _cyclic_search(zero, seeds, close, order):
         nodes.append(u)
         below.append(nbrs | under | (1 << i))
         lower_covers.append(nbrs & ~under)
-        # g lies in u iff its residue mod u's echelon rows is zero
-        residues = (gen_rows - gen_rows[:, u.pivots] @ u.B) % p
+        residues = u.residues(gen_rows)
         outside = np.flatnonzero(residues.any(axis=1))
         if not outside.size:
             continue
@@ -368,4 +367,4 @@ def maximal_submodules(x):
 
 def _preimage_rows(pm, h, p):
     """Rows spanning the preimage of a subspace under a linear map."""
-    return list(kernel((kernel(h.B, p) @ pm) % p, p))
+    return list(kernel((h.annihilator() @ pm) % p, p))

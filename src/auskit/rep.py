@@ -294,7 +294,7 @@ def _generators(x):
         if sol is None:
             raise VerificationFailure("top vector does not lift to the module")
         verts.extend([v] * len(onto))
-        lifts.extend(sol.T)
+        lifts.extend(np.array(c) for c in sol.T)  # each owns its data
     blocks, rels = [], []
     for w, d in enumerate(x.dims):
         g = np.concatenate([zeros(d, 0)] + [(x.path_stack(v, w) @ lift).T for v, lift in zip(verts, lifts)],
@@ -304,7 +304,7 @@ def _generators(x):
         if piv and piv[-1] >= n:
             raise VerificationFailure("generator columns do not span the module")
         blocks.append(g)
-        rels.append((ffmat.kernel_from_rref(r[:, :n], piv, n, p), piv, r[:, n:]))
+        rels.append((ffmat.kernel_from_rref(r[:, :n], piv, n, p), piv, r[:, n:].copy()))
     return verts, lifts, blocks, rels
 
 
@@ -396,68 +396,51 @@ def factor_subspace(f, w, hom_wy):
 # --- subobjects and quotients ------------------------------------------------
 
 
+def _sub_rep(x, subs):
+    """The subrepresentation on arrow-closed vertex Subspaces, with its
+    inclusion; each arrow's action is read at the pivots of its target span."""
+    mats = {ai: subs[v].coords(subs[u].B @ x.mats[ai].T, "vertex spans not closed under arrow action").T
+            for ai, (_, u, v) in enumerate(x.A.quiver.arrows)}
+    k = Rep(x.A, [s.dim for s in subs], mats, check=False)
+    return k, Morphism(k, x, [s.B.T for s in subs]).check()
+
+
 def _sub_rep_from_rows(x, rows_per_vertex):
     """Subrepresentation with given row-bases (must be arrow-closed)."""
-    p = x.p
-    subs = [ffmat.Subspace(rows_per_vertex[v], x.dims[v], p) for v in range(len(x.dims))]
-    dims = [s.dim for s in subs]
-    mats = {}
-    for ai, (_, u, v) in enumerate(x.A.quiver.arrows):
-        img = (x.mats[ai] @ subs[u].B.T) % p
-        coords = ffmat.solve_mat(subs[v].B.T, img, p)
-        if coords is None:
-            raise VerificationFailure("vertex spans not closed under arrow action")
-        mats[ai] = coords
-    k = Rep(x.A, dims, mats, check=False)
-    incl = Morphism(k, x, [subs[v].B.T for v in range(len(x.dims))])
-    return k, incl.check()
+    return _sub_rep(x, [ffmat.Subspace(r, d, x.p) for r, d in zip(rows_per_vertex, x.dims)])
 
 
 def kernel(f):
     """(K, incl) with K = Ker f."""
-    rows = [ffmat.kernel(f.blocks[v], f.p) for v in range(len(f.src.dims))]
-    return _sub_rep_from_rows(f.src, rows)
+    return _sub_rep_from_rows(f.src, [ffmat.kernel(b, f.p) for b in f.blocks])
 
 
 def image(f):
-    """(I, incl: I -> tgt, onto: src -> I) with incl o onto = f."""
-    p = f.p
-    rows = [f.blocks[v].T for v in range(len(f.src.dims))]
-    i, incl = _sub_rep_from_rows(f.tgt, rows)
-    onto_blocks = []
-    for v in range(len(f.src.dims)):
-        coords = ffmat.solve_mat(incl.blocks[v], f.blocks[v], p)
-        if coords is None:
-            raise VerificationFailure("map does not factor through its image")
-        onto_blocks.append(coords)
-    onto = Morphism(f.src, i, onto_blocks).check()
-    return i, incl, onto
+    """(I, incl: I -> tgt, onto: src -> I) with incl o onto = f; onto is f
+    read at the pivots of the image spans."""
+    subs = [ffmat.Subspace(b.T, d, f.p) for b, d in zip(f.blocks, f.tgt.dims)]
+    i, incl = _sub_rep(f.tgt, subs)
+    onto = Morphism(f.src, i, [s.coords(b.T, "map does not factor through its image").T
+                               for s, b in zip(subs, f.blocks)])
+    return i, incl, onto.check()
 
 
 def quotient_by_subspaces(x, subs):
     """(Q, proj) where Q = X / U for arrow-stable vertexwise subspaces U.
 
-    Quotient coordinates are the non-pivot coordinates of the subspace's
-    echelon basis; proj(y) reads off those coordinates of y reduced mod U,
-    which is the kernel basis of U's echelon rows.
+    Quotient coordinates are the free (non-pivot) entries of a residue mod
+    U: proj is the annihilator of U's echelon rows, the identity on the free
+    columns, and reading those columns is a section of it.
     """
-    p = x.p
-    projs = [ffmat.kernel(s.B, p) for s in subs]
-    mats = {}
-    for ai, (_, u, v) in enumerate(x.A.quiver.arrows):
-        sec = identity(x.dims[u])[:, [j for j in range(x.dims[u]) if j not in subs[u].pivots]]
-        mats[ai] = (projs[v] @ x.mats[ai] @ sec) % p
-    q = Rep(x.A, [m.shape[0] for m in projs], mats, check=False)
-    proj = Morphism(x, q, projs).check()
-    return q, proj
+    projs = [s.annihilator() for s in subs]
+    mats = {ai: (projs[v] @ x.mats[ai])[:, subs[u].free()] % x.p
+            for ai, (_, u, v) in enumerate(x.A.quiver.arrows)}
+    q = Rep(x.A, [len(m) for m in projs], mats, check=False)
+    return q, Morphism(x, q, projs).check()
 
 
 def cokernel(f):
-    p = f.p
-    subs = [
-        ffmat.Subspace(f.blocks[v].T, f.tgt.dims[v], p) for v in range(len(f.tgt.dims))
-    ]
-    return quotient_by_subspaces(f.tgt, subs)
+    return quotient_by_subspaces(f.tgt, [ffmat.Subspace(b.T, d, f.p) for b, d in zip(f.blocks, f.tgt.dims)])
 
 
 def total_arrows(x):
@@ -712,7 +695,7 @@ def _max_nil_ideal(ed):
         jm = ed.to_mats(cur.B)
         prods = np.concatenate([np.einsum("aij,bjk->abik", jm, ed.mats).reshape(-1, n, n),
                                 np.einsum("aij,bjk->abik", ed.mats, jm).reshape(-1, n, n)]) % p
-        if any(not cur.contains(c) for c in ed.coords_of(prods)):
+        if cur.residues(ed.coords_of(prods)).any():
             raise VerificationFailure("radical candidate is not a two-sided ideal")
         if not is_nilpotent(jm, p):
             raise VerificationFailure("radical candidate is not nilpotent")
@@ -739,11 +722,11 @@ def _split_or_certify(ed):
         if e is not None:
             return e, None
     rad = _max_nil_ideal(ed)
-    free = [j for j in range(ed.dim) if j not in rad.pivots]
+    free = rad.free()
     qmats = ed.mats[free]  # lifts of a basis of End/J
 
     def residues(ms):
-        return np.array([rad.reduce(c)[free] for c in ed.coords_of(ms)], dtype=INT).reshape(-1, len(free))
+        return rad.residues(ed.coords_of(ms))[:, free]
 
     prods = np.einsum("aij,bjk->abik", qmats, qmats)
     if not residues((prods - prods.transpose(1, 0, 2, 3)).reshape(-1, n, n) % p).any():

@@ -137,11 +137,31 @@ def test_malformed_caps_exit_code(monkeypatch, capsys, caps):
     assert "error: malformed AUSKIT_CAPS" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("label", ["7", "2", "x"])
-def test_bad_tube_label_exit_code(capsys, label):
-    assert cli.main(["hom", "--algebra", "kron2", "-c", "kR(%s, 1)" % label,
-                     "-y", "kQ(1)"]) == 2
-    assert "error: tube label" in capsys.readouterr().err
+@pytest.mark.parametrize("c,message", [
+    pytest.param("kR(%s, 1)" % label, "error: tube label", id=label) for label in ("7", "2", "x")
+] + [
+    pytest.param("P(a)^x", "error: exponent 'x'", id="P(a)^x"),
+    pytest.param("kP(x)", "error: expected a nonnegative integer", id="kP(x)"),
+    pytest.param("kR(1,x)", "error: expected a nonnegative integer", id="kR(1,x)"),
+    pytest.param("kP(1,2)", "error: wrong number of arguments to kP", id="kP(1,2)"),
+])
+def test_bad_tube_label_exit_code(capsys, c, message):
+    # malformed -c expressions: bad tube labels, exponents and arguments
+    assert cli.main(["hom", "--algebra", "kron2", "-c", c, "-y", "kQ(1)"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c", ["0", "S(a)^0", "kR(inf,0)"])
+def test_zero_c(capsys, c):
+    base = ["--algebra", "kron2", "-c", c, "-y", "kQ(1)", "--format", "json"]
+    assert cli.main(["hom"] + base) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["hom_dim"], data["length"]) == (0, 0)
+    assert cli.main(["lattice"] + base) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["node_count"], data["covers"], data["height"]) == (1, [], 0)
+    assert cli.main(["classes"] + base) == 0
+    assert json.loads(capsys.readouterr().out)["node_count"] == 1
 
 
 def test_cli_does_not_import_sympy():

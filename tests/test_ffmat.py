@@ -1,8 +1,10 @@
 import random
 
 import numpy as np
+import pytest
 
 from auskit import ffmat
+from auskit.errors import VerificationFailure
 from auskit.ffmat import (
     Subspace,
     charpoly,
@@ -193,3 +195,54 @@ def test_zassenhaus_vs_pointwise():
         for v in inter.vectors():
             assert u.contains(v) and w.contains(v)
 
+
+def _reader_cases(p):
+    """Random subspaces of F_p^n with random rows, plus the zero space, the
+    full space and n = 0."""
+    rng = random.Random(p)
+    out = [(Subspace.zero(0, p), rand_mat(rng, 3, 0, p)),
+           (Subspace.zero(3, p), rand_mat(rng, 4, 3, p)),
+           (Subspace.full(3, p), rand_mat(rng, 4, 3, p))]
+    for _ in range(12):
+        n = rng.randrange(1, 5)
+        s = Subspace(rand_mat(rng, rng.randrange(0, n + 1), n, p), n, p)
+        rows = np.concatenate([rand_mat(rng, 4, n, p), np.array(list(s.vectors()))[:3]])
+        out.append((s, rows))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pivot_readers_match_brute_force(p):
+    for s, rows in _reader_cases(p):
+        n = s.n
+        members = {tuple(v) for v in s.vectors()}
+        res = s.residues(rows)
+        assert res.shape == rows.shape and not res[:, s.pivots].any()
+        assert (s.residues(rows + 3 * p) == res).all()  # inputs need not be reduced mod p
+        for row, r in zip(rows, res):
+            # the residue is the one vector of row + S that is zero at the pivots
+            coset = [tuple((row - np.array(v)) % p) for v in members]
+            assert [v for v in coset if not np.array(v)[s.pivots].any()] == [tuple(r)]
+            assert s.contains(row) == (tuple(row) in members) == (not r.any())
+        inside = rows[np.array([tuple(row) in members for row in rows], dtype=bool)]
+        c = s.coords(inside)
+        assert c.shape == (len(inside), s.dim) and ((c @ s.B) % p == inside).all()
+        assert (s.coords(inside + p) == c).all()
+        if len(inside) < len(rows):
+            with pytest.raises(VerificationFailure, match="not in here"):
+                s.coords(rows, "not in here")
+        ann = s.annihilator()
+        want = [v for v in ffmat.all_vectors(n, p) if not ((s.B @ v) % p).any()]
+        assert ann.shape == (n - s.dim, n) and Subspace(ann, n, p).dim == n - s.dim
+        assert all(Subspace(ann, n, p).contains(v) for v in want) and len(want) == p ** (n - s.dim)
+        assert ((rows @ ann.T) % p == res[:, s.free()]).all()  # the free entries of the residue
+
+
+def test_subspace_order_matches_brute_force():
+    rng = random.Random(7)
+    for _ in range(40):
+        n, p = rng.randrange(0, 4), rng.choice([2, 3])
+        u, w = (Subspace(rand_mat(rng, rng.randrange(0, 3), n, p), n, p) for _ in range(2))
+        for a, b in ((u, w), (w, u), (u, u.sum(w)), (u.intersect(w), w)):
+            want = {tuple(v) for v in a.vectors()} <= {tuple(v) for v in b.vectors()}
+            assert a.leq(b) == want

@@ -7,7 +7,14 @@ F_3 `kronecker table --format json`.  lattices.sha256 holds one digest per
 lattice: the node keys in order, `leq` and `covers()` of every Gamma-lattice
 `kronecker.verify_table(p, 3, 3)` builds for p = 2, 3, and the node keys in
 order of `lattice.rep_submodule_lattice` on each catalog instance's Y and C.
-After a deliberate output change, rewrite them all with
+random-basis.txt holds one digest per module and per map over seeded
+random-basis modules of kron2, loop-b and k[x]/x^3 over F_2 and F_3: the
+module's tau, tau-minus, projective cover and top, and the kernel, image and
+cokernel (with their structure maps) of basis maps of Hom between them.  On
+those modules the generators, the sub-representation bases and the
+quotient coordinates are not unit vectors, so the file pins those choices
+where the catalog outputs cannot.  After a deliberate output change,
+rewrite them all with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -22,8 +29,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from auskit import catalog, cli, kronecker, lattice
+from auskit import ar, catalog, cli, kronecker, lattice, rep
 from auskit.errors import CapExceeded
+from test_lattice_oracle import CASES as RANDOM_CASES, _modules
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 SKIPPED = ("subspace3-ex21",)
@@ -109,6 +117,42 @@ def lattice_digest_text():
     return "".join(line + "\n" for line in lines)
 
 
+RANDOM_BASIS = "random-basis.txt"
+
+
+def _fingerprint(*objs):
+    """Short digest of the content keys of Reps and Morphisms."""
+    return hashlib.sha256(repr([o.key() for o in objs]).encode()).hexdigest()[:16]
+
+
+def random_basis_text():
+    lines = []
+    for name, p in RANDOM_CASES:
+        _, mods = _modules(name, p, 6, 4, seed=40 + p)
+        for i, x in enumerate(mods):
+            p0, cover, _ = ar.proj_cover(x)
+            lines.append("%s F_%d m%d %s tau=%s tau_minus=%s cover=%s top=%s" % (
+                name, p, i, x.dim_vector(), _fingerprint(ar.tau(x)), _fingerprint(ar.tau_minus(x)),
+                _fingerprint(p0, cover), _fingerprint(*rep.top(x))))
+        for i, x in enumerate(mods):
+            for j in (i, (i + 1) % len(mods)):
+                hom = rep.hom_space(x, mods[j])
+                maps = list(hom)[:3]
+                if len(hom) > 1:
+                    maps.append(hom.element([1] * len(hom)))
+                for k, f in enumerate(maps):
+                    lines.append("%s F_%d m%d->m%d f%d ker=%s im=%s coker=%s" % (
+                        name, p, i, j, k, _fingerprint(*rep.kernel(f)), _fingerprint(*rep.image(f)),
+                        _fingerprint(*rep.cokernel(f))))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_random_basis_digest():
+    with open(os.path.join(GOLDEN, RANDOM_BASIS)) as fh:
+        want = fh.read()
+    assert random_basis_text() == want
+
+
 def test_lattice_digest():
     with open(os.path.join(GOLDEN, LATTICE_DIGEST)) as fh:
         want = fh.read()
@@ -134,7 +178,9 @@ def main():
             fh.write(out)
     with open(os.path.join(GOLDEN, LATTICE_DIGEST), "w") as fh:
         fh.write(lattice_digest_text())
-    print("wrote %d files to %s" % (len(CASES) + 1, GOLDEN))
+    with open(os.path.join(GOLDEN, RANDOM_BASIS), "w") as fh:
+        fh.write(random_basis_text())
+    print("wrote %d files to %s" % (len(CASES) + 2, GOLDEN))
 
 
 if __name__ == "__main__":

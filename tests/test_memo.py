@@ -114,6 +114,24 @@ def test_hom_rows_are_stored_compactly(kron2):
         assert rows.shape == (2, 4)
 
 
+def _stored_arrays(v):
+    if isinstance(v, np.ndarray):
+        yield v
+    elif isinstance(v, (tuple, list)):
+        for w in v:
+            yield from _stored_arrays(w)
+
+
+def test_stored_arrays_own_their_data():
+    # a view would keep the whole RREF that built it alive (the generator
+    # sections, the lifts)
+    A = _kron2_f3()
+    _answers(A)
+    arrays = [(k[0], a) for k, v in A._memo.items() for a in _stored_arrays(v)]
+    assert {"gens", "hom"} <= {kind for kind, _ in arrays}
+    assert all(a.base is None for _, a in arrays)
+
+
 def test_failed_decomposition_leaves_nothing_behind(monkeypatch):
     A = _kron2_f3()
     m = rep.direct_sum(A, [kr.kP(A, 1), kr.kR(A, 0, 2), A.simple(0)])[0]

@@ -288,6 +288,39 @@ def _counting(fn, calls):
     return counted
 
 
+def test_kernel_image_cokernel_run_no_elimination_per_arrow(kron2, monkeypatch):
+    # one RREF per vertex span (a kernel vertex also takes its nullspace) and
+    # none per arrow: the arrow action and the onto map are read at the
+    # pivots, and the projection is the annihilator of the echelon rows
+    r = kr.kR(kron2, 0, 2)
+    f = rep.hom_space(r, r)[0]
+    nv = len(r.dims)
+    calls = []
+    monkeypatch.setattr(ffmat, "rref", _counting(ffmat.rref, calls))
+    for fn, want in ((rep.kernel, 2 * nv), (rep.image, nv), (rep.cokernel, nv)):
+        del calls[:]
+        assert fn(f)[0].dim_vector() == (1, 1)
+        assert len(calls) == want, fn.__name__
+
+
+def test_pivot_readers_keep_their_certificates(kron2, monkeypatch):
+    r = kr.kR(kron2, 0, 2)
+    f = rep.hom_space(r, r)[0]
+    # spans that the arrows leave
+    with pytest.raises(VerificationFailure, match="not closed under arrow action"):
+        rep._sub_rep_from_rows(r, [ffmat.zeros(0, 2), ffmat.identity(2)])
+    # a map that kills the image of f descends along the cokernel; one that does not, not
+    q, proj = rep.cokernel(f)
+    assert ar._descend(proj, proj).key() == rep.identity_morphism(q).key()
+    with pytest.raises(VerificationFailure, match="does not descend"):
+        ar._descend(rep.identity_morphism(r), proj)
+    # image spans that miss the columns of f
+    real = ffmat.Subspace
+    monkeypatch.setattr(ffmat, "Subspace", lambda rows, n, p: real.zero(n, p))
+    with pytest.raises(VerificationFailure, match="does not factor through its image"):
+        rep.image(f)
+
+
 def test_commutative_split_driven_directly(monkeypatch):
     # End = F_9 x F_9 for two regular modules from distinct degree-2 tubes
     k3 = _f3_kron2()
