@@ -3,16 +3,17 @@
 GammaHom carries the coordinate action of End(C) on Hom(C,Y) by
 precomposition.  Submodules are subspaces closed under that action; eta sends
 a morphism f ending in Y to the image of Hom(C, f).  Composition factors are
-labelled by the isomorphism classes of indecomposable summands of C, with the
-radical of End(C) assembled block by block from the radicals that
-rep.decompose certified for each summand.
+labelled by the isomorphism classes of indecomposable summands of C and
+counted through one primitive idempotent per class (Auslander-Reiten-Smalo,
+Representation Theory of Artin Algebras, 1995): the multiplicity of S_X in a
+Gamma-module M is dim M e_X / dim k(X), k(X) = End(X)/rad End(X).
 """
 
 import numpy as np
 
 from . import ar, rep
 from .errors import VerificationFailure
-from .ffmat import INT, Subspace, closure, kernel
+from .ffmat import INT, Subspace, closure, kernel, rank
 
 
 class GammaHom:
@@ -60,111 +61,58 @@ class GammaHom:
     # -- composition factors --------------------------------------------------
 
     def simple_data(self):
-        """(classes, eps_mats, rad_mats, residue_dims); classes index the labels."""
+        """(classes, eps_mats, rad_mats, residue_dims) over the classes of
+        isomorphic summands of C, classes[i] listing the summands of class i.
+
+        eps_mats[i] acts by e_i = incl o proj of the first of them, X_i, with
+        e_i End(C) e_i = End(X_i); residue_dims[i] = dim k(X_i) for the radical
+        decompose certified; rad_mats act by incl o psi o proj, psi in it.
+        """
         if self._simple is not None:
             return self._simple
-        p = self.p
         trips = rep.decompose(self.c)
-        classes = []  # list of lists of summand indices
-        for k, (s, _, _) in enumerate(trips):
-            for cl in classes:
-                if rep.is_isomorphic(trips[cl[0]][0], s):
-                    cl.append(k)
-                    break
-            else:
-                classes.append([k])
-
-        eps = []
-        for cl in classes:
-            e = rep.zero_morphism(self.c, self.c)
-            for k in cl:
-                _, incl, proj = trips[k]
-                e = e.add(incl.compose(proj))
-            eps.append(e)
         total = rep.zero_morphism(self.c, self.c)
-        for e in eps:
-            total = total.add(e)
+        for _, incl, proj in trips:
+            total = total.add(incl.compose(proj))
         if (total.flat() != rep.identity_morphism(self.c).flat()).any():
             raise VerificationFailure("summand idempotents do not sum to the identity")
-
-        # radical components, block by block
-        rad_morphs = []
-        residue = []
-        class_of = {}
-        for i, cl in enumerate(classes):
-            for k in cl:
-                class_of[k] = i
+        classes = rep.iso_classes([s for s, _, _ in trips])
+        eps_mats, rad_mats, residue = [], [], []
         for cl in classes:
-            ed, rad = rep.end_radical(trips[cl[0]][0])
+            x, incl, proj = trips[cl[0]]
+            ed, rad = rep.end_radical(x)
             residue.append(ed.dim - rad.dim)
-        for k in range(len(trips)):
-            sk, _, projk = trips[k]
-            for l in range(len(trips)):
-                sl, incll, _ = trips[l]
-                hom = rep.hom_space(sk, sl)
-                if not hom:
-                    continue
-                if class_of[k] != class_of[l]:
-                    use = hom
-                else:
-                    use = self._nonunit_basis(sk, sl, hom)
-                for psi in use:
-                    rad_morphs.append(incll.compose(psi).compose(projk))
-
-        # certify nilpotency of the candidate radical
-        if not rep.is_nilpotent([rep.total_matrix(m) for m in rad_morphs], p):
-            raise VerificationFailure("candidate radical is not nilpotent")
-
-        eps_mats = [self.action_matrix(e) for e in eps]
-        rad_mats = [self.action_matrix(m) for m in rad_morphs]
-        reps_ = [trips[cl[0]][0] for cl in classes]
-        self._simple = (reps_, eps_mats, rad_mats, residue)
+            eps_mats.append(self.action_matrix(incl.compose(proj)))
+            rad_mats.extend(self.action_matrix(incl.compose(ed.from_coords(r)).compose(proj))
+                            for r in rad.B)
+        self._simple = ([[trips[k][0] for k in cl] for cl in classes], eps_mats, rad_mats, residue)
         return self._simple
-
-    def _nonunit_basis(self, x, y, hom):
-        """Basis of rad(X, Y) for isomorphic indecomposables X, Y: the psi with
-        theta o psi in rad End(X) for every theta in a basis of Hom(Y, X)."""
-        ed, rad = rep.end_radical(x)
-        rows = []
-        for theta in rep.hom_space(y, x):
-            comps = ed.coords_of([rep.total_matrix(theta.compose(psi)) for psi in hom])
-            rows.extend(rad.residues(comps).T)
-        ker = kernel(np.array(rows, dtype=INT).reshape(-1, len(hom)), self.p)
-        return [hom.element(row) for row in ker]
 
     def labels(self):
         """Dimension vectors of the class representatives (for display)."""
-        reps_, _, _, _ = self.simple_data()
-        return [r.dim_vector() for r in reps_]
+        return [cl[0].dim_vector() for cl in self.simple_data()[0]]
 
     def jh_between(self, lo, hi):
-        """Multiset {class index: multiplicity} of factors of hi/lo."""
-        reps_, eps_mats, rad_mats, residue = self.simple_data()
+        """Multiset {class index: multiplicity} of factors of hi/lo.
+
+        M -> M e_i is exact and S_i e_i = k(X_i), so [hi/lo : S_i] is
+        d_i / dim k(X_i) with d_i = dim hi e_i - dim lo e_i; S_i has dimension
+        n_i dim k(X_i), n_i the size of class i, so the n_i d_i add up to
+        dim hi - dim lo.
+        """
+        classes, eps_mats, _, residue = self.simple_data()
         if not lo.leq(hi):
             raise VerificationFailure("not a subquotient pair")
-        out = {}
-        v = hi
-        p = self.p
-        while v.dim > lo.dim:
-            t = Subspace(np.concatenate([lo.B] + [(v.B @ m.T) % p for m in rad_mats]),
-                         self.n, p)
-            if not t.leq(v):
-                raise VerificationFailure("radical image escapes the submodule")
-            gap = v.dim - t.dim
-            if gap <= 0:
-                raise VerificationFailure("radical peeling made no progress")
-            acc = 0
-            for i, m in enumerate(eps_mats):
-                part = Subspace(np.concatenate([t.B, (v.B @ m.T) % p]), self.n, p)
-                di = part.dim - t.dim
-                if di % residue[i]:
-                    raise VerificationFailure("isotypic block is not a multiple of the residue dimension")
-                if di:
-                    out[i] = out.get(i, 0) + di // residue[i]
-                acc += di
-            if acc != gap:
-                raise VerificationFailure("isotypic parts do not fill the top")
-            v = t
+        out, filled = {}, 0
+        for i, m in enumerate(eps_mats):
+            d = rank(hi.B @ m.T, self.p) - rank(lo.B @ m.T, self.p)
+            if d % residue[i]:
+                raise VerificationFailure("isotypic block is not a multiple of the residue dimension")
+            if d:
+                out[i] = d // residue[i]
+            filled += len(classes[i]) * d
+        if filled != hi.dim - lo.dim:
+            raise VerificationFailure("class multiplicities do not fill the subquotient")
         return out
 
     def length_between(self, lo, hi):
@@ -207,8 +155,9 @@ def minimal_determiner(f):
     A = f.src.A
     parts = []
     if k.total_dim:
-        for s, _mult in rep.iso_classes([t[0] for t in rep.decompose(k)]):
-            t = ar.tau_minus(s)
+        summands = [t[0] for t in rep.decompose(k)]
+        for cl in rep.iso_classes(summands):
+            t = ar.tau_minus(summands[cl[0]])
             if t.total_dim:
                 parts.append(t)
     for v in range(A.nv):

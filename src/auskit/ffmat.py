@@ -6,6 +6,7 @@ used everywhere: two subspaces are equal iff their rref bases are bytewise
 equal, which is what makes deduplication by key sound.
 """
 
+import bisect
 import functools
 import itertools
 
@@ -90,6 +91,17 @@ def kernel(a, p):
     return kernel_from_rref(r, piv, n, p)
 
 
+def null_space(a, p):
+    """{x : a @ x = 0} as a Subspace, from one elimination: over the reversed
+    columns each free-column kernel row ends in its identity entry, zero at the
+    other free columns, so that basis read backwards is the kernel's RREF."""
+    a = amod(a, p)
+    n = a.shape[1]
+    r, piv = rref(a[:, ::-1], p)
+    free = sorted(n - 1 - j for j in set(range(n)) - set(piv))
+    return Subspace.from_rref(kernel_from_rref(r, piv, n, p)[::-1, ::-1], free, n, p)
+
+
 def solve_all(a, b, p):
     """General solution of a @ x = b: (particular, kernel_rows), or None.
 
@@ -162,6 +174,13 @@ class Subspace:
         self.p = p
 
     @classmethod
+    def from_rref(cls, b, pivots, n, p):
+        """The subspace whose RREF basis is b, with its pivot columns; no elimination."""
+        s = cls.__new__(cls)
+        s.B, s.pivots, s.n, s.p = np.array(b, dtype=INT), list(pivots), n, p
+        return s
+
+    @classmethod
     def zero(cls, n, p):
         return cls(zeros(0, n), n, p)
 
@@ -219,15 +238,14 @@ class Subspace:
         return Subspace(np.concatenate([self.B, other.B], axis=0), self.n, self.p)
 
     def intersect(self, other):
-        """Zassenhaus: rows of [[U,U],[W,0]] whose left half reduces to zero."""
-        n, p = self.n, self.p
+        """Zassenhaus: the rows of RREF [[U,U],[W,0]] whose left half is zero
+        come last, and their right halves are the RREF of U and W's meet."""
+        n = self.n
         top = np.concatenate([self.B, self.B], axis=1)
         bot = np.concatenate([other.B, zeros(other.dim, n)], axis=1)
-        r, piv = rref(np.concatenate([top, bot], axis=0), p)
-        rows = [r[i, n:] for i in range(len(piv)) if piv[i] >= n]
-        if not rows:
-            return Subspace.zero(n, p)
-        return Subspace(np.array(rows, dtype=INT), n, p)
+        r, piv = rref(np.concatenate([top, bot]), self.p)
+        k = bisect.bisect_left(piv, n)
+        return Subspace.from_rref(r[k : len(piv), n:], [c - n for c in piv[k:]], n, self.p)
 
     def vectors(self):
         """All p^dim member vectors (deterministic order)."""
@@ -299,9 +317,7 @@ def enumerate_subspaces(n, p, dim=None, cap=10 ** 6):
                     b[i, piv[i]] = 1
                 for (i, j), v in zip(free, vals):
                     b[i, j] = v
-                s = Subspace.__new__(Subspace)
-                s.B, s.pivots, s.n, s.p = b, list(piv), n, p
-                out.append(s)
+                out.append(Subspace.from_rref(b, piv, n, p))
     return out
 
 

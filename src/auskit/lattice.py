@@ -11,8 +11,11 @@ are vertex-graded.
 
 Shape certificates:
   ("G", d, q)  -- the full subspace lattice of a d-dimensional space over F_q,
-                  certified on the module side (semisimple isotypic) and
-                  cross-checked against Gaussian binomial stratum counts;
+                  certified on the module side: Hom(C, Y) is isotypic of one
+                  class i and killed by rad End(X_i) acting through e_i, so
+                  semisimple, S_i^d with End(S_i) = F_q; cross-checked against
+                  Gaussian binomial counts of the submodules of dimension
+                  k dim S_i;
   ("I", s)     -- a chain with s+1 nodes;
   ("other",)   -- anything else.
 """
@@ -239,14 +242,15 @@ class SubmoduleLattice:
         full, zero = gh.full_sub(), gh.zero_sub()
         if gh.n == 0:
             return ("G", 0, gh.p)
-        _, _, rad_mats, residue = gh.simple_data()
+        classes, _, rad_mats, residue = gh.simple_data()
         jh = gh.jh_between(zero, full)
         if len(jh) == 1 and all(not m.any() for m in rad_mats):
             (i, d), = jh.items()
             q = gh.p ** residue[i]
+            step = len(classes[i]) * residue[i]  # the dimension of S_i
             counts = self.counts_by_dim()
             for k in range(d + 1):
-                if counts.get(k * residue[i], 0) != gaussian_binomial(d, k, q):
+                if counts.get(k * step, 0) != gaussian_binomial(d, k, q):
                     raise VerificationFailure(
                         "semisimple module with non-Gaussian stratum counts"
                     )

@@ -412,7 +412,7 @@ def _sub_rep_from_rows(x, rows_per_vertex):
 
 def kernel(f):
     """(K, incl) with K = Ker f."""
-    return _sub_rep_from_rows(f.src, [ffmat.kernel(b, f.p) for b in f.blocks])
+    return _sub_rep(f.src, [ffmat.null_space(b, f.p) for b in f.blocks])
 
 
 def image(f):
@@ -487,15 +487,11 @@ def rad(x):
 
 def soc(x):
     """(S, incl) with S the socle (joint kernel of all arrows)."""
-    p = x.p
-    rows = []
-    for v in range(len(x.dims)):
+    subs = []
+    for v, d in enumerate(x.dims):
         stacked = [x.mats[ai] for ai, (_, u, _w) in enumerate(x.A.quiver.arrows) if u == v]
-        if stacked:
-            rows.append(ffmat.kernel(np.concatenate(stacked, axis=0), p))
-        else:
-            rows.append(identity(x.dims[v]))
-    return _sub_rep_from_rows(x, rows)
+        subs.append(ffmat.null_space(np.concatenate([zeros(0, d)] + stacked), x.p))
+    return _sub_rep(x, subs)
 
 
 def top(x):
@@ -563,16 +559,6 @@ def structure(x):
 # finite-dimensional algebras, Exp. Math. 2007).
 
 SPLIT_CANDIDATES = 64  # seeded random elements tried when End/J is not commutative
-
-
-def total_matrix(f):
-    """Block-diagonal matrix of an endomorphism on the total space."""
-    n = f.src.total_dim
-    m = zeros(n, n)
-    off = f.src.offsets()
-    for v, b in enumerate(f.blocks):
-        m[off[v] : off[v + 1], off[v] : off[v + 1]] = b
-    return m
 
 
 class EndData:
@@ -876,16 +862,17 @@ def _is_iso_indec(x, y):
 
 
 def iso_classes(reps):
-    """Group indecomposable reps into classes: list of (representative, count)."""
+    """Group indecomposable reps into isomorphism classes: lists of indices
+    into reps, in order of first appearance."""
     classes = []
-    for r in reps:
+    for k, r in enumerate(reps):
         for cl in classes:
-            if _is_iso_indec(cl[0], r):
-                cl.append(r)
+            if _is_iso_indec(reps[cl[0]], r):
+                cl.append(k)
                 break
         else:
-            classes.append([r])
-    return [(cl[0], len(cl)) for cl in classes]
+            classes.append([k])
+    return classes
 
 
 # --- right minimality and right equivalence ----------------------------------

@@ -8,3 +8,12 @@ from auskit.ffmat import INT
 def rand_mat(rng, m, n, p):
     """An m x n matrix over F_p with entries drawn from rng (a random.Random)."""
     return np.array([[rng.randrange(p) for _ in range(n)] for _ in range(m)], dtype=INT)
+
+
+def _counting(fn, calls):
+    """fn, recording its calls: proves that a monkeypatched function was reached
+    and not bypassed by a memoized answer."""
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    return counted

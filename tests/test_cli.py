@@ -55,6 +55,26 @@ def test_hom_json(capsys):
     assert data["hom_dim"] == 2 and data["length"] == 2
 
 
+def _a2_into_qa(capsys, cmd, c):
+    rc = cli.main([cmd, "--algebra", "a2", "-c", c, "-y", "Q(a)"])
+    return rc, capsys.readouterr().out
+
+
+def test_repeated_summand(capsys):
+    # add C = add P(a): End(C) grows to M_2(F_2), the answers do not change
+    rc, out = _a2_into_qa(capsys, "hom", "P(a)^2")
+    assert rc == 0
+    assert out.splitlines()[1:] == ["length 1 with factors:", "  [1, 0] x1"]
+    rc, out = _a2_into_qa(capsys, "lattice", "P(a)^2")
+    assert rc == 0
+    assert "2 submodules, shape ('G', 1, 2), height 1" in out and "1 cover relations" in out
+    # only the node dimensions double
+    assert out.replace("{0: 1, 2: 1}", "{0: 1, 1: 1}") == _a2_into_qa(capsys, "lattice", "P(a)")[1]
+    rc, out = _a2_into_qa(capsys, "classes", "P(a)^2")
+    assert rc == 0
+    assert out == _a2_into_qa(capsys, "classes", "P(a)")[1]
+
+
 def test_lattice_text_and_dot(capsys):
     assert cli.main(["lattice", "--algebra", "kron3", "-c", "kP(2)", "-y", "kQ(0)"]) == 0
     out = capsys.readouterr().out

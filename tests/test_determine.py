@@ -4,6 +4,7 @@ import pytest
 from auskit import ar, catalog, determine, factor, rep
 from auskit.algebra import parse_module_expr
 from auskit.errors import VerificationFailure
+from helpers import _counting
 
 
 def _find_epi(x, y):
@@ -52,6 +53,18 @@ def test_gamma_semisimple(sub3):
     assert jh == {0: 1, 1: 1, 2: 1}
     labels = gh.labels()
     assert sorted(labels) == sorted([n.dim_vector() for n in ns])
+
+
+def test_class_sizes_certify_the_factor_count(a2, monkeypatch):
+    # P(a) and P(b) forced into one class: their Hom spaces into S(a) have
+    # dimensions 1 and 0, so 2 dim Hom(X, S(a)) misses dim Hom(C, S(a)) = 1
+    c = rep.direct_sum(a2, [a2.proj("a"), a2.proj("b")])[0]
+    calls = []
+    monkeypatch.setattr(rep, "iso_classes", _counting(lambda reps: [list(range(len(reps)))], calls))
+    gh = determine.GammaHom(c, a2.simple("a"))
+    with pytest.raises(VerificationFailure, match="do not fill the subquotient"):
+        gh.jh_between(gh.zero_sub(), gh.full_sub())
+    assert len(calls) == 1
 
 
 def test_projective_c_length(sub3):

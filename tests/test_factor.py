@@ -1,6 +1,8 @@
+import functools
+
 import pytest
 
-from auskit import ar, factor, lattice, rep
+from auskit import ar, catalog, factor, lattice, rep
 from auskit.errors import VerificationFailure
 
 
@@ -118,3 +120,41 @@ def test_kernel_comparison_rejects(loopb, kron2):
     f = fl.classes[0].f
     with pytest.raises(VerificationFailure):
         factor.kernel_comparison(fl.top_class.f, f)  # kernels differ
+
+
+# The classes and the Gamma-lattice depend on C only through add C: repeating a
+# summand of C changes End(C) but none of the facts below.  subspace3-ex21,
+# uniserial-8 and kron3-ex10 are left out for their running time.
+ADD_C_INSTANCES = [n for n in catalog.instance_names()
+                   if n not in ("subspace3-ex21", "uniserial-8", "kron3-ex10")]
+
+
+def _add_c_facts(c, y):
+    fl = factor.FactorizationLattice.build(c, y)
+    lat, gh = fl.lat, fl.gh
+    labels = gh.labels()
+    return {
+        "nodes": len(lat),
+        "shape": lattice.canonical_shape(lat.classify()),
+        "covers": len(lat.covers()),
+        "height": lat.height(),
+        "composition": sorted((labels[i], m) for i, m in
+                              gh.jh_between(gh.zero_sub(), gh.full_sub()).items()),
+        "cover_labels": sorted(labels[i] for i in lat.cover_labels().values()),
+        "classes": sorted((rc.source.dim_vector(), rc.kernel.dim_vector(), rc.is_epi,
+                           rc.is_mono, fl.c_length(i)) for i, rc in enumerate(fl.classes)),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _instance_facts(name):
+    _, c, y = catalog.resolve_instance(name)
+    return _add_c_facts(c, y)
+
+
+@pytest.mark.parametrize("extra", ["C", "X0"])
+@pytest.mark.parametrize("name", ADD_C_INSTANCES)
+def test_facts_depend_on_add_c(name, extra):
+    A, c, y = catalog.resolve_instance(name)
+    x = c if extra == "C" else rep.decompose(c)[0][0]
+    assert _add_c_facts(rep.direct_sum(A, [c, x])[0], y) == _instance_facts(name)

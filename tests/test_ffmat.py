@@ -194,6 +194,21 @@ def test_zassenhaus_vs_pointwise():
         assert len(members) == p ** inter.dim
         for v in inter.vectors():
             assert u.contains(v) and w.contains(v)
+        # the rows read off the Zassenhaus RREF are the canonical basis
+        again = Subspace(inter.B, n, p)
+        assert inter == again and inter.pivots == again.pivots
+
+
+def test_null_space_is_the_echelon_kernel():
+    rng = random.Random(5)
+    for _ in range(40):
+        m, n, p = rng.randrange(1, 4), rng.randrange(0, 5), rng.choice([2, 3])
+        a = rand_mat(rng, m, n, p)
+        k = ffmat.null_space(a, p)
+        want = [v for v in ffmat.all_vectors(n, p) if not ((a @ v) % p).any()]
+        assert len(want) == p ** k.dim and all(k.contains(v) for v in want)
+        again = Subspace(kernel(a, p), n, p)
+        assert k == again and k.pivots == again.pivots
 
 
 def _reader_cases(p):
