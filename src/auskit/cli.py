@@ -155,10 +155,13 @@ def cmd_verify(args):
     names = args.instance or catalog.instance_names()
     ok = True
     for name in names:
-        rpt = catalog.check_instance(name, certify=not args.no_certify)
-        status = "ok" if rpt["ok"] else "FAIL(%s)" % ",".join(rpt["failures"])
-        print("%-24s %s" % (name, status))
-        ok = ok and rpt["ok"]
+        try:
+            rpt = catalog.check_instance(name, certify=not args.no_certify)
+            failures = rpt["failures"]
+        except VerificationFailure as exc:  # a broken certificate fails this instance only
+            failures = [str(exc)]
+        print("%-24s %s" % (name, "FAIL(%s)" % ",".join(failures) if failures else "ok"))
+        ok = ok and not failures
     if not ok:
         raise VerificationFailure("some instances disagreed with their recorded facts")
     return 0

@@ -67,6 +67,9 @@ class GammaHom:
         eps_mats[i] acts by e_i = incl o proj of the first of them, X_i, with
         e_i End(C) e_i = End(X_i); residue_dims[i] = dim k(X_i) for the radical
         decompose certified; rad_mats act by incl o psi o proj, psi in it.
+        The Gamma-lattice search seeds from the M e_i, and the factorization
+        build reads its summand classes of C from classes, so both rest on
+        the certificate here that the summand idempotents sum to 1.
         """
         if self._simple is not None:
             return self._simple

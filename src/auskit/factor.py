@@ -44,28 +44,6 @@ class RightClass:
         )
 
 
-def _kernel_classes(c):
-    """Iso classes of tau of the non-projective summands of C."""
-    out = []
-    for s, _, _ in rep.decompose(c):
-        if ar.is_projective(s):
-            continue
-        t = ar.tau(s)
-        if t.total_dim and not any(rep.is_isomorphic(t, u) for u in out):
-            out.append(t)
-    return out
-
-
-def _is_generator(c):
-    A = c.A
-    parts = [s for s, _, _ in rep.decompose(c)]
-    missing = []
-    for v in range(A.nv):
-        if not any(rep.is_isomorphic(A.proj(v), s) for s in parts):
-            missing.append(v)
-    return missing
-
-
 def _ext_choices(ed):
     """All subspaces of Ext^1, each as a list of cocycle coordinate rows."""
     reps_ = np.array(ed.class_reps(), dtype=INT).reshape(-1, len(ed.cocycles))
@@ -85,9 +63,12 @@ class FactorizationLattice:
     def build(cls, c, y, certify=True):
         gh = determine.GammaHom(c, y)
         lat = lattice.SubmoduleLattice.build(gh)
-        kclasses = _kernel_classes(c)
-        missing_proj = _is_generator(c)
         A = y.A
+        reps = [cl[0] for cl in gh.simple_data()[0]]  # one summand of C per iso class
+        # the kernel candidates: tau is injective on non-projective indecomposable classes
+        kclasses = [ar.tau(s) for s in reps if not ar.is_projective(s)]
+        missing_proj = [v for v in range(A.nv)
+                        if not any(rep.is_isomorphic(A.proj(v), s) for s in reps)]
 
         found = {}
         n_cand = 0

@@ -9,6 +9,25 @@ its coordinates; on the representation side they are the subspaces of the
 total space F_p^{total_dim} stable under the arrows (rep.total_arrows), which
 are vertex-graded.
 
+Both sides seed the search by one rule (the local submodules of Lux, Mueller
+and Ringe, Peakword condensation and submodule lattices, J. Symbolic Comput.
+17, 1994): one vector per line of M e, for e in a complete set of orthogonal
+idempotents up to conjugacy.  On the representation side e runs over the
+vertex idempotents, and M e is a vertex block of coordinates.  On the Gamma
+side e runs over the class idempotents e_i = incl o proj of
+GammaHom.simple_data, one per isomorphism class of summands of C, and M e_i
+is the row space of the transposed action of e_i.
+
+Why one idempotent per class suffices: take u in a submodule U.  The summand
+idempotents e_j of C sum to 1 (simple_data certifies it), so u = sum_j u e_j.
+Let X_j be isomorphic to X_i, the summand behind e_i, through phi, and set
+a = incl_j phi proj_i and b = incl_i phi^-1 proj_j.  Then e_j = a b, and
+u a = u a e_i lies in U e_i, so u e_j = (u a) b lies in the cyclic submodule
+of a vector of U e_i, which is a multiple of a seed.  Hence every submodule is
+the sum of the cyclic submodules of the seeds it contains.  This uses only the
+positive verdicts of rep.iso_classes, each witnessed by an invertible
+composite; a missed isomorphism only adds seeds.
+
 Shape certificates:
   ("G", d, q)  -- the full subspace lattice of a d-dimensional space over F_q,
                   certified on the module side: Hom(C, Y) is isotypic of one
@@ -29,7 +48,7 @@ import numpy as np
 from . import rep
 from .errors import CapExceeded, ParseError, VerificationFailure
 from .ffmat import (INT, Subspace, closure, gaussian_binomial, inv_mod, kernel,
-                    mat_key, projective_points, rank, zeros)
+                    projective_points, rank, zeros)
 
 DEFAULT_DIM_CAPS = {2: 12, 3: 8, 5: 6}
 NODE_CAP = 20000
@@ -68,13 +87,15 @@ def _cyclic_search(zero, seeds, close, order):
 
     Each seed g is closed once to its cyclic submodule C(g).  A node u grows
     along an edge u -> u + C(g) for each g not in u, a plain subspace sum, so
-    the submodules reached are the sums of cyclic submodules, which is all of
-    them.  Nodes are expanded in increasing order(u) (dimension first), so
+    the submodules reached are the sums of the seeds' cyclic submodules.  That
+    is all of them, since the seeds follow the rule of the module docstring:
+    every submodule is the sum of the cyclic submodules of the seeds it
+    contains.  Nodes are expanded in increasing order(u) (dimension first), so
     every edge runs from an expanded node to a later one, and a node's index
     is fixed before anything above it is expanded.
 
-    Every cover a < b is an edge: for g in b but not in a, a < a + C(g) <= b,
-    so a + C(g) = b.  Hence a <= b iff a chain of edges runs from a up to b,
+    Every cover a < b is an edge: some seed g lies in b but not in a, so
+    a < a + C(g) <= b, and a + C(g) = b.  Hence a <= b iff a chain of edges runs from a up to b,
     and the lower covers of b are the maximal elements among its lower
     edge-neighbours: if a < c < b, the lower cover of b above c is a
     neighbour above a.  Returns (nodes, below, lower_covers): below[j] and
@@ -130,6 +151,12 @@ def _cyclic_search(zero, seeds, close, order):
     return nodes, below, lower_covers
 
 
+def _seed_lines(spans, p):
+    """The seeds of _cyclic_search: one vector per line of each span M e,
+    given by its rows in the coordinates of M (see the module docstring)."""
+    return [(c @ b) % p for b in spans for c in projective_points(len(b), p)]
+
+
 def _bit_rows(bitsets, n):
     """Boolean matrix whose row r holds bits 0..n-1 of bitsets[r]."""
     width = (n + 7) // 8
@@ -157,8 +184,9 @@ class SubmoduleLattice:
                 "Hom space dimension %d over F_%d exceeds the enumeration cap"
                 % (gh.n, gh.p)
             )
-        seeds = projective_points(gh.n, gh.p)
-        return cls(gh, *_cyclic_search(gh.zero_sub(), seeds, gh.close,
+        # the certificate that the summand idempotents sum to 1 runs here, before any closure
+        spans = [Subspace(m.T, gh.n, gh.p).B for m in gh.simple_data()[1]]
+        return cls(gh, *_cyclic_search(gh.zero_sub(), _seed_lines(spans, gh.p), gh.close,
                                        lambda s: (s.dim, s.key())))
 
     def __len__(self):
@@ -322,17 +350,12 @@ def rep_submodule_lattice(x):
     if _submodule_lower_bound(x) > NODE_CAP:
         raise CapExceeded("submodule lattice exceeds the node cap")
     n, off = x.total_dim, x.offsets()
-    seeds = []
-    for v, d in enumerate(x.dims):
-        for vec in projective_points(d, p):
-            g = np.zeros(n, dtype=INT)
-            g[off[v] : off[v + 1]] = vec
-            seeds.append(g)
+    unit = np.eye(n, dtype=INT)
+    seeds = _seed_lines([unit[off[v] : off[v + 1]] for v in range(len(x.dims))], p)
     arrows = rep.total_arrows(x)
 
     def order(s):
-        # (d, mat_key(r)) is the key of the vertex part as a Subspace: r is its RREF
-        return (s.dim, tuple((d, mat_key(r)) for r, d in zip(rep.vertex_rows(x, s), x.dims)))
+        return (s.dim, tuple(t.key() for t in rep.vertex_spans(x, s)))
 
     nodes, _, _ = _cyclic_search(Subspace.zero(n, p), seeds,
                                  lambda rows: closure(rows, arrows, n, p), order)
@@ -341,34 +364,17 @@ def rep_submodule_lattice(x):
 
 def sub_rep_of(x, sub):
     """Realize a submodule of the total space as a representation with inclusion."""
-    return rep._sub_rep_from_rows(x, rep.vertex_rows(x, sub))
-
-
-def hyperplanes(n, p):
-    """All codimension-one subspaces of F_p^n."""
-    return [Subspace(kernel(a.reshape(1, -1), p), n, p) for a in projective_points(n, p)]
+    return rep._sub_rep(x, rep.vertex_spans(x, sub))
 
 
 def maximal_submodules(x):
-    """The maximal submodules: preimages of hyperplanes in the top."""
+    """The maximal submodules: preimages of the hyperplanes a.t = 0 of the top."""
     p = x.p
     t, proj = rep.top(x)
     out = []
     for v in range(len(x.dims)):
-        dv = t.dims[v]
-        if dv == 0:
-            continue
-        for h in hyperplanes(dv, p):
-            rows = []
-            for u in range(len(x.dims)):
-                if u == v:
-                    rows.append(np.array(_preimage_rows(proj.blocks[v], h, p), dtype=INT))
-                else:
-                    rows.append(np.eye(x.dims[u], dtype=INT))
+        for a in projective_points(t.dims[v], p):
+            rows = [np.eye(d, dtype=INT) for d in x.dims]
+            rows[v] = kernel((a @ proj.blocks[v]).reshape(1, -1), p)
             out.append(rep.sub_from_vectors(x, rows))
     return out
-
-
-def _preimage_rows(pm, h, p):
-    """Rows spanning the preimage of a subspace under a linear map."""
-    return list(kernel((h.annihilator() @ pm) % p, p))

@@ -405,11 +405,6 @@ def _sub_rep(x, subs):
     return k, Morphism(k, x, [s.B.T for s in subs]).check()
 
 
-def _sub_rep_from_rows(x, rows_per_vertex):
-    """Subrepresentation with given row-bases (must be arrow-closed)."""
-    return _sub_rep(x, [ffmat.Subspace(r, d, x.p) for r, d in zip(rows_per_vertex, x.dims)])
-
-
 def kernel(f):
     """(K, incl) with K = Ker f."""
     return _sub_rep(f.src, [ffmat.null_space(b, f.p) for b in f.blocks])
@@ -453,15 +448,18 @@ def total_arrows(x):
     return out
 
 
-def vertex_rows(x, sub):
-    """Per-vertex row bases of a vertex-graded subspace of the total space.
+def vertex_spans(x, sub):
+    """The vertex parts of a vertex-graded subspace of the total space, as
+    Subspaces read off its RREF with no elimination.
 
     The RREF of a graded subspace is block diagonal, so the rows whose pivot
     lies in a vertex block are that vertex's RREF basis.
     """
     off = x.offsets()
     cuts = np.searchsorted(sub.pivots, off)
-    return [sub.B[cuts[v] : cuts[v + 1], off[v] : off[v + 1]] for v in range(len(x.dims))]
+    return [ffmat.Subspace.from_rref(sub.B[cuts[v] : cuts[v + 1], off[v] : off[v + 1]],
+                                     [q - off[v] for q in sub.pivots[cuts[v] : cuts[v + 1]]], d, x.p)
+            for v, d in enumerate(x.dims)]
 
 
 def sub_from_vectors(x, seed_rows):
@@ -474,7 +472,7 @@ def sub_from_vectors(x, seed_rows):
         block[:, off[v] : off[v + 1]] = r
         rows.extend(block)
     sub = ffmat.closure(rows, total_arrows(x), n, x.p)
-    return _sub_rep_from_rows(x, vertex_rows(x, sub))
+    return _sub_rep(x, vertex_spans(x, sub))
 
 
 def rad(x):
@@ -482,7 +480,7 @@ def rad(x):
     rows = [zeros(0, x.dims[v]) for v in range(len(x.dims))]
     for ai, (_, u, v) in enumerate(x.A.quiver.arrows):
         rows[v] = np.concatenate([rows[v], x.mats[ai].T], axis=0)
-    return _sub_rep_from_rows(x, rows)
+    return _sub_rep(x, [ffmat.Subspace(r, d, x.p) for r, d in zip(rows, x.dims)])
 
 
 def soc(x):

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 import auskit
-from auskit import catalog, cli, lattice
+from auskit import catalog, cli, factor, lattice
+from auskit.errors import VerificationFailure
 
 A2_TEXT = """
 field 3
@@ -111,6 +112,27 @@ def test_verify_failure(monkeypatch, capsys):
     monkeypatch.setitem(catalog.instances(), "a2-bad", bad)
     assert cli.main(["verify", "a2-bad"]) == 4
     assert "FAIL(node_count)" in capsys.readouterr().out
+
+
+def test_verify_goes_on_past_a_failing_certificate(monkeypatch, capsys):
+    real, calls = factor.FactorizationLattice.check_meets, []
+
+    def third_fails(self):
+        calls.append(self)
+        if len(calls) == 3:
+            raise VerificationFailure("meet of classes does not match eta meet")
+        return real(self)
+
+    monkeypatch.setattr(factor.FactorizationLattice, "check_meets", third_fails)
+    assert cli.main(["verify"]) == 4
+    out = capsys.readouterr()
+    names = catalog.instance_names()
+    lines = out.out.splitlines()
+    assert len(lines) == len(names) == 19
+    assert lines[2] == "%-24s FAIL(meet of classes does not match eta meet)" % names[2]
+    assert [line.split() for k, line in enumerate(lines) if k != 2] == \
+        [[name, "ok"] for k, name in enumerate(names) if k != 2]
+    assert "verification failed" in out.err
 
 
 def test_max_dim_exit_code(monkeypatch, capsys):

@@ -1,7 +1,8 @@
 import pytest
 
 from auskit import ar, catalog, determine, ffmat, kronecker, lattice, rep
-from auskit.errors import CapExceeded
+from auskit.errors import CapExceeded, VerificationFailure
+from helpers import _counting
 
 
 def _lam(algebra):
@@ -174,6 +175,65 @@ def test_modules_over_the_node_cap_are_refused_before_the_search(monkeypatch):
         assert lattice._submodule_lower_bound(c) > lattice.NODE_CAP
         with pytest.raises(CapExceeded, match="node cap"):
             lattice.rep_submodule_lattice(c)
+
+
+def _build_counting_closes(gh):
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(determine.GammaHom, "close", _counting(determine.GammaHom.close, calls))
+        lat = lattice.SubmoduleLattice.build(gh)
+    return lat, len(calls)
+
+
+def _seed_line_count(gh):
+    """Sum over the summand classes i of C of the number of lines of M e_i."""
+    p = gh.p
+    return sum((p ** ffmat.rank(m, p) - 1) // (p - 1) for m in gh.simple_data()[1])
+
+
+def test_gamma_search_closes_one_seed_per_line_of_a_class_idempotent():
+    # the twelve pairwise non-isomorphic summands of criterion 5: 11 seed lines
+    # instead of the 1,023 lines of Hom(C, Y)
+    _, c, y = catalog.resolve_instance("subspace3-ex21")
+    gh = determine.GammaHom(c, y)
+    lat, closes = _build_counting_closes(gh)
+    assert len(lat) == 30 and gh.n == 10
+    assert closes == _seed_line_count(gh) == 11
+
+
+def test_gamma_seeds_do_not_grow_with_repeated_summands():
+    # C + C has twice the Hom space of C but the same summand classes
+    A, c, y = catalog.resolve_instance("kron2-ex4")
+    rows = []
+    for x in (c, rep.direct_sum(A, [c, c])[0]):
+        gh = determine.GammaHom(x, y)
+        lat, closes = _build_counting_closes(gh)
+        rows.append((gh.n, len(lat), closes, _seed_line_count(gh)))
+    (n, nodes, closes, lines), doubled = rows
+    assert (n, closes, lines) == (3, 4, 4)
+    assert doubled == (6, nodes, 4, 4)
+
+
+def test_gamma_seeds_wait_for_the_idempotent_certificate(monkeypatch):
+    _, c, y = catalog.resolve_instance("kron2-ex4")
+    gh = determine.GammaHom(c, y)
+    real = rep.decompose
+    monkeypatch.setattr(rep, "decompose", lambda x: real(x)[:-1])  # lose a summand
+    monkeypatch.setattr(determine.GammaHom, "close", lambda *args: pytest.fail("closure before the certificate"))
+    with pytest.raises(VerificationFailure, match="do not sum to the identity"):
+        lattice.SubmoduleLattice.build(gh)
+
+
+def test_sub_rep_of_reads_the_vertex_spans_without_elimination(monkeypatch):
+    _, _, y = catalog.resolve_instance("kron2-ex4")
+    nodes = lattice.rep_submodule_lattice(y)
+    calls = []
+    monkeypatch.setattr(ffmat, "rref", _counting(ffmat.rref, calls))
+    subs = [lattice.sub_rep_of(y, s) for s in nodes]
+    assert calls == []
+    monkeypatch.undo()
+    for s, (sub, incl) in zip(nodes, subs):
+        assert sub.total_dim == s.dim and incl.is_mono()
 
 
 def test_exports(kron2):

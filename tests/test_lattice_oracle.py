@@ -95,12 +95,17 @@ def _graded_submodules(x):
 
 @pytest.mark.parametrize("name,p", CASES)
 def test_gamma_lattice_matches_brute_force(name, p):
-    _, mods = _modules(name, p, 8, 4, seed=p)
-    checked = 0
-    for c, y in itertools.product(mods, repeat=2):
+    A, mods = _modules(name, p, 8, 4, seed=p)
+    # C = X + X^g with X^g a random rebasing of X: conjugate summand idempotents,
+    # of which the search seeds from one per class
+    rng = random.Random(20 + p)
+    doubled = [rep.direct_sum(A, [x, _rebased(x, rng)])[0] for x in mods]
+    checked = repeated = 0
+    for c, y in itertools.chain(itertools.product(mods, repeat=2), itertools.product(doubled, mods)):
         gh = determine.GammaHom(c, y)
         if not 0 < gh.n <= MAX_HOM[p]:
             continue
+        repeated += any(c is x for x in doubled)
         lat = lattice.SubmoduleLattice.build(gh)
         want = sorted((s for s in enumerate_subspaces(gh.n, p) if gh.is_submodule(s)),
                       key=lambda s: (s.dim, s.key()))
@@ -117,7 +122,7 @@ def test_gamma_lattice_matches_brute_force(name, p):
             assert [lat.join(i, j)] == list(ups[leq[np.ix_(ups, ups)].all(axis=1)])
             assert [lat.meet(i, j)] == list(downs[leq[np.ix_(downs, downs)].all(axis=0)])
         checked += 1
-    assert checked >= 10
+    assert checked - repeated >= 10 and repeated >= 3
 
 
 @pytest.mark.parametrize("name,p", CASES)
@@ -127,7 +132,9 @@ def test_rep_lattice_matches_brute_force(name, p):
         nodes = lattice.rep_submodule_lattice(x)
         got = []
         for s in nodes:
-            parts = [Subspace(r, d, p) for r, d in zip(rep.vertex_rows(x, s), x.dims)]
+            spans = rep.vertex_spans(x, s)
+            parts = [Subspace(t.B, t.n, p) for t in spans]
+            assert [t.key() for t in spans] == [t.key() for t in parts]  # read off in echelon form
             assert sum(t.dim for t in parts) == s.dim  # graded
             got.append(tuple(t.key() for t in parts))
         want = sorted(_graded_submodules(x),

@@ -306,7 +306,7 @@ def test_pivot_readers_keep_their_certificates(kron2, monkeypatch):
     f = rep.hom_space(r, r)[0]
     # spans that the arrows leave
     with pytest.raises(VerificationFailure, match="not closed under arrow action"):
-        rep._sub_rep_from_rows(r, [ffmat.zeros(0, 2), ffmat.identity(2)])
+        rep._sub_rep(r, [ffmat.Subspace.zero(2, r.p), ffmat.Subspace.full(2, r.p)])
     # a map that kills the image of f descends along the cokernel; one that does not, not
     q, proj = rep.cokernel(f)
     assert ar._descend(proj, proj).key() == rep.identity_morphism(q).key()
