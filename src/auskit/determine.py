@@ -170,12 +170,10 @@ def minimal_determiner(f):
 
 
 def is_right_determined(f, c):
-    """Whether f is right C-determined (minimal determiner inside add C)."""
-    cparts = [s for s, _, _ in rep.decompose(c)]
-    for s in minimal_determiner(f):
-        if not any(rep.is_isomorphic(s, t) for t in cparts):
-            return False
-    return True
+    """Whether f is right C-determined: by Auslander's criterion, whether its
+    minimal determiner lies in add C, i.e. every class of summands that holds
+    a summand of C(f) also holds one of C."""
+    return all(0 in cl for cl in rep.summand_classes([c] + minimal_determiner(f)))
 
 
 def default_probes(f, c, count=20, seed=0):

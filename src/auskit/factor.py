@@ -67,8 +67,9 @@ class FactorizationLattice:
         reps = [cl[0] for cl in gh.simple_data()[0]]  # one summand of C per iso class
         # the kernel candidates: tau is injective on non-projective indecomposable classes
         kclasses = [ar.tau(s) for s in reps if not ar.is_projective(s)]
-        missing_proj = [v for v in range(A.nv)
-                        if not any(rep.is_isomorphic(A.proj(v), s) for s in reps)]
+        # classes come in order of first appearance: one led by a P(v) holds no summand of C
+        projs = [A.proj(v) for v in range(A.nv)]
+        missing_proj = [cl[0] - len(reps) for cl in rep.iso_classes(reps + projs) if cl[0] >= len(reps)]
 
         found = {}
         n_cand = 0

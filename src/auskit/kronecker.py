@@ -148,30 +148,24 @@ def tube_of(A, m):
 
 
 def enumerate_strongly_regular(A, total_dim):
-    """Direct sums of pairwise distinct regular indecomposables of given size.
+    """Strongly regular modules of a given size: direct sums of regular
+    indecomposables with at most one from each tube.
 
     Returns (module, labels) pairs where labels lists the (tube, quasi-length)
     pairs; each pair has 2 * t * deg(tube) dimensions.
     """
-    p = A.p
-    pairs = []
-    for label in tube_labels(p, max(1, total_dim // 2)):
-        d = label_degree(label)
-        t = 1
-        while 2 * t * d <= total_dim:
-            pairs.append((label, t, 2 * t * d))
-            t += 1
+    labels = tube_labels(A.p, max(1, total_dim // 2))
     out = []
 
     def rec(start, left, chosen):
         if left == 0:
-            mods = [kR(A, lab, t) for lab, t, _ in chosen]
-            m, _, _ = rep.direct_sum(A, mods)
-            out.append((m, [(lab, t) for lab, t, _ in chosen]))
+            m, _, _ = rep.direct_sum(A, [kR(A, lab, t) for lab, t in chosen])
+            out.append((m, chosen))
             return
-        for idx in range(start, len(pairs)):
-            if pairs[idx][2] <= left:
-                rec(idx + 1, left - pairs[idx][2], chosen + [pairs[idx]])
+        for k in range(start, len(labels)):
+            d = label_degree(labels[k])
+            for t in range(1, left // (2 * d) + 1):
+                rec(k + 1, left - 2 * t * d, chosen + [(labels[k], t)])
 
     rec(0, total_dim, [])
     return out
@@ -305,23 +299,9 @@ def sigma_check(A, i, j):
         # the unique length-one class must be the zero class [0 -> Y>
         report["ok"] = ones == [fl.lat.zero_i] and sources[0].total_dim == 0
         return report
-    if len(ones) != len(family):
-        report["ok"] = False
-        return report
-    used = set()
-    for s in sources:
-        match = None
-        for k, (m, _) in enumerate(family):
-            if k not in used and rep.is_isomorphic(s, m):
-                match = k
-                break
-        if match is None:
-            report["ok"] = False
-            return report
-        used.add(match)
-    for a in range(len(sources)):
-        for b in range(a):
-            if rep.is_isomorphic(sources[a], sources[b]):
-                report["ok"] = False
-                return report
+    # a module's signature: how many of its summands lie in each isomorphism class
+    classes = rep.summand_classes(sources + [m for m, _ in family])
+    sigs = [tuple(cl.count(k) for cl in classes) for k in range(len(sources) + len(family))]
+    src_sigs, fam_sigs = sigs[:len(sources)], sigs[len(sources):]
+    report["ok"] = len(set(src_sigs)) == len(src_sigs) and sorted(src_sigs) == sorted(fam_sigs)
     return report

@@ -749,17 +749,13 @@ def _verified_idempotent(ed, e):
     return f
 
 
-def _split_idempotent(x, e):
-    """Split X along the idempotent endomorphism e: X = Im(e) + Ker(e)."""
-    i1, u1, r1 = image(e)
-    one = identity_morphism(x)
-    comp = one.add(e.scale(x.p - 1))
-    i2, u2, r2 = image(comp)
-    if (r1.compose(u1).flat() != identity_morphism(i1).flat()).any():
+def _idempotent_image(e):
+    """(I, incl, onto) for the image of an idempotent endomorphism e, with
+    onto o incl = 1_I certified, so that I is a direct summand."""
+    i, incl, onto = image(e)
+    if (onto.compose(incl).flat() != identity_morphism(i).flat()).any():
         raise VerificationFailure("idempotent image retraction failed")
-    if (r2.compose(u2).flat() != identity_morphism(i2).flat()).any():
-        raise VerificationFailure("idempotent image retraction failed")
-    return (i1, u1, r1), (i2, u2, r2)
+    return i, incl, onto
 
 
 def end_radical(x):
@@ -801,7 +797,9 @@ def _decompose(x):
             y._cache["end_radical"] = (ed, rad)
             out.append((y, incl_to_x, proj_from_x))
             return
-        (i1, u1, r1), (i2, u2, r2) = _split_idempotent(y, _verified_idempotent(ed, e))
+        em = _verified_idempotent(ed, e)
+        i1, u1, r1 = _idempotent_image(em)
+        i2, u2, r2 = _idempotent_image(identity_morphism(y).add(em.scale(y.p - 1)))
         if i1.total_dim == 0 or i2.total_dim == 0:
             raise VerificationFailure("trivial split from claimed nontrivial idempotent")
         if i1.total_dim + i2.total_dim != y.total_dim:
@@ -820,43 +818,20 @@ def _decompose(x):
 
 
 def is_isomorphic(x, y):
-    if x.dim_vector() != y.dim_vector():
-        return False
-    if x.total_dim == 0:
-        return True
-    dx = decompose(x)
-    dy = decompose(y)
-    if len(dx) != len(dy):
-        return False
-    used = [False] * len(dy)
-    for (sx, _, _) in dx:
-        found = False
-        for j, (sy, _, _) in enumerate(dy):
-            if not used[j] and _is_iso_indec(sx, sy):
-                used[j] = True
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    """Whether X and Y are isomorphic: by Krull-Schmidt, whether add X = add Y
+    with multiplicities, i.e. each isomorphism class of indecomposable
+    summands holds as many summands of X as of Y."""
+    return x.dim_vector() == y.dim_vector() and all(
+        cl.count(0) == cl.count(1) for cl in summand_classes([x, y]))
 
 
 def _is_iso_indec(x, y):
-    """Isomorphism test for modules already known to be indecomposable."""
+    """Isomorphism test for modules already known to be indecomposable: some
+    v o u with u: X -> Y, v: Y -> X basis maps is invertible, as End(X) is local."""
     if x.dim_vector() != y.dim_vector():
         return False
-    if x.total_dim == 0:
-        return True
-    fwd = hom_space(x, y)
-    bwd = hom_space(y, x)
-    if not fwd or not bwd:
-        return False
-    for u in fwd:
-        for v in bwd:
-            w = v.compose(u)
-            if w.is_iso():
-                return True
-    return False
+    fwd, bwd = hom_space(x, y), hom_space(y, x)
+    return any(v.compose(u).is_iso() for u in fwd for v in bwd)
 
 
 def iso_classes(reps):
@@ -871,6 +846,14 @@ def iso_classes(reps):
         else:
             classes.append([k])
     return classes
+
+
+def summand_classes(mods):
+    """The isomorphism classes of the indecomposable summands of all of mods,
+    in order of first appearance; each class lists, per member summand, the
+    index into mods of the module it came from."""
+    owners = [(k, s) for k, m in enumerate(mods) for s, _, _ in decompose(m)]
+    return [[owners[i][0] for i in cl] for cl in iso_classes([s for _, s in owners])]
 
 
 # --- right minimality and right equivalence ----------------------------------
@@ -904,10 +887,7 @@ def right_minimalize(f):
         em = _verified_idempotent(ed, e)
         if cur.compose(em).flat().any():
             raise VerificationFailure("idempotent not killed by the map")
-        comp = identity_morphism(src).add(em.scale(p - 1))  # 1 - e
-        knew, uk, rk = image(comp)
-        if (rk.compose(uk).flat() != identity_morphism(knew).flat()).any():
-            raise VerificationFailure("retraction failure during minimalization")
+        knew, uk, rk = _idempotent_image(identity_morphism(src).add(em.scale(p - 1)))  # 1 - e
         cur = cur.compose(uk)
         split_acc = rk.compose(split_acc)
     else:

@@ -1,9 +1,11 @@
 import functools
+import random
 
 import pytest
 
-from auskit import ar, catalog, factor, lattice, rep
+from auskit import ar, catalog, determine, factor, lattice, rep
 from auskit.errors import VerificationFailure
+from helpers import rebased
 
 
 def _lam(A):
@@ -158,3 +160,23 @@ def test_facts_depend_on_add_c(name, extra):
     A, c, y = catalog.resolve_instance(name)
     x = c if extra == "C" else rep.decompose(c)[0][0]
     assert _add_c_facts(rep.direct_sum(A, [c, x])[0], y) == _instance_facts(name)
+
+
+@pytest.mark.parametrize("name", ["a2-epi", "kron2-ex4", "loop-b-ex8"])
+def test_determination_depends_on_add_c(name):
+    # C' runs over C and over C without one class of its summands; X'^g, the
+    # first summand of C' in a random basis, leaves add C' as it is, so each
+    # class f is determined by C' + X'^g exactly when it is determined by C'
+    A, c, y = catalog.resolve_instance(name)
+    fl = factor.FactorizationLattice.build(c, y, certify=False)
+    summ = [s for s, _, _ in rep.decompose(c)]
+    variants = [c]
+    for cl in rep.iso_classes(summ):
+        keep = [s for k, s in enumerate(summ) if k not in cl]
+        if keep:
+            variants.append(rep.direct_sum(A, keep)[0])
+    rng = random.Random(name)
+    for cp in variants:
+        cg = rep.direct_sum(A, [cp, rebased(rep.decompose(cp)[0][0], rng)])[0]
+        for rc in fl.classes:
+            assert determine.is_right_determined(rc.f, cg) == determine.is_right_determined(rc.f, cp)

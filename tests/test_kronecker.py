@@ -93,6 +93,20 @@ def test_strongly_regular_counts(kron2):
         assert m.total_dim == 4
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_strongly_regular_count_formula(p, n):
+    # one indecomposable per tube: (q^{n+1} - 1)/(q - 1) modules of dimension 2n;
+    # for n = 3 two from one tube (R[lam,1] + R[lam,2]) would add q + 1 more
+    A = kr.kronecker_algebra(2, p)
+    fam = kr.enumerate_strongly_regular(A, 2 * n)
+    assert len(fam) == (p ** (n + 1) - 1) // (p - 1)
+    for m, labs in fam:
+        tubes = [lab for lab, _ in labs]
+        assert len(set(tubes)) == len(tubes)
+        assert m.total_dim == 2 * n
+
+
 def test_shape_table(kron2):
     rows, ok = kr.verify_table(2, max_sum=2, max_t=2)
     assert ok
@@ -112,6 +126,12 @@ def test_sigma_check(kron2):
 
     rpt = kr.sigma_check(kron2, 0, 1)
     assert rpt["ok"] and rpt["classes"] == 1 and rpt["dim"] == 0
+
+
+def test_sigma_check_dimension_six(kron2):
+    # 15 length-one classes P_3 -> Q_1 against the 15 strongly regular modules of dimension 6
+    rpt = kr.sigma_check(kron2, 3, 1)
+    assert rpt["ok"] and rpt["classes"] == 15 and rpt["family"] == 15 and rpt["dim"] == 6
 
 
 def test_maximal_submodules_of_q1_are_strongly_regular(kron2):

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from auskit import algebra, ar, determine, lattice, rep
-from auskit.ffmat import Subspace, enumerate_subspaces, inv
-from helpers import rand_mat
+from auskit.ffmat import Subspace, enumerate_subspaces
+from helpers import rebased
 
 ALGEBRAS = {
     "kron2": "vertices a b\narrow x b a\narrow y b a\n",
@@ -36,23 +36,6 @@ def _pool(A):
     return [m for m in out if 0 < m.total_dim <= 4]
 
 
-def _rebased(x, rng):
-    """x in a random basis at each vertex."""
-    p = x.p
-    s = []
-    for d in x.dims:
-        while True:
-            m = rand_mat(rng, d, d, p).reshape(d, d)
-            if d == 0 or inv(m, p) is not None:
-                s.append(m)
-                break
-    mats = {}
-    for ai, (_, u, v) in enumerate(x.A.quiver.arrows):
-        su_inv = inv(s[u], p) if x.dims[u] else s[u]
-        mats[ai] = (s[v] @ x.mats[ai] @ su_inv) % p
-    return rep.Rep(x.A, x.dims, mats)
-
-
 def _modules(name, p, count, cap, seed):
     A = algebra.parse_algebra_file("field %d\n%s" % (p, ALGEBRAS[name]), name=name)
     pool = _pool(A)
@@ -62,7 +45,7 @@ def _modules(name, p, count, cap, seed):
         parts = rng.sample(pool, rng.choice((1, 2)))
         x = parts[0] if len(parts) == 1 else rep.direct_sum(A, parts)[0]
         if x.total_dim <= cap:
-            out.append(_rebased(x, rng))
+            out.append(rebased(x, rng))
     return A, out
 
 
@@ -99,7 +82,7 @@ def test_gamma_lattice_matches_brute_force(name, p):
     # C = X + X^g with X^g a random rebasing of X: conjugate summand idempotents,
     # of which the search seeds from one per class
     rng = random.Random(20 + p)
-    doubled = [rep.direct_sum(A, [x, _rebased(x, rng)])[0] for x in mods]
+    doubled = [rep.direct_sum(A, [x, rebased(x, rng)])[0] for x in mods]
     checked = repeated = 0
     for c, y in itertools.chain(itertools.product(mods, repeat=2), itertools.product(doubled, mods)):
         gh = determine.GammaHom(c, y)

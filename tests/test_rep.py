@@ -2,13 +2,14 @@
 right minimalization and the right-factorization order."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from auskit import algebra, ar, ffmat, kronecker as kr, rep
 from auskit.errors import VerificationFailure
-from helpers import _counting
+from helpers import _counting, rebased
 
 
 def dv(m):
@@ -98,6 +99,24 @@ def test_is_isomorphic(a2):
     d2 = rep.direct_sum(a2, [pb, pa])[0]
     assert rep.is_isomorphic(d1, d2)
     assert not rep.is_isomorphic(d1, rep.direct_sum(a2, [pa, pa])[0])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_isomorphism_reads_summand_multiplicities(p):
+    # R[0,1]^2 + R[1,1] and R[0,1] + R[1,1]^2 share the dimension vector (3,3)
+    A = kr.kronecker_algebra(2, p)
+    r0, r1 = kr.kR(A, 0, 1), kr.kR(A, 1, 1)
+    x = rep.direct_sum(A, [r0, r0, r1])[0]
+    y = rep.direct_sum(A, [r0, r1, r1])[0]
+    assert x.dim_vector() == y.dim_vector() == (3, 3)
+    assert not rep.is_isomorphic(x, y)
+    rng = random.Random(p)
+    for parts in ([r0, r0, r1], [r0, r1, r1]):
+        shuffled = [rebased(m, rng) for m in rng.sample(parts, len(parts))]
+        mixed = rebased(rep.direct_sum(A, shuffled)[0], rng)  # no longer block diagonal
+        assert rep.is_isomorphic(rep.direct_sum(A, parts)[0], mixed)
+    classes = rep.summand_classes([x, y, r1])
+    assert sorted((cl.count(0), cl.count(1), cl.count(2)) for cl in classes) == [(1, 2, 1), (2, 1, 0)]
 
 
 def test_right_minimalize(a2):
