@@ -152,7 +152,12 @@ def almost_factors_strictly(f, pr):
 
 
 def minimal_determiner(f):
-    """Indecomposables generating the minimal right determiner of f."""
+    """Indecomposables generating the minimal right determiner of f, as a
+    tuple memoized per algebra by the content of f."""
+    return f.src.A.memoized(("determiner", f.key()), lambda: _minimal_determiner(f))
+
+
+def _minimal_determiner(f):
     fmin, _ = rep.right_minimalize(f)
     k, _ = rep.kernel(fmin)
     A = f.src.A
@@ -166,14 +171,14 @@ def minimal_determiner(f):
     for v in range(A.nv):
         if almost_factors_strictly(fmin, A.proj(v)):
             parts.append(A.proj(v))
-    return parts
+    return tuple(parts)
 
 
 def is_right_determined(f, c):
     """Whether f is right C-determined: by Auslander's criterion, whether its
     minimal determiner lies in add C, i.e. every class of summands that holds
     a summand of C(f) also holds one of C."""
-    return all(0 in cl for cl in rep.summand_classes([c] + minimal_determiner(f)))
+    return all(0 in cl for cl in rep.summand_classes([c, *minimal_determiner(f)]))
 
 
 def default_probes(f, c, count=20, seed=0):

@@ -4,6 +4,11 @@ Matrices are numpy int64 arrays with entries in {0, ..., p-1}; the modulus is
 passed explicitly.  Reduced row echelon form is the canonical representative
 used everywhere: two subspaces are equal iff their rref bases are bytewise
 equal, which is what makes deduplication by key sound.
+
+There is one field test: frobenius reads r -> r^p on a commutative matrix
+algebra, and tells a field from a product of local rings.  Irreducibility of
+a polynomial c is that test on F_p[x]/(c), the polynomials in the companion
+matrix of c, and rep splits the local endomorphism rings with it.
 """
 
 import bisect
@@ -332,11 +337,6 @@ def poly_trim(c):
     return c[: nz[-1] + 1].copy()
 
 
-def poly_deg(c):
-    c = poly_trim(c)
-    return -1 if (len(c) == 1 and c[0] == 0) else len(c) - 1
-
-
 def poly_add(a, b, p):
     n = max(len(a), len(b))
     out = zeros(1, n)[0]
@@ -349,53 +349,60 @@ def poly_scale(a, s, p):
     return poly_trim((np.asarray(a, dtype=INT) * (s % p)) % p)
 
 
-def poly_mul(a, b, p):
-    return poly_trim(np.convolve(a, b) % p)
+def companion(coeffs, p):
+    """Companion matrix of a monic polynomial c given highest-first: x acting
+    on F_p[x]/(c) in the basis 1, x, ..., x^(d-1)."""
+    d = len(coeffs) - 1
+    m = zeros(d, d)
+    m[1:, :-1] = identity(d - 1)
+    m[:, -1] = -np.asarray(coeffs[:0:-1], dtype=INT) % p
+    return m
 
 
-def poly_divmod(a, b, p):
-    a = poly_trim(amod(a, p))
-    b = poly_trim(amod(b, p))
-    db = poly_deg(b)
-    if db < 0:
-        raise VerificationFailure("polynomial division by zero")
-    q = zeros(1, max(len(a) - db, 1))[0]
-    r = a.copy()
-    binv = inv_mod(b[db], p)
-    while poly_deg(r) >= db:
-        d = poly_deg(r)
-        c = (r[d] * binv) % p
-        q[d - db] = c
-        r = r.copy()
-        r[d - db : d + 1] = (r[d - db : d + 1] - c * b) % p
-    return poly_trim(q), poly_trim(r)
+def polynomial_algebra(a, p):
+    """F_p[a] for a square matrix a, as the (basis, coords) pair frobenius
+    reads: an echelon basis stack of the span of 1, a, ..., a^(n-1)
+    (Cayley-Hamilton) and the reader of coordinate rows over it."""
+    n = a.shape[0]
+    powers = [identity(n)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ a % p)
+    span = Subspace(np.reshape(powers, (n, n * n)), n * n, p)
+    return span.B.reshape(-1, n, n), lambda ms: span.coords(np.reshape(ms, (len(ms), -1)))
 
 
-def poly_gcd(a, b, p):
-    a, b = poly_trim(amod(a, p)), poly_trim(amod(b, p))
-    while poly_deg(b) >= 0:
-        a, b = b, poly_divmod(a, b, p)[1]
-    if poly_deg(a) >= 0:
-        a = poly_scale(a, inv_mod(a[poly_deg(a)], p), p)
-    return a
+def frobenius(basis, coords, p):
+    """(injective, fixed, one) for r -> r^p on a commutative matrix algebra R
+    over F_p, R given by a (k, n, n) basis stack and coords, the reader of the
+    coordinate rows of a stack of members.
+
+    The map is F_p-linear because R is commutative of characteristic p.
+    injective says whether it is (R has no nilpotents), fixed holds rows
+    spanning its fixed space and one the coordinates of 1.  A fixed element
+    is killed by x^p - x, so it is semisimple with eigenvalues in F_p, and
+    the fixed elements are the F_p-combinations of the primitive idempotents
+    of R (Berlekamp).  So R is a field iff the map is injective and fixes
+    only the scalars, and for a fixed s outside F_p and an eigenvalue
+    lambda of s, s - lambda is neither nilpotent nor a unit.
+    """
+    powers = basis
+    for _ in range(p - 1):
+        powers = np.einsum("aij,ajk->aik", powers, basis) % p
+    frob = coords(powers)
+    fixed = kernel((frob.T - identity(len(frob))) % p, p)
+    return rank(frob, p) == len(frob), fixed, coords(identity(basis.shape[-1])[None])[0]
 
 
 def poly_is_irreducible(c, p):
-    """Whether c has positive degree and no factor of smaller positive degree.
-
-    Ben-Or's test: gcd(c, t^(p^i) - t) = 1 for every i <= deg(c) / 2.
-    """
+    """Whether c has positive degree and no factor of smaller positive degree,
+    i.e. whether F_p[x]/(c), the polynomials in the companion matrix of c
+    made monic, is a field."""
     c = poly_trim(amod(c, p))
-    t = np.array([0, 1], dtype=INT)
-    h = t
-    for _ in range(poly_deg(c) // 2):
-        hp = np.array([1], dtype=INT)
-        for _ in range(p):
-            hp = poly_divmod(poly_mul(hp, h, p), c, p)[1]
-        h = hp
-        if poly_deg(poly_gcd(c, poly_add(h, (-t) % p, p), p)) > 0:
-            return False
-    return poly_deg(c) > 0
+    if len(c) < 2:
+        return False
+    monic = c[::-1] * inv_mod(c[-1], p) % p
+    injective, fixed, _ = frobenius(*polynomial_algebra(companion(monic, p), p), p)
+    return injective and len(fixed) == 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -407,15 +414,6 @@ def monic_irreducibles(p, d):
 
 def is_prime(n):
     return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
-
-
-def poly_eval_mat(c, a, p):
-    """Evaluate the polynomial at a square matrix (Horner)."""
-    n = a.shape[0]
-    out = zeros(n, n)
-    for coeff in reversed(poly_trim(c)):
-        out = (out @ a + int(coeff) * identity(n)) % p
-    return out
 
 
 def charpoly(a, p):

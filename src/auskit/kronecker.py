@@ -56,22 +56,11 @@ def _jordan(lam, t, p):
     return m % p
 
 
-def _companion(coeffs, p):
-    """Companion matrix of a monic polynomial given highest-first."""
-    d = len(coeffs) - 1
-    m = zeros(d, d)
-    for i in range(d - 1):
-        m[i + 1, i] = 1
-    for i in range(d):
-        m[i, d - 1] = (-coeffs[d - i]) % p
-    return m
-
-
 def _poly_jordan(coeffs, t, p):
     """Block Jordan matrix with t companion blocks of the polynomial."""
     d = len(coeffs) - 1
     m = zeros(t * d, t * d)
-    c = _companion(coeffs, p)
+    c = ffmat.companion(coeffs, p)
     for b in range(t):
         m[b * d : (b + 1) * d, b * d : (b + 1) * d] = c
         if b + 1 < t:

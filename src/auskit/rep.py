@@ -556,7 +556,7 @@ def structure(x):
 # a field (Lux-Szoke, Computing decompositions of modules over
 # finite-dimensional algebras, Exp. Math. 2007).
 
-SPLIT_CANDIDATES = 64  # seeded random elements tried when End/J is not commutative
+SPLIT_CANDIDATES = 64  # seeded random a whose F_p[a] is split when End/J is not commutative
 
 
 class EndData:
@@ -619,25 +619,33 @@ def _fitting_projection(b, p):
     return (basis[:, : im.dim] @ inv[: im.dim]) % p
 
 
-def _fitting_split(a, p, maxdeg=1):
-    """A nontrivial Fitting projection of g(a), g monic irreducible over F_p of
-    degree at most maxdeg, or None.
-
-    The shifts a - lambda come first.  The search stops at the first g with
-    g(a) nilpotent: the minimal polynomial of a is then a power of g, so no
-    other g(a) splits.
+def _fitting_split(a, p):
+    """A nontrivial Fitting projection of a shift a - lambda, lambda in F_p, or
+    None.  The search stops at the first nilpotent shift: a then has the one
+    eigenvalue lambda, so no other shift splits.
     """
     one = identity(a.shape[0])
-    shifts = ((a - lam * one) % p for lam in range(p))
-    higher = (ffmat.poly_eval_mat(g[::-1], a, p)
-              for d in range(2, maxdeg + 1) for g in ffmat.monic_irreducibles(p, d))
-    for b in itertools.chain(shifts, higher):
-        e = _fitting_projection(b, p)
+    for lam in range(p):
+        e = _fitting_projection((a - lam * one) % p, p)
         if not e.any():
             return None
         if (e != one).any():
             return e
     return None
+
+
+def _frobenius_split(basis, coords, p):
+    """(injective, e) for the commutative algebra R that ffmat.frobenius reads
+    from basis and coords: e is the nontrivial Fitting projection of a shift of
+    the first fixed element outside F_p, or None when R fixes only F_p."""
+    injective, fixed, one = ffmat.frobenius(basis, coords, p)
+    for s in fixed:
+        if ffmat.rank(np.array([one, s]), p) == 2:
+            e = _fitting_split(np.tensordot(s, basis, 1) % p, p)
+            if e is None:
+                raise VerificationFailure("a Frobenius-fixed element outside F_p does not split")
+            return injective, e
+    return injective, None
 
 
 def is_nilpotent(mats, p):
@@ -691,12 +699,12 @@ def _split_or_certify(ed):
     (None, J) with J = rad End(X) certified and End/J a field.
 
     Candidates a - lambda for the basis elements a are tried first; only when
-    none splits is J computed.  If End/J is commutative, its Frobenius map
-    s -> s^p is injective (J is the whole radical) and its fixed elements are
-    F_p exactly when End/J is a field; a fixed s outside F_p has an
-    eigenvalue lambda in F_p, and s - lambda splits.  A noncommutative End/J
-    is split by g(a) for one of SPLIT_CANDIDATES seeded random elements a and
-    g monic irreducible of degree at most dim End/J, or this raises.
+    none splits is J computed.  A commutative End/J goes to ffmat.frobenius:
+    its Frobenius map must be injective (J is the whole radical), End/J is a
+    field exactly when only F_p is fixed, and a fixed element outside F_p
+    splits after a shift.  A noncommutative End/J is split through the
+    commutative subalgebra F_p[a], read the same way, for one of
+    SPLIT_CANDIDATES seeded random elements a, or this raises.
     """
     p, n = ed.p, ed.x.total_dim
     if ed.dim == 1:  # End = F_p, a field
@@ -714,26 +722,14 @@ def _split_or_certify(ed):
 
     prods = np.einsum("aij,bjk->abik", qmats, qmats)
     if not residues((prods - prods.transpose(1, 0, 2, 3)).reshape(-1, n, n) % p).any():
-        powers = qmats
-        for _ in range(p - 1):
-            powers = np.einsum("aij,ajk->aik", powers, qmats) % p
-        frob = residues(powers).T
-        if ffmat.rank(frob, p) < len(free):
+        injective, e = _frobenius_split(qmats, residues, p)
+        if not injective:
             raise VerificationFailure("End/J has nilpotents, so J is not the radical")
-        fixed = ffmat.kernel((frob - identity(len(free))) % p, p)
-        if len(fixed) == 1:
-            return None, rad
-        one = residues(identity(n)[None])[0]
-        for s in fixed:
-            if ffmat.rank(np.array([one, s]), p) == 2:
-                e = _fitting_split(np.tensordot(s, qmats, 1) % p, p)
-                if e is not None:
-                    return e, None
-        raise VerificationFailure("no Frobenius-fixed element of End/J splits")
+        return (None, rad) if e is None else (e, None)
     rng = random.Random(0)
     for _ in range(SPLIT_CANDIDATES):
         a = ed.to_mats([[rng.randrange(p) for _ in range(ed.dim)]])[0]
-        e = _fitting_split(a, p, len(free))
+        _, e = _frobenius_split(*ffmat.polynomial_algebra(a, p), p)
         if e is not None:
             return e, None
     raise VerificationFailure(

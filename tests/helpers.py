@@ -3,7 +3,7 @@
 import numpy as np
 
 from auskit import rep
-from auskit.ffmat import INT, inv
+from auskit.ffmat import INT, amod, identity, inv, zeros
 
 
 def rand_mat(rng, m, n, p):
@@ -35,3 +35,24 @@ def _counting(fn, calls):
         calls.append(args)
         return fn(*args)
     return counted
+
+
+def mul_vec(A, u, v):
+    """Product of two elements of the algebra A in basis coordinates."""
+    return np.einsum("i,j,ijl->l", amod(u, A.p), amod(v, A.p), A.mul_table) % A.p
+
+
+def yoneda(A, v, module, vec):
+    """Morphism P(v) -> module sending e_v to vec (an element of module at v)."""
+    v = A._vertex_of(v)
+    vec = amod(vec, A.p).reshape(module.dims[v])
+    return rep.Morphism(A.proj(v), module, [(module.path_stack(v, w) @ vec).T for w in range(A.nv)])
+
+
+def poly_eval_mat(c, a, p):
+    """The polynomial with ascending coefficients c at the square matrix a (Horner)."""
+    n = a.shape[0]
+    out = zeros(n, n)
+    for coeff in reversed(list(c)):
+        out = (out @ a + int(coeff) * identity(n)) % p
+    return out

@@ -5,6 +5,7 @@ import pytest
 
 from auskit import algebra, rep
 from auskit.errors import BadRelation, NotFiniteDimensional, ParseError
+from helpers import mul_vec, yoneda
 
 
 def dv(m):
@@ -106,10 +107,26 @@ def test_unit_and_products(a2):
     ea = a2.nf((q.vertex_index("a"), ()))
     eb = a2.nf((b, ()))
     v = a2.nf(al)
-    assert (a2.mul_vec(a2.unit, v) == v).all()
-    assert (a2.mul_vec(v, eb) == v).all()
-    assert not a2.mul_vec(v, ea).any()
-    assert not a2.mul_vec(v, v).any()
+    assert (mul_vec(a2, a2.unit, v) == v).all()
+    assert (mul_vec(a2, v, eb) == v).all()
+    assert not mul_vec(a2, v, ea).any()
+    assert not mul_vec(a2, v, v).any()
+
+
+def test_self_check_compares_every_triple():
+    # linear A_9 over F_2 has dimension 45; one corrupted product in its
+    # table must break associativity, whichever triple shows it
+    names = ["v%d" % i for i in range(9)]
+    text = "field 2\nvertices %s\n" % " ".join(names)
+    text += "".join("arrow a%d %s %s\n" % (i, names[i + 1], names[i]) for i in range(8))
+    A = algebra.parse_algebra_file(text)
+    assert A.dim == 45
+    for i, j, l in ((30, 36, 1), (36, 21, 23), (28, 12, 44), (12, 19, 11)):
+        A.mul_table[i, j, l] ^= 1
+        with pytest.raises(BadRelation, match="not associative"):
+            A._self_check()
+        A.mul_table[i, j, l] ^= 1
+    A._self_check()
 
 
 def test_opposite_involution(a3rad):
@@ -122,7 +139,7 @@ def test_opposite_involution(a3rad):
 
 def test_yoneda_and_right_mult(a2):
     qa = a2.inj("a")
-    f = a2.yoneda("b", qa, [1])
+    f = yoneda(a2, "b", qa, [1])
     assert f.is_iso()
     r = a2.right_mult(a2.quiver.arrow_index("alpha"))
     assert dv(r.src) == (1, 0) and dv(r.tgt) == (1, 1)

@@ -10,6 +10,7 @@ from auskit import ar, catalog, ffmat, rep
 from auskit import kronecker as kr
 from auskit.errors import VerificationFailure
 from auskit.ffmat import zeros
+from helpers import yoneda
 from test_hom import _generator_pools
 from test_lattice_oracle import CASES, _modules
 
@@ -30,7 +31,7 @@ def _reference_cover(m):
     p0, _, projs = rep.direct_sum(A, [A.proj(v) for v in verts])
     cover = rep.zero_morphism(p0, m)
     for i, v in enumerate(verts):
-        cover = cover.add(A.yoneda(v, m, vecs[i]).compose(projs[i]))
+        cover = cover.add(yoneda(A, v, m, vecs[i]).compose(projs[i]))
     return p0, cover, verts, vecs
 
 

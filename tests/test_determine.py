@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from auskit import ar, catalog, determine, factor, rep
-from auskit.algebra import parse_module_expr
+from auskit.algebra import parse_algebra_file, parse_module_expr
 from auskit.errors import VerificationFailure
 from helpers import _counting
 
@@ -107,6 +107,20 @@ def test_example5_determiners(a3lin):
     assert len(dfp) == 1 and rep.is_isomorphic(dfp[0], sc)
     df = determine.minimal_determiner(f)
     assert len(df) == 1 and rep.is_isomorphic(df[0], qb)
+
+
+def test_minimal_determiner_is_memoized(monkeypatch):
+    # a fresh algebra, so no earlier test has stored the determiner of f
+    a3 = parse_algebra_file("field 2\nvertices a b c\narrow alpha b a\narrow beta c b\n")
+    _, qb, sc, _, _, f = _example5_maps(a3)
+    c = rep.direct_sum(a3, [qb, sc])[0]
+    calls = []
+    monkeypatch.setattr(rep, "right_minimalize", _counting(rep.right_minimalize, calls))
+    assert determine.is_right_determined(f, c)
+    det = determine.minimal_determiner(f)
+    assert len(calls) == 1
+    assert isinstance(det, tuple) and len(det) == 1 and rep.is_isomorphic(det[0], qb)
+    assert a3.memo_stats()["determiner"] == (1, 1)
 
 
 def test_example5_determination_matrix(a3lin):

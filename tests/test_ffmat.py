@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -12,14 +13,11 @@ from auskit.ffmat import (
     gaussian_binomial,
     kernel,
     minpoly,
-    poly_divmod,
-    poly_gcd,
-    poly_mul,
     rank,
     rref,
     solve_all,
 )
-from helpers import rand_mat
+from helpers import poly_eval_mat, rand_mat
 
 
 def test_rref_collapses_equal_rows():
@@ -151,7 +149,7 @@ def test_charpoly_consistent_with_determinant():
         cp = charpoly(a, p)
         assert len(cp) == n + 1 and cp[n] == 1
         # Cayley-Hamilton
-        assert not ffmat.poly_eval_mat(cp, a, p).any()
+        assert not poly_eval_mat(cp, a, p).any()
 
 
 def test_minpoly():
@@ -167,19 +165,47 @@ def test_minpoly_divides_charpoly():
         p = rng.choice([2, 3])
         a = rand_mat(rng, n, n, p)
         mp = minpoly(a, p)
-        _, rem = poly_divmod(charpoly(a, p), mp, p)
-        assert ffmat.poly_deg(rem) == -1
-        assert not ffmat.poly_eval_mat(mp, a, p).any()
+        # mp divides charpoly iff charpoly kills the companion matrix of mp,
+        # whose minimal polynomial is mp
+        assert not poly_eval_mat(charpoly(a, p), ffmat.companion(mp[::-1], p), p).any()
+        assert not poly_eval_mat(mp, a, p).any()
 
 
-def test_poly_arithmetic():
-    # (x+1)^2 = x^2+1 over F_2
-    assert poly_mul([1, 1], [1, 1], 2).tolist() == [1, 0, 1]
-    g = poly_gcd([1, 0, 1], [1, 1], 2)
-    assert g.tolist() == [1, 1]
-    q, r = poly_divmod([1, 0, 0, 1], [1, 1], 2)  # x^3+1 = (x+1)(x^2+x+1)
-    assert r.tolist() == [0]
-    assert q.tolist() == [1, 1, 1]
+def _monic(p, d):
+    """Every monic polynomial of degree d over F_p, ascending coefficients."""
+    return [tail + (1,) for tail in itertools.product(range(p), repeat=d)]
+
+
+@pytest.mark.parametrize("p, maxdeg", [(2, 5), (3, 5), (5, 3)])
+def test_poly_is_irreducible_against_products(p, maxdeg):
+    # a monic c of positive degree is reducible iff it is the product of two
+    # monic factors of positive degree
+    reducible = {tuple(int(x) for x in np.convolve(a, b) % p)
+                 for d in range(2, maxdeg + 1) for i in range(1, d // 2 + 1)
+                 for a in _monic(p, i) for b in _monic(p, d - i)}
+    for d in range(maxdeg + 1):
+        for c in _monic(p, d):
+            want = d > 0 and c not in reducible
+            assert ffmat.poly_is_irreducible(c, p) == want, c
+            # non-monic multiples, and zero coefficients above the top one
+            for s in range(2, p):
+                assert ffmat.poly_is_irreducible([s * x for x in c], p) == want, (s, c)
+            assert ffmat.poly_is_irreducible(c + (0, p), p) == want, c
+    for c in ([], [0], [0, 0, p], [1], [p - 1, 0]):
+        assert not ffmat.poly_is_irreducible(c, p), c
+
+
+def test_frobenius_of_a_product_of_fields():
+    # F_2[x]/((x^2+x+1)(x+1)) = F_4 x F_2: injective, fixed space spanned by
+    # the two primitive idempotents, 1 among them
+    basis, coords = ffmat.polynomial_algebra(ffmat.companion([1, 0, 0, 1], 2), 2)
+    injective, fixed, one = ffmat.frobenius(basis, coords, 2)
+    assert injective and len(fixed) == 2
+    assert Subspace(fixed, 3, 2).contains(one)
+    # F_2[x]/(x^2 (x + 1)) has the nilpotent x
+    basis, coords = ffmat.polynomial_algebra(ffmat.companion([1, 1, 0, 0], 2), 2)
+    injective, fixed, _ = ffmat.frobenius(basis, coords, 2)
+    assert not injective and len(fixed) == 2
 
 
 def test_zassenhaus_vs_pointwise():

@@ -9,7 +9,7 @@ import pytest
 
 from auskit import algebra, ar, ffmat, kronecker as kr, rep
 from auskit.errors import VerificationFailure
-from helpers import _counting, rebased
+from helpers import _counting, rebased, yoneda
 
 
 def dv(m):
@@ -121,7 +121,7 @@ def test_isomorphism_reads_summand_multiplicities(p):
 
 def test_right_minimalize(a2):
     pa, pb, qa = a2.proj("a"), a2.proj("b"), a2.inj("a")
-    f1 = a2.yoneda("b", qa, [1])
+    f1 = yoneda(a2, "b", qa, [1])
     d, incls, projs = rep.direct_sum(a2, [pb, pa])
     f = f1.compose(projs[0])
     fmin, split = rep.right_minimalize(f)
@@ -136,7 +136,7 @@ def test_right_minimalize(a2):
 
 def test_right_leq_and_equivalence(a2):
     qa = a2.inj("a")
-    f1 = a2.yoneda("b", qa, [1])
+    f1 = yoneda(a2, "b", qa, [1])
     s, incl = rep.soc(qa)
     ok, h = rep.right_leq(incl, f1)
     assert ok
@@ -160,7 +160,7 @@ def test_pullback_meet(a2):
 
 def test_join_map(a2):
     qa = a2.inj("a")
-    f1 = a2.yoneda("b", qa, [1])
+    f1 = yoneda(a2, "b", qa, [1])
     s, incl = rep.soc(qa)
     j = rep.join_map(f1, incl)
     assert j.is_epi()
@@ -170,7 +170,7 @@ def test_join_map(a2):
 
 def test_morphism_checks(a2):
     pb, qa = a2.proj("b"), a2.inj("a")
-    f = a2.yoneda("b", qa, [1])
+    f = yoneda(a2, "b", qa, [1])
     assert f.check() is f
     bad = rep.Morphism(pb, qa, [np.array([[1]]), np.array([[0]])])
     with pytest.raises(VerificationFailure):
@@ -393,23 +393,31 @@ def test_fallback_splits_without_rational_eigenvalues(kron2, monkeypatch):
     ed = rep.EndData(x)
     a = _total(ed, d)
     assert rep._fitting_split(a, 2) is None
-    f = rep._verified_idempotent(ed, rep._fitting_split(a, 2, 3))
+    # F_2[a] = F_8 x F_8, split by a Frobenius-fixed idempotent
+    _, e = rep._frobenius_split(*ffmat.polynomial_algebra(a, 2), 2)
+    f = rep._verified_idempotent(ed, e)
     assert not f.is_zero() and not f.is_iso()
-    # the fallback, driven on a basis where no a - lambda splits
+    # the fallback, driven on a basis where no a - lambda splits, reads
+    # F_2[a] without testing any polynomial for irreducibility
     basis = list(itertools.islice(_shift_proof_basis(x, _end_elements(x)), 12))
     assert len(basis) == len(rep.end_algebra(x)) == 12
-    calls = []
+    calls, algebras, poly_calls = [], [], []
     monkeypatch.setattr(rep, "end_algebra", _counting(lambda x: rep.HomSpace(x, x, basis), calls))
+    monkeypatch.setattr(ffmat, "polynomial_algebra", _counting(ffmat.polynomial_algebra, algebras))
+    monkeypatch.setattr(ffmat, "monic_irreducibles", _counting(ffmat.monic_irreducibles, poly_calls))
+    monkeypatch.setattr(ffmat, "poly_is_irreducible", _counting(ffmat.poly_is_irreducible, poly_calls))
     e, rad = rep._split_or_certify(rep.EndData(x))
     assert len(calls) == 1
-    assert rad is None
+    assert rad is None and algebras and not poly_calls
+    f = rep._verified_idempotent(rep.EndData(x), e)
+    assert not f.is_zero() and not f.is_iso()
 
 
 def _minimalize_cases(a2, kron2, loopb):
     k3 = _f3_kron2()
     out = []
     qa = a2.inj("a")
-    f1 = a2.yoneda("b", qa, [1])
+    f1 = yoneda(a2, "b", qa, [1])
     d, _, projs = rep.direct_sum(a2, [a2.proj("b"), a2.proj("a")])
     out.append(f1.compose(projs[0]))
     sa = a2.simple("a")
