@@ -253,10 +253,12 @@ class Algebra:
     def _self_check(self):
         d, p = self.dim, self.p
         m = self.mul_table
-        lhs = (np.einsum("ijm,mkl->ijkl", m, m) % p)
-        rhs = (np.einsum("jkm,iml->ijkl", m, m) % p)
-        if (lhs != rhs).any():
-            raise BadRelation("multiplication table is not associative")
+        # (b_i b_j) b_k = b_i (b_j b_k), one i at a time: d^3 entries, not d^4
+        for mi in m:
+            lhs = np.einsum("jm,mkl->jkl", mi, m) % p
+            rhs = np.einsum("jkm,ml->jkl", m, mi) % p
+            if (lhs != rhs).any():
+                raise BadRelation("multiplication table is not associative")
         left = np.einsum("i,ijl->jl", self.unit, m) % p
         right = np.einsum("j,ijl->il", self.unit, m) % p
         if (left != np.eye(d, dtype=INT)).any() or (right != np.eye(d, dtype=INT)).any():

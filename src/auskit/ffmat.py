@@ -5,6 +5,14 @@ passed explicitly.  Reduced row echelon form is the canonical representative
 used everywhere: two subspaces are equal iff their rref bases are bytewise
 equal, which is what makes deduplication by key sound.
 
+rref eliminates on Python lists of rows, not on the array.  Its matrices are
+tiny (most have at most 16 entries, many none), and on them a numpy
+elimination spent more on its per-pivot dispatches (find, swap, scale,
+clear) than on arithmetic: list arithmetic takes about a third of the time
+over all the calls of a run, and loses only above about a thousand entries,
+which few calls reach.  rref reduces its input mod p itself, so its callers
+do not.
+
 There is one field test: frobenius reads r -> r^p on a commutative matrix
 algebra, and tells a field from a product of local rings.  Irreducibility of
 a polynomial c is that test on F_p[x]/(c), the polynomials in the companion
@@ -45,32 +53,43 @@ def mat_key(a):
 
 
 def rref(a, p):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    r = amod(a, p).copy()
+    """Reduced row echelon form.  Returns (R, pivot_columns).
+
+    The entries of a need not be reduced mod p.  The pivot of each column is
+    the first nonzero row at or below the current one; the pivot row is
+    scaled to 1 and its column cleared in every other row.  A pivot row is
+    zero left of its pivot, so only the columns from the pivot on change.
+    """
+    r = np.asarray(a, dtype=INT) % p
     if r.ndim != 2:
         r = r.reshape(1, -1)
     m, n = r.shape
+    rows = r.tolist()
     pivots = []
-    row = 0
     for col in range(n):
+        row = len(pivots)
         if row == m:
             break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
+        for piv in range(row, m):
+            if rows[piv][col]:
+                break
+        else:
             continue
-        piv = row + int(nz[0])
-        if piv != row:
-            r[[row, piv]] = r[[piv, row]]
-        if r[row, col] != 1:
-            r[row] = (r[row] * inv_mod(r[row, col], p)) % p
-        colv = r[:, col].copy()
-        colv[row] = 0
-        others = np.nonzero(colv)[0]
-        if others.size:
-            r[others] = (r[others] - np.outer(r[others, col], r[row])) % p
+        prow = rows[piv]
+        rows[piv], rows[row] = rows[row], prow
+        if prow[col] != 1:
+            s = inv_mod(prow[col], p)
+            prow[col:] = [x * s % p for x in prow[col:]]
+        tail = prow[col:]
+        for i, ri in enumerate(rows):
+            f = ri[col]
+            if f and i != row:
+                if p == 2:
+                    ri[col:] = [x ^ y for x, y in zip(ri[col:], tail)]
+                else:
+                    ri[col:] = [(x - f * y) % p for x, y in zip(ri[col:], tail)]
         pivots.append(col)
-        row += 1
-    return r, pivots
+    return np.array(rows, dtype=INT).reshape(m, n), pivots
 
 
 def rank(a, p):
@@ -90,17 +109,15 @@ def kernel_from_rref(r, pivots, n, p):
 
 def kernel(a, p):
     """Basis of {x : a @ x = 0}, as rows.  Shape (dim_ker, ncols)."""
-    a = amod(a, p)
-    n = a.shape[1]
     r, piv = rref(a, p)
-    return kernel_from_rref(r, piv, n, p)
+    return kernel_from_rref(r, piv, r.shape[1], p)
 
 
 def null_space(a, p):
     """{x : a @ x = 0} as a Subspace, from one elimination: over the reversed
     columns each free-column kernel row ends in its identity entry, zero at the
     other free columns, so that basis read backwards is the kernel's RREF."""
-    a = amod(a, p)
+    a = np.asarray(a, dtype=INT)
     n = a.shape[1]
     r, piv = rref(a[:, ::-1], p)
     free = sorted(n - 1 - j for j in set(range(n)) - set(piv))
@@ -113,10 +130,9 @@ def solve_all(a, b, p):
     The particular solution is the canonical one with all free variables
     set to zero, so repeated calls are reproducible.
     """
-    a = amod(a, p)
-    b = amod(b, p).reshape(-1)
-    m, n = a.shape
-    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
+    a = np.asarray(a, dtype=INT)
+    n = a.shape[1]
+    aug = np.concatenate([a, np.reshape(b, (-1, 1))], axis=1)
     r, piv = rref(aug, p)
     if n in piv:
         return None
@@ -134,10 +150,9 @@ def solve(a, b, p):
 
 def solve_mat(a, b, p):
     """Solve a @ x = b columnwise (b a matrix); None if any column fails."""
-    a = amod(a, p)
-    b = amod(b, p)
+    a = np.asarray(a, dtype=INT)
     n = a.shape[1]
-    k = b.shape[1]
+    k = np.shape(b)[1]
     r, piv = rref(np.concatenate([a, b], axis=1), p)
     if piv and piv[-1] >= n:
         return None
@@ -149,7 +164,7 @@ def solve_mat(a, b, p):
 
 def inv(a, p):
     """Matrix inverse; None if singular."""
-    a = amod(a, p)
+    a = np.asarray(a, dtype=INT)
     n = a.shape[0]
     r, piv = rref(np.concatenate([a, identity(n)], axis=1), p)
     if piv != list(range(n)):
@@ -170,9 +185,8 @@ class Subspace:
     __slots__ = ("B", "n", "p", "pivots")
 
     def __init__(self, rows, n, p):
-        rows = amod(rows, p)
-        rows = zeros(0, n) if rows.size == 0 else rows.reshape(-1, n)
-        r, piv = rref(rows, p)
+        rows = np.asarray(rows, dtype=INT)
+        r, piv = rref(zeros(0, n) if rows.size == 0 else rows.reshape(-1, n), p)
         self.B = r[: len(piv)].copy()
         self.pivots = piv
         self.n = n

@@ -334,12 +334,12 @@ def _hom_rows(x, y):
             maps[-1][cuts[i] : cuts[i + 1], :, starts[i] : starts[i + 1]] = s
     eqs = np.concatenate([zeros(0, starts[-1])] + [
         (om @ t.reshape(len(t), t.shape[1] * starts[-1])).reshape(len(om) * t.shape[1], starts[-1])
-        for (om, _, _), t in zip(rels, maps)]) % p
+        for (om, _, _), t in zip(rels, maps)])
     sol = ffmat.kernel(eqs, p)
     f = _flatten([(t[piv] @ sol.T).transpose(2, 1, 0) @ sec
                   for (_, piv, sec), t in zip(rels, maps)], len(sol))
     # the free-column kernel basis: rref of the reversed columns, reversed back
-    r, piv = ffmat.rref(f[:, ::-1] % p, p)
+    r, piv = ffmat.rref(f[:, ::-1], p)
     if len(piv) != len(f):
         raise VerificationFailure("generator images do not give independent maps")
     rows = r[::-1, ::-1]

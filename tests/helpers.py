@@ -3,7 +3,7 @@
 import numpy as np
 
 from auskit import rep
-from auskit.ffmat import INT, amod, identity, inv, zeros
+from auskit.ffmat import INT, amod, identity, inv, inv_mod, zeros
 
 
 def rand_mat(rng, m, n, p):
@@ -56,3 +56,33 @@ def poly_eval_mat(c, a, p):
     for coeff in reversed(list(c)):
         out = (out @ a + int(coeff) * identity(n)) % p
     return out
+
+
+def rref_reference(a, p):
+    """Reduced row echelon form by a numpy elimination, one column at a time;
+    a reference oracle for ffmat.rref.  Returns (R, pivot_columns)."""
+    r = amod(a, p).copy()
+    if r.ndim != 2:
+        r = r.reshape(1, -1)
+    m, n = r.shape
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row == m:
+            break
+        nz = np.nonzero(r[row:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = row + int(nz[0])
+        if piv != row:
+            r[[row, piv]] = r[[piv, row]]
+        if r[row, col] != 1:
+            r[row] = (r[row] * inv_mod(r[row, col], p)) % p
+        colv = r[:, col].copy()
+        colv[row] = 0
+        others = np.nonzero(colv)[0]
+        if others.size:
+            r[others] = (r[others] - np.outer(r[others, col], r[row])) % p
+        pivots.append(col)
+        row += 1
+    return r, pivots

@@ -1,5 +1,7 @@
 """Algebra construction: bases, projectives/injectives, parsing, module exprs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,21 @@ def test_self_check_compares_every_triple():
             A._self_check()
         A.mul_table[i, j, l] ^= 1
     A._self_check()
+
+
+def test_self_check_memory_is_cubic_in_the_dimension():
+    # both sides of associativity for all d = 45 indices at once take
+    # 2 d^4 int64 entries (62 MiB); one index at a time takes 2 d^3 (1.4 MiB)
+    names = ["v%d" % i for i in range(9)]
+    text = "field 2\nvertices %s\n" % " ".join(names)
+    text += "".join("arrow a%d %s %s\n" % (i, names[i + 1], names[i]) for i in range(8))
+    tracemalloc.start()
+    try:
+        algebra.parse_algebra_file(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
 
 
 def test_opposite_involution(a3rad):

@@ -17,7 +17,7 @@ from auskit.ffmat import (
     rref,
     solve_all,
 )
-from helpers import poly_eval_mat, rand_mat
+from helpers import poly_eval_mat, rand_mat, rref_reference
 
 
 def test_rref_collapses_equal_rows():
@@ -36,6 +36,35 @@ def test_rref_identity_block():
     r, piv = rref([[0, 1, 1], [1, 0, 1]], 2)
     assert piv == [0, 1]
     assert r.tolist() == [[1, 0, 1], [0, 1, 1]]
+
+
+def _rref_inputs(p, rng):
+    """Seeded integer matrices with entries from -2p to 3p: every shape up to
+    9 x 12, dense, sparse and of low rank, some up to 64 x 128, and 1-D rows."""
+    for m in range(10):
+        for n in range(13):
+            yield rng.integers(-2 * p, 3 * p, (m, n))
+            yield rng.integers(-2 * p, 3 * p, (m, n)) * (rng.random((m, n)) < 0.3)
+            k = int(rng.integers(0, min(m, n) + 1))
+            yield rng.integers(-p, 2 * p, (m, k)) @ rng.integers(0, p, (k, n))
+    for m, n, k in ((64, 128, 64), (64, 128, 9), (100, 40, 30), (17, 90, 17)):
+        yield rng.integers(0, p, (m, k)) @ rng.integers(-p, 2 * p, (k, n))
+    for n in (0, 1, 5, 12):
+        yield rng.integers(-2 * p, 3 * p, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rref_matches_the_numpy_elimination(p):
+    rng = np.random.default_rng(1000 + p)
+    for a in _rref_inputs(p, rng):
+        before = a.copy()
+        r, piv = rref(a, p)
+        ref_r, ref_piv = rref_reference(a, p)
+        assert (a == before).all() and a.dtype == before.dtype
+        m, n = (1, a.size) if a.ndim == 1 else a.shape
+        assert r.dtype == np.int64 and r.shape == (m, n)
+        assert r.tobytes() == ref_r.tobytes()
+        assert piv == ref_piv and all(type(c) is int for c in piv)
 
 
 def test_solve_unique():
