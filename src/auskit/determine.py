@@ -13,7 +13,7 @@ import numpy as np
 
 from . import ar, rep
 from .errors import VerificationFailure
-from .ffmat import INT, Subspace, closure, kernel, rank
+from .ffmat import Subspace, closure, kernel, rank
 
 
 class GammaHom:
@@ -27,12 +27,11 @@ class GammaHom:
         self.basis = rep.hom_space(c, y)
         self.n = len(self.basis)
         self.end = rep.end_algebra(c)
-        self.act = np.array([self.action_matrix(phi) for phi in self.end],
-                            dtype=INT).reshape(len(self.end), self.n, self.n)
+        self.act = self.action_matrix(self.end).reshape(self.n, len(self.end), self.n).transpose(1, 0, 2)
         self._simple = None
 
     def action_matrix(self, phi):
-        """Matrix of h -> h o phi on Hom(C,Y) coordinates."""
+        """Matrix of h -> h o phi on Hom(C,Y) coordinates (side by side over a HomSpace phi)."""
         return rep.hom_matrix_precompose(self.basis, phi, self.basis)
 
     def zero_sub(self):

@@ -6,7 +6,6 @@ actions.  Everything downstream (kernels, direct summands, right
 minimalization) reduces to exact linear algebra in ffmat.
 """
 
-import functools
 import itertools
 import random
 
@@ -114,14 +113,6 @@ class Morphism:
             amod(b, p).reshape(tgt.dims[v], src.dims[v]) for v, b in enumerate(blocks)
         ]
 
-    @classmethod
-    def _from_views(cls, src, tgt, blocks):
-        """A morphism on blocks that are already reduced and shaped, kept
-        without a copy (hom_space's basis maps are views of its rows)."""
-        self = cls.__new__(cls)
-        self.src, self.tgt, self.blocks = src, tgt, list(blocks)
-        return self
-
     @property
     def p(self):
         return self.src.p
@@ -198,54 +189,35 @@ def morphism_from_flat(x, y, flat):
 # Math. 2003): the generators g_i at vertices v_i span a complement of rad X,
 # the columns X_s g_i over the basis paths s of P(v_i) span X, and images y_i
 # in Y_{v_i} extend to a map exactly when every linear relation among those
-# columns holds among the Y_s y_i.
+# columns holds among the Y_s y_i.  Every coordinate read and every
+# composition over a basis works on the canonical rows that hom_space keeps.
 
 
-class HomSpace(tuple):
-    """A basis of Hom(X, Y): a tuple of Morphisms that reads coordinates.
-
-    The coordinate reader is the pivot columns of the flattened basis and the
-    inverse of the basis at those columns, so the coordinates of a whole stack
-    of maps cost one product; membership is checked.  A canonical basis (from
-    hom_space) is the identity on its free columns, the last nonzero entry of
-    each row, so its reader needs no RREF; any other costs one on first use.
+class HomSpace:
+    """A basis of Hom(X, Y) as the canonical rows matrix of hom_space, the
+    identity on its free columns (the last nonzero entry of each row): the
+    coordinates of a map are its entries there, checked by one product for a
+    whole stack of maps.  Basis maps are built on request, by indexing.
     """
 
-    def __new__(cls, x, y, basis, canonical=None):
-        self = super().__new__(cls, basis)
-        self.x, self.y = x, y
-        self.width = sum(a * b for a, b in zip(x.dims, y.dims))
-        self._canonical = canonical is not None
-        if self._canonical:
-            self.matrix = canonical
-        return self
+    def __init__(self, x, y, matrix):
+        self.x, self.y, self.matrix = x, y, matrix
 
-    @functools.cached_property
-    def matrix(self):
-        """The basis as rows of flattened maps."""
-        return np.array([f.flat() for f in self], dtype=INT).reshape(len(self), self.width)
+    def __len__(self):
+        return len(self.matrix)
 
-    @functools.cached_property
-    def _reader(self):
-        n, w = len(self), self.width
-        if self._canonical:
-            return list(_last_nonzero(self.matrix)), identity(n)
-        # rref [B | 1] = [T B | T]: T B has its identity columns at the pivots
-        # of B, so T inverts B there; a pivot in the right half means B is
-        # not independent
-        r, piv = ffmat.rref(np.concatenate([self.matrix, identity(n)], axis=1), self.x.p)
-        if piv and piv[-1] >= w:
-            raise VerificationFailure("hom basis is linearly dependent")
-        return piv, r[:, w:]
+    def __getitem__(self, i):
+        """Basis map i, or the list of basis maps of a slice."""
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        return morphism_from_flat(self.x, self.y, self.matrix[i])
 
     def coords(self, flats):
         """Coordinate rows of a stack of flattened maps X -> Y, each checked to
         lie in the span (VerificationFailure otherwise)."""
-        p = self.x.p
-        flats = np.asarray(flats, dtype=INT).reshape(len(flats), self.width)
-        piv, pinv = self._reader
-        c = (flats[:, piv] @ pinv) % p
-        if ((c @ self.matrix) % p != flats).any():
+        flats = np.asarray(flats, dtype=INT).reshape(len(flats), self.matrix.shape[1])
+        c = flats[:, _last_nonzero(self.matrix)]
+        if ((c @ self.matrix) % self.x.p != flats).any():
             raise VerificationFailure("map outside Hom(X, Y)")
         return c
 
@@ -358,9 +330,7 @@ def hom_space(x, y):
     """
     matrix = x.A.memoized(("hom", x.key(), y.key()), lambda: _hom_rows(x, y)).astype(INT)
     matrix.flags.writeable = False
-    stacks = _vertex_blocks(x, y, matrix)
-    maps = [Morphism._from_views(x, y, [s[i] for s in stacks]) for i in range(len(matrix))]
-    return HomSpace(x, y, maps, matrix)
+    return HomSpace(x, y, matrix)
 
 
 def end_algebra(x):
@@ -373,16 +343,23 @@ def morphism_coords(f, basis):
 
 
 def _compose_rows(hom, g, after):
-    """Flattened rows of g o h (after) or of h o g over the basis h of hom."""
-    a, b = (hom.y, g.src) if after else (g.tgt, hom.x)
+    """Flattened rows of g o h (after) or of h o g over the basis h of hom; g
+    is a map or a HomSpace, whose basis maps run g-major over the rows."""
+    if isinstance(g, HomSpace):
+        gx, gy, gs = g.x, g.y, _vertex_blocks(g.x, g.y, g.matrix)
+    else:
+        gx, gy, gs = g.src, g.tgt, [b[None] for b in g.blocks]
+    a, b = (hom.y, gx) if after else (gy, hom.x)
     if a is not b and a.key() != b.key():
         raise VerificationFailure("composition: target of the first map is not the source of the second")
+    k = len(gs[0]) * len(hom)
     hs = _vertex_blocks(hom.x, hom.y, hom.matrix)
-    return _flatten([gv @ hv if after else hv @ gv for gv, hv in zip(g.blocks, hs)], len(hom)) % g.p
+    prods = [gv[:, None] @ hv[None] if after else hv[None] @ gv[:, None] for gv, hv in zip(gs, hs)]
+    return _flatten([m.reshape(k, m.shape[2], m.shape[3]) for m in prods], k) % hom.x.p
 
 
 def hom_matrix_precompose(homxy, g, homzy):
-    """Matrix of (- o g): Hom(X,Y) -> Hom(Z,Y) for g: Z -> X, in given bases."""
+    """Matrix of (- o g): Hom(X,Y) -> Hom(Z,Y) for g: Z -> X (side by side over a HomSpace g)."""
     return homzy.coords(_compose_rows(homxy, g, False)).T
 
 
@@ -826,8 +803,8 @@ def _is_iso_indec(x, y):
     v o u with u: X -> Y, v: Y -> X basis maps is invertible, as End(X) is local."""
     if x.dim_vector() != y.dim_vector():
         return False
-    fwd, bwd = hom_space(x, y), hom_space(y, x)
-    return any(v.compose(u).is_iso() for u in fwd for v in bwd)
+    rows = _compose_rows(hom_space(x, y), hom_space(y, x), True)
+    return any(morphism_from_flat(x, x, r).is_iso() for r in rows)
 
 
 def iso_classes(reps):
@@ -873,7 +850,7 @@ def right_minimalize(f):
         if src.total_dim == 0:
             break
         ed = EndData(src)
-        cols = np.array([cur.compose(b).flat() for b in ed.basis], dtype=INT).T
+        cols = _compose_rows(ed.basis, cur, True).T
         k0_mats = ed.to_mats(ffmat.kernel(cols, p))
         e = next((e for e in (_fitting_projection(h, p) for h in k0_mats) if e.any()), None)
         if e is None:

@@ -3,7 +3,8 @@
 import numpy as np
 
 from auskit import rep
-from auskit.ffmat import INT, amod, identity, inv, inv_mod, zeros
+from auskit.errors import VerificationFailure
+from auskit.ffmat import INT, amod, identity, inv, inv_mod, rref, zeros
 
 
 def rand_mat(rng, m, n, p):
@@ -26,6 +27,38 @@ def rebased(x, rng):
         su_inv = inv(s[u], p) if x.dims[u] else s[u]
         mats[ai] = (s[v] @ x.mats[ai] @ su_inv) % p
     return rep.Rep(x.A, x.dims, mats)
+
+
+class BasisHom:
+    """Hom(X, Y) on any independent list of maps, read through one RREF of
+    [B | 1] = [T B | T]: T B has its identity columns at the pivots of B, so
+    T inverts B there, and a pivot in the right half means B is dependent.
+    A reference reader for the canonical rows of rep.hom_space, and an
+    End(X) basis that tests hand to rep.EndData in place of end_algebra."""
+
+    def __init__(self, x, y, maps):
+        self.x, self.y, self.maps = x, y, list(maps)
+        n, w = len(self.maps), sum(a * b for a, b in zip(x.dims, y.dims))
+        self.matrix = np.array([f.flat() for f in self.maps], dtype=INT).reshape(n, w)
+        r, self.piv = rref(np.concatenate([self.matrix, identity(n)], axis=1), x.p)
+        if self.piv and self.piv[-1] >= w:
+            raise VerificationFailure("hom basis is linearly dependent")
+        self.inv = r[:, w:]
+
+    def __len__(self):
+        return len(self.maps)
+
+    def coords(self, flats):
+        """Coordinate rows of a stack of flattened maps, checked to lie in the span."""
+        flats = np.asarray(flats, dtype=INT).reshape(len(flats), self.matrix.shape[1])
+        c = (flats[:, self.piv] @ self.inv) % self.x.p
+        if ((c @ self.matrix) % self.x.p != flats).any():
+            raise VerificationFailure("map outside Hom(X, Y)")
+        return c
+
+    def element(self, coords):
+        """The morphism with the given coordinates."""
+        return rep.morphism_from_flat(self.x, self.y, (np.asarray(coords, dtype=INT) @ self.matrix) % self.x.p)
 
 
 def _counting(fn, calls):

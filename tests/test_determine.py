@@ -26,6 +26,21 @@ def test_gammahom_basic(a2):
     assert full.dim == 2 and gh.is_submodule(full)
 
 
+def test_gammahom_reads_the_action_in_one_call(kron2, monkeypatch):
+    # the End(C) action comes from one batched composition and one coordinate
+    # read, not one per End(C) basis map; it equals h -> h o phi per map
+    c, _, _ = rep.direct_sum(kron2, [kron2.proj(0), kron2.proj(1)])
+    y = kron2.inj(0)
+    assert len(rep.end_algebra(c)) >= 2
+    calls = []
+    monkeypatch.setattr(rep.HomSpace, "coords", _counting(rep.HomSpace.coords, calls))
+    gh = determine.GammaHom(c, y)
+    assert len(calls) == 1
+    for phi, m in zip(gh.end, gh.act):
+        for j, h in enumerate(gh.basis):
+            assert list(m[:, j]) == list(rep.morphism_coords(h.compose(phi), gh.basis))
+
+
 def test_gamma_loop_local(loopb):
     # End of the 4-dimensional module tau^{-}P(a) is k[t]/t^2
     c = ar.tau_minus(loopb.proj(0))
@@ -179,7 +194,7 @@ def test_eta_respects_factorization(kron2):
     y = kron2.inj(0)
     c, _, _ = rep.direct_sum(kron2, [kron2.proj(0), kron2.proj(1)])
     gh = determine.GammaHom(c, y)
-    maps = rep.hom_space(kron2.proj(1), y) + rep.hom_space(y, y)
+    maps = [*rep.hom_space(kron2.proj(1), y), *rep.hom_space(y, y)]
     for f in maps:
         for g in maps:
             ok, _ = rep.right_leq(f, g)

@@ -17,7 +17,7 @@ import pytest
 from auskit import algebra, ar, ffmat, rep
 from auskit import kronecker as kr
 from auskit.errors import VerificationFailure
-from helpers import rand_mat
+from helpers import BasisHom, rand_mat
 
 UNI3_F3 = "field 3\nvertices a\narrow x a a\nrelation x*x*x\n"
 KRON2_F2 = "field 2\nvertices a b\narrow x b a\narrow y b a\n"
@@ -131,6 +131,68 @@ def test_composition_images_match_enumeration(kron2, loopb):
                 m = rep.hom_matrix_precompose(hom_xy, g, hom_wy)
                 for j, h in enumerate(hom_xy):
                     assert list(m[:, j]) == list(rep.morphism_coords(h.compose(g), hom_wy))
+
+
+def _intertwines(f):
+    try:
+        f.check()
+    except VerificationFailure:
+        return False
+    return True
+
+
+def test_canonical_reader_matches_the_rref_reader(kron2, loopb):
+    # hom_space reads coordinates at the free columns of its canonical rows;
+    # BasisHom reads the same rows through the RREF of [B | 1]
+    rng = random.Random(13)
+    rejected = 0
+    for name, x, y in _pairs(_pools(kron2, loopb)):
+        hom = rep.hom_space(x, y)
+        ref = BasisHom(x, y, hom)
+        assert (ref.matrix == hom.matrix).all(), name
+        coeffs = np.array([[rng.randrange(x.p) for _ in hom] for _ in range(4)], dtype=np.int64)
+        flats = (coeffs @ hom.matrix) % x.p
+        assert (hom.coords(flats) == coeffs).all() and (ref.coords(flats) == coeffs).all(), name
+        # a member plus a unit map that does not intertwine is not a member
+        units = np.eye(flats.shape[1], dtype=np.int64)
+        off = [k for k, u in enumerate(units) if not _intertwines(rep.morphism_from_flat(x, y, u))]
+        if off:
+            bad = (flats[:1] + units[rng.choice(off)]) % x.p
+            for reader in (hom, ref):
+                with pytest.raises(VerificationFailure, match="outside Hom"):
+                    reader.coords(bad)
+            rejected += 1
+    assert rejected > 40
+
+
+def test_batched_compositions_match_one_map_at_a_time(kron2, loopb):
+    # _compose_rows over a Morphism g and over a HomSpace g (g-major rows),
+    # after and before, against Morphism.compose one pair at a time
+    def rows(maps, width):
+        return np.array([f.flat() for f in maps], dtype=np.int64).reshape(len(maps), width)
+
+    zero_homs = zero_mods = 0
+    for name, mods in _pools(kron2, loopb).items():
+        mods = mods + [rep.zero_rep(mods[0].A)]
+        for w, x, y in itertools.islice(itertools.product(mods, repeat=3), 0, None, 5):
+            hom, hom_yw, hom_wx = rep.hom_space(x, y), rep.hom_space(y, w), rep.hom_space(w, x)
+            zero_homs += not (hom and hom_yw and hom_wx)
+            zero_mods += any(m.is_zero() for m in (w, x, y))
+            width_xw = sum(a * b for a, b in zip(x.dims, w.dims))
+            width_wy = sum(a * b for a, b in zip(w.dims, y.dims))
+            got = rep._compose_rows(hom, hom_yw, True)
+            assert (got == rows([g.compose(h) for g in hom_yw for h in hom], width_xw)).all(), name
+            got = rep._compose_rows(hom, hom_wx, False)
+            assert (got == rows([h.compose(g) for g in hom_wx for h in hom], width_wy)).all(), name
+            for g in hom_yw[:2]:
+                got = rep._compose_rows(hom, g, True)
+                assert (got == rows([g.compose(h) for h in hom], width_xw)).all(), name
+            for g in hom_wx[:2]:
+                got = rep._compose_rows(hom, g, False)
+                assert (got == rows([h.compose(g) for h in hom], width_wy)).all(), name
+    assert zero_homs > 10 and zero_mods > 10
+    with pytest.raises(VerificationFailure, match="composition"):
+        rep._compose_rows(rep.hom_space(kron2.proj(0), kron2.proj(0)), rep.hom_space(kron2.inj(1), kron2.proj(0)), True)
 
 
 def _random_map(hom, rng):

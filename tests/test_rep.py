@@ -9,7 +9,7 @@ import pytest
 
 from auskit import algebra, ar, ffmat, kronecker as kr, rep
 from auskit.errors import VerificationFailure
-from helpers import _counting, rebased, yoneda
+from helpers import BasisHom, _counting, rebased, yoneda
 
 
 def dv(m):
@@ -346,7 +346,7 @@ def test_commutative_split_driven_directly(monkeypatch):
     basis = list(_shift_proof_basis(x, _end_elements(x)))
     assert len(basis) == len(rep.end_algebra(x)) == 4
     calls = []
-    monkeypatch.setattr(rep, "end_algebra", _counting(lambda x: rep.HomSpace(x, x, basis), calls))
+    monkeypatch.setattr(rep, "end_algebra", _counting(lambda x: BasisHom(x, x, basis), calls))
     monkeypatch.setattr(rep, "SPLIT_CANDIDATES", 0)  # no random candidates
     ed = rep.EndData(x)
     assert len(calls) == 1
@@ -365,7 +365,7 @@ def test_noncommutative_fallback_driven_directly(a2, monkeypatch):
     mats = ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 1], [1, 1]], [[1, 1], [1, 0]])
     basis = [_endo(x, m) for m in mats]
     calls = []
-    monkeypatch.setattr(rep, "end_algebra", _counting(lambda x: rep.HomSpace(x, x, basis), calls))
+    monkeypatch.setattr(rep, "end_algebra", _counting(lambda x: BasisHom(x, x, basis), calls))
     ed = rep.EndData(x)
     assert len(calls) == 1
     assert all(rep._fitting_split(a, 2) is None for a in ed.mats)
@@ -402,7 +402,7 @@ def test_fallback_splits_without_rational_eigenvalues(kron2, monkeypatch):
     basis = list(itertools.islice(_shift_proof_basis(x, _end_elements(x)), 12))
     assert len(basis) == len(rep.end_algebra(x)) == 12
     calls, algebras, poly_calls = [], [], []
-    monkeypatch.setattr(rep, "end_algebra", _counting(lambda x: rep.HomSpace(x, x, basis), calls))
+    monkeypatch.setattr(rep, "end_algebra", _counting(lambda x: BasisHom(x, x, basis), calls))
     monkeypatch.setattr(ffmat, "polynomial_algebra", _counting(ffmat.polynomial_algebra, algebras))
     monkeypatch.setattr(ffmat, "monic_irreducibles", _counting(ffmat.monic_irreducibles, poly_calls))
     monkeypatch.setattr(ffmat, "poly_is_irreducible", _counting(ffmat.poly_is_irreducible, poly_calls))
