@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 
-from . import rep
+from . import ar, rep
 from .errors import BadRelation, NotFiniteDimensional, ParseError
 from .ffmat import INT, Subspace, is_prime, zeros
 
@@ -222,33 +222,33 @@ class Algebra:
         self._nf = dict(zip((pt for pt, _ in allp), nf))
 
     def _build_mult(self):
-        q = self.quiver
-        d = self.dim
+        d, p = self.dim, self.p
         self._arrow_left = []
-        for ai, (_, u, w) in enumerate(q.arrows):
+        for ai, (_, u, _) in enumerate(self.quiver.arrows):
+            cols = [j for j, t in enumerate(self.basis_tgt) if t == u]
             m = zeros(d, d)
-            for j, pt in enumerate(self.basis):
-                if self.basis_tgt[j] != u:
-                    continue
-                m[:, j] = self._nf[(pt[0], (ai,) + pt[1])]
+            m[:, cols] = self._nf_block([(self.basis[j][0], (ai,) + self.basis[j][1]) for j in cols],
+                                        self.basis)
             self._arrow_left.append(m)
+        # b_i b_j for every j at once: the diagonal of the basis paths that end
+        # where b_i starts, then b_i's arrows applied to it, rightmost first
+        tgt = np.array(self.basis_tgt)
+        mats = []
+        for src, names in self.basis:
+            m = np.eye(d, dtype=INT) * (tgt == src)
+            for ai in reversed(names):
+                m = (self._arrow_left[ai] @ m) % p
+            mats.append(m.T)
+        self.mul_table = np.array(mats, dtype=INT).reshape(d, d, d)
+        self.unit = np.array([not names for _, names in self.basis], dtype=INT)
 
-        mul = np.zeros((d, d, d), dtype=INT)
-        for i, bi in enumerate(self.basis):
-            for j in range(d):
-                if self.basis_tgt[j] != self.basis_src[i]:
-                    continue
-                v = zeros(1, d)[0]
-                v[j] = 1
-                for ai in reversed(bi[1]):
-                    v = (self._arrow_left[ai] @ v) % self.p
-                mul[i, j] = v
-        self.mul_table = mul
-        unit = zeros(1, d)[0]
-        for i, pt in enumerate(self.basis):
-            if not pt[1]:
-                unit[i] = 1
-        self.unit = unit
+    def _nf_block(self, paths, rows):
+        """The normal forms of paths as columns, read at the basis paths rows.
+
+        The normal form of a path lies in the span of the basis paths parallel
+        to it, so rows holding those gives the whole of it."""
+        nf = np.array([self._nf[pt] for pt in paths], dtype=INT).reshape(len(paths), self.dim)
+        return nf[:, [self._bindex[pt] for pt in rows]].T
 
     def _self_check(self):
         d, p = self.dim, self.p
@@ -323,18 +323,9 @@ class Algebra:
 
     def _proj(self, v):
         pp = self.proj_paths(v)
-        loc = {pt: (w, k) for w in range(self.nv) for k, pt in enumerate(pp[w])}
-        dims = [len(pp[w]) for w in range(self.nv)]
-        mats = {}
-        for ai, (_, u, w) in enumerate(self.quiver.arrows):
-            m = zeros(dims[w], dims[u])
-            for k, pt in enumerate(pp[u]):
-                img = self._nf[(v, (ai,) + pt[1])]
-                for gi in np.nonzero(img)[0]:
-                    ww, kk = loc[self.basis[int(gi)]]
-                    m[kk, k] = img[gi]
-            mats[ai] = m
-        return rep.Rep(self, dims, mats)
+        return rep.Rep(self, [len(ps) for ps in pp],
+                       {ai: self._nf_block([(v, (ai,) + pt[1]) for pt in pp[u]], pp[w])
+                        for ai, (_, u, w) in enumerate(self.quiver.arrows)})
 
     def simple(self, v):
         v = self._vertex_of(v)
@@ -345,12 +336,7 @@ class Algebra:
     def inj(self, v):
         """Indecomposable injective Q(v): dual of the opposite projective."""
         v = self._vertex_of(v)
-        return self.memoized(("inj", v), lambda: self._inj(v))
-
-    def _inj(self, v):
-        po = self.opposite().proj(v)
-        mats = {ai: po.mats[ai].T.copy() for ai in range(len(self.quiver.arrows))}
-        return rep.Rep(self, po.dims, mats)
+        return self.memoized(("inj", v), lambda: ar.dual(self.opposite().proj(v)))
 
     def opposite(self):
         if self._op is not None:
@@ -371,19 +357,9 @@ class Algebra:
     def right_mult(self, ai):
         """Right multiplication by arrow ai as a morphism P(tgt) -> P(src)."""
         _, u, w = self.quiver.arrows[ai]
-        pw, pu = self.proj(w), self.proj(u)
         ppw, ppu = self.proj_paths(w), self.proj_paths(u)
-        locu = {pt: (y, k) for y in range(self.nv) for k, pt in enumerate(ppu[y])}
-        blocks = []
-        for y in range(self.nv):
-            b = zeros(pu.dims[y], pw.dims[y])
-            for k, pt in enumerate(ppw[y]):
-                img = self._nf[(u, pt[1] + (ai,))]
-                for gi in np.nonzero(img)[0]:
-                    yy, kk = locu[self.basis[int(gi)]]
-                    b[kk, k] = img[gi]
-            blocks.append(b)
-        return rep.Morphism(pw, pu, blocks)
+        blocks = [self._nf_block([(u, pt[1] + (ai,)) for pt in ppw[y]], ppu[y]) for y in range(self.nv)]
+        return rep.Morphism(self.proj(w), self.proj(u), blocks)
 
     def __repr__(self):
         return "Algebra(%s, p=%d, dim=%d)" % (self.name or self.quiver, self.p, self.dim)
@@ -513,8 +489,6 @@ def parse_module_expr(algebra, text, env=None):
             m = parse_expr()
             take(")")
             if t in ("tau", "taum"):
-                from . import ar
-
                 return ar.tau(m) if t == "tau" else ar.tau_minus(m)
             return {"rad": rep.rad, "soc": rep.soc, "top": rep.top}[t](m)[0]
         if t in env:

@@ -122,13 +122,9 @@ class ExtData:
         return list(identity(len(self.cocycles))[self.coboundaries.free()])
 
     def realize(self, xi):
-        """(X, u, g) with 0 -> K -u-> X -g-> Y -> 0 the extension of class xi.
-
-        xi may be a Morphism Omega -> K, with any target K (a direct sum of
-        copies of self.k, for instance), or a coordinate vector over cocycles.
-        """
-        if not isinstance(xi, rep.Morphism):
-            xi = self.cocycle(xi)
+        """(X, u, g) with 0 -> K -u-> X -g-> Y -> 0 the extension of class xi,
+        a Morphism Omega -> K with any target K (a direct sum of copies of
+        self.k, for instance)."""
         k = xi.tgt
         d, incls, projs = rep.direct_sum(self.y.A, [k, self.p0])
         m = incls[0].compose(xi).add(incls[1].compose(self.incl).scale(self.p - 1))

@@ -10,7 +10,7 @@ import functools
 import json
 from importlib import resources
 
-from . import kronecker
+from . import factor, kronecker, lattice, rep
 from .algebra import parse_algebra_file, parse_module_expr
 from .errors import AuskitError, ParseError
 
@@ -87,8 +87,6 @@ def check_instance(name, certify=True):
     Returns a report with the computed facts and a list of failed keys
     (empty when everything matched).
     """
-    from . import factor, lattice, rep
-
     inst = get_instance(name)
     algebra, c, y = resolve_instance(name)
     fl = factor.FactorizationLattice.build(c, y, certify=certify)

@@ -9,6 +9,8 @@ Representation Theory of Artin Algebras, 1995): the multiplicity of S_X in a
 Gamma-module M is dim M e_X / dim k(X), k(X) = End(X)/rad End(X).
 """
 
+import random
+
 import numpy as np
 
 from . import ar, rep
@@ -27,12 +29,11 @@ class GammaHom:
         self.basis = rep.hom_space(c, y)
         self.n = len(self.basis)
         self.end = rep.end_algebra(c)
-        self.act = self.action_matrix(self.end).reshape(self.n, len(self.end), self.n).transpose(1, 0, 2)
+        # act[k]: the matrix of h -> h o phi_k on Hom(C, Y) coordinates, phi_k
+        # the End(C) basis; a map with End(C) coordinates c acts by c @ act
+        self.act = rep.hom_matrix_precompose(self.basis, self.end, self.basis).reshape(
+            self.n, len(self.end), self.n).transpose(1, 0, 2)
         self._simple = None
-
-    def action_matrix(self, phi):
-        """Matrix of h -> h o phi on Hom(C,Y) coordinates (side by side over a HomSpace phi)."""
-        return rep.hom_matrix_precompose(self.basis, phi, self.basis)
 
     def zero_sub(self):
         return Subspace.zero(self.n, self.p)
@@ -79,15 +80,16 @@ class GammaHom:
         if (total.flat() != rep.identity_morphism(self.c).flat()).any():
             raise VerificationFailure("summand idempotents do not sum to the identity")
         classes = rep.iso_classes([s for s, _, _ in trips])
-        eps_mats, rad_mats, residue = [], [], []
+        eps, rads, residue = [], [], []
         for cl in classes:
             x, incl, proj = trips[cl[0]]
             ed, rad = rep.end_radical(x)
             residue.append(ed.dim - rad.dim)
-            eps_mats.append(self.action_matrix(incl.compose(proj)))
-            rad_mats.extend(self.action_matrix(incl.compose(ed.from_coords(r)).compose(proj))
-                            for r in rad.B)
-        self._simple = ([[trips[k][0] for k in cl] for cl in classes], eps_mats, rad_mats, residue)
+            eps.append(incl.compose(proj).flat())
+            rads.extend(incl.compose(ed.from_coords(r)).compose(proj).flat() for r in rad.B)
+        mats = list(np.tensordot(self.end.coords(eps + rads), self.act, 1) % self.p)
+        self._simple = ([[trips[k][0] for k in cl] for cl in classes], mats[:len(eps)], mats[len(eps):],
+                        residue)
         return self._simple
 
     def labels(self):
@@ -184,8 +186,6 @@ def default_probes(f, c, count=20, seed=0):
     """Deterministic probe maps into the target of f: basis maps of Hom(W, Y), W among
     f.src, C, the projectives and Y, or sums of two with sources of equal content.
     Draws work on flat rows and source ids; only a kept draw becomes a Morphism."""
-    import random
-
     y = f.tgt
     A = y.A
     sources = [f.src, c] + [A.proj(v) for v in range(A.nv)] + [y]

@@ -10,7 +10,7 @@ recomputes both from scratch.
 
 import numpy as np
 
-from . import ar, determine, ffmat, lattice, rep
+from . import ar, determine, factor, ffmat, lattice, rep
 from .algebra import parse_algebra_file
 from .errors import ParseError, VerificationFailure
 from .ffmat import identity, zeros
@@ -270,8 +270,6 @@ def sigma_check(A, i, j):
     to isomorphism, exactly the strongly regular modules of total dimension
     |P_i| + |Q_j| - 4, each exactly once.
     """
-    from . import factor
-
     c, y = kP(A, i), kQ(A, j)
     fl = factor.FactorizationLattice.build(c, y)
     ones = fl.length_one_indices()

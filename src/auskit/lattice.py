@@ -47,8 +47,7 @@ import numpy as np
 
 from . import rep
 from .errors import CapExceeded, ParseError, VerificationFailure
-from .ffmat import (INT, Subspace, closure, gaussian_binomial, inv_mod, kernel,
-                    projective_points, rank, zeros)
+from .ffmat import INT, Subspace, closure, gaussian_binomial, inv_mod, kernel, projective_points
 
 DEFAULT_DIM_CAPS = {2: 12, 3: 8, 5: 6}
 NODE_CAP = 20000
@@ -327,16 +326,12 @@ class SubmoduleLattice:
 
 def _submodule_lower_bound(x):
     """A lower bound on the number of submodules of X: every graded subspace of
-    soc X is one, and so is the preimage of every graded subspace of top X."""
-    p, arrows, nv = x.p, x.A.quiver.arrows, len(x.dims)
-
-    def corank(v, mats):
-        return x.dims[v] - rank(np.concatenate([zeros(0, x.dims[v])] + mats), p)
-    # soc X_v is the joint kernel of the arrows out of v; top X_v is X_v modulo
-    # the images of the arrows into v
-    soc = [corank(v, [x.mats[ai] for ai, (_, u, _) in enumerate(arrows) if u == v]) for v in range(nv)]
-    top = [corank(v, [x.mats[ai].T for ai, (_, _, w) in enumerate(arrows) if w == v]) for v in range(nv)]
-    return max(math.prod(sum(gaussian_binomial(d, k, p) for k in range(d + 1)) for d in dims) for dims in (soc, top))
+    soc X is one, and so is the preimage of every graded subspace of top X,
+    whose dimension at v is the number of generators of X there."""
+    p, verts = x.p, rep.generators(x)[0]
+    top = [verts.count(v) for v in range(len(x.dims))]
+    return max(math.prod(sum(gaussian_binomial(d, k, p) for k in range(d + 1)) for d in dims)
+               for dims in (rep.soc(x)[0].dims, top))
 
 
 def rep_submodule_lattice(x):

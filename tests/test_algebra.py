@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from auskit import algebra, rep
+from auskit import algebra, catalog, rep
 from auskit.errors import BadRelation, NotFiniteDimensional, ParseError
 from helpers import mul_vec, yoneda
 
@@ -144,6 +144,21 @@ def test_self_check_memory_is_cubic_in_the_dimension():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("name", catalog.algebra_names())
+def test_normal_forms_stay_parallel(name):
+    # a path's normal form lies in the span of the basis paths with its source
+    # and target, so _nf_block reads all of it at the basis paths of P(v)_w
+    a = catalog.load_catalog_algebra(name)
+    for A in (a, a.opposite()):
+        nonzero = 0
+        for path, nf in A._nf.items():
+            ends = (path[0], A._path_tgt[path])
+            outside = [i for i in range(A.dim) if (A.basis_src[i], A.basis_tgt[i]) != ends]
+            assert not nf[outside].any(), path
+            nonzero += bool(nf.any())
+        assert nonzero >= A.dim
 
 
 def test_opposite_involution(a3rad):

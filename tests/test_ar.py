@@ -87,15 +87,15 @@ def test_ext_realize_and_split(kron2):
     ed = ar.ExtData(kron2.simple("b"), kron2.simple("a"))
     assert ed.dim == 2
     reps_ = ed.class_reps()
-    x, u, g = ed.realize(reps_[0])
+    x, u, g = ed.realize(ed.cocycle(reps_[0]))
     assert dv(x) == (1, 1)
     assert not rep.is_split_epi(g)
     assert rep.is_split_mono(u) is False
     # the zero class gives the split extension
-    z, uz, gz = ed.realize(np.zeros(len(ed.cocycles), dtype=int))
+    z, uz, gz = ed.realize(ed.cocycle(np.zeros(len(ed.cocycles), dtype=int)))
     assert rep.is_split_epi(gz) and rep.is_split_mono(uz)
     # realized classes with independent cocycles are non-isomorphic middles
-    x2, _, _ = ed.realize(reps_[1])
+    x2, _, _ = ed.realize(ed.cocycle(reps_[1]))
     assert not rep.is_isomorphic(x, x2)
 
 

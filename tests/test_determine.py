@@ -41,6 +41,27 @@ def test_gammahom_reads_the_action_in_one_call(kron2, monkeypatch):
             assert list(m[:, j]) == list(rep.morphism_coords(h.compose(phi), gh.basis))
 
 
+def test_simple_data_reads_every_action_in_one_call(loopb, monkeypatch):
+    # the class idempotents and the radical elements of End(C) act through
+    # act, read from one coordinate call over End(C) for all of them
+    c = ar.tau_minus(loopb.proj(0))
+    y = loopb.simple(1)
+    trips = rep.decompose(c)
+    gh = determine.GammaHom(c, y)
+    calls = []
+    monkeypatch.setattr(rep.HomSpace, "coords", _counting(rep.HomSpace.coords, calls))
+    _, eps_mats, rad_mats, _ = gh.simple_data()
+    assert len(calls) == 1
+    monkeypatch.undo()
+    firsts = [trips[cl[0]] for cl in rep.iso_classes([s for s, _, _ in trips])]
+    eps = [incl.compose(proj) for _, incl, proj in firsts]
+    rads = [incl.compose(ed.from_coords(r)).compose(proj)
+            for x, incl, proj in firsts for ed, rad in [rep.end_radical(x)] for r in rad.B]
+    assert len(eps_mats) == len(eps) == 1 and len(rad_mats) == len(rads) == 1
+    for m, f in zip(eps_mats + rad_mats, eps + rads):
+        assert (m == rep.hom_matrix_precompose(gh.basis, f, gh.basis)).all()
+
+
 def test_gamma_loop_local(loopb):
     # End of the 4-dimensional module tau^{-}P(a) is k[t]/t^2
     c = ar.tau_minus(loopb.proj(0))

@@ -13,7 +13,10 @@ module's tau, tau-minus, projective cover and top, and the kernel, image and
 cokernel (with their structure maps) of basis maps of Hom between them.  On
 those modules the generators, the sub-representation bases and the
 quotient coordinates are not unit vectors, so the file pins those choices
-where the catalog outputs cannot.  After a deliberate output change,
+where the catalog outputs cannot.  algebras.txt holds one digest per catalog
+algebra and per opposite: its multiplication table, its unit, and the
+content keys of every projective P(v), injective Q(v) and right
+multiplication by an arrow.  After a deliberate output change,
 rewrite them all with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -147,6 +150,27 @@ def random_basis_text():
     return "".join(line + "\n" for line in lines)
 
 
+ALGEBRAS = "algebras.txt"
+
+
+def algebras_text():
+    lines = []
+    for name in catalog.algebra_names():
+        a = catalog.load_catalog_algebra(name)
+        for alg in (a, a.opposite()):
+            mods = [alg.proj(v) for v in range(alg.nv)] + [alg.inj(v) for v in range(alg.nv)]
+            maps = [alg.right_mult(ai) for ai in range(len(alg.quiver.arrows))]
+            body = [repr(alg.mul_table.tolist()), repr(alg.unit.tolist()), _fingerprint(*mods, *maps)]
+            lines.append("%s dim=%d %s" % (alg.name, alg.dim, _digest(body)))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_algebras_digest():
+    with open(os.path.join(GOLDEN, ALGEBRAS)) as fh:
+        want = fh.read()
+    assert algebras_text() == want
+
+
 def test_random_basis_digest():
     with open(os.path.join(GOLDEN, RANDOM_BASIS)) as fh:
         want = fh.read()
@@ -180,7 +204,9 @@ def main():
         fh.write(lattice_digest_text())
     with open(os.path.join(GOLDEN, RANDOM_BASIS), "w") as fh:
         fh.write(random_basis_text())
-    print("wrote %d files to %s" % (len(CASES) + 2, GOLDEN))
+    with open(os.path.join(GOLDEN, ALGEBRAS), "w") as fh:
+        fh.write(algebras_text())
+    print("wrote %d files to %s" % (len(CASES) + 3, GOLDEN))
 
 
 if __name__ == "__main__":

@@ -267,7 +267,7 @@ def test_realize_cocycle_into_a_sum_of_copies(kron2):
     assert not rep.is_split_epi(g) and not rep.is_split_mono(u)
     # (xi, 0) is the extension of xi plus a split copy of K
     x, u, g = realize(r0, zero)
-    e0 = ed.realize(r0)[0]
+    e0 = ed.realize(ed.cocycle(r0))[0]
     assert rep.is_isomorphic(x, rep.direct_sum(kron2, [e0, k])[0])
     assert not rep.is_split_epi(g)
     x, u, g = realize(zero, zero)
