@@ -270,18 +270,6 @@ class Algebra:
     def nv(self):
         return len(self.quiver.vertices)
 
-    def nf(self, path):
-        """Normal form of an arbitrary path as a basis vector."""
-        src, names = path
-        pt = (src, tuple(names))
-        if pt in self._nf:
-            return self._nf[pt].copy()
-        v = zeros(1, self.dim)[0]
-        v[self._bindex[(src, ())]] = 1
-        for ai in reversed(names):
-            v = (self._arrow_left[ai] @ v) % self.p
-        return v
-
     def _vertex_of(self, v):
         return v if isinstance(v, int) else self.quiver.vertex_index(v)
 

@@ -10,8 +10,6 @@ P0 -> M is built from its blocks, and P1 -> P0 sends the generators of P1 to
 those of Omega M = Ker(P0 -> M).
 """
 
-import itertools
-
 import numpy as np
 
 from . import ffmat, rep
@@ -213,12 +211,8 @@ def min_right_almost_split(y):
     # (- o om) on cocycle coordinates, for the restrictions om of radical endomorphisms
     acts = [rep.hom_matrix_precompose(ed.cocycles, _omega_endo(ed, phi), ed.cocycles) for phi in radb]
     reps_ = np.array(ed.class_reps(), dtype=INT).reshape(-1, len(ed.cocycles))
-    for coeffs in itertools.product(range(y.p), repeat=len(reps_)):
-        if not any(coeffs):
-            continue
-        if next(c for c in coeffs if c) != 1:  # one representative per scalar line
-            continue
-        coords = (np.array(coeffs, dtype=INT) @ reps_) % y.p
+    for v in ffmat.projective_points(len(reps_), y.p):  # one representative per scalar line
+        coords = (v @ reps_) % y.p
         if ed.coboundaries.residues(np.array([a @ coords for a in acts]).reshape(-1, len(coords))).any():
             continue
         xi = ed.cocycle(coords)

@@ -17,6 +17,11 @@ There is one field test: frobenius reads r -> r^p on a commutative matrix
 algebra, and tells a field from a product of local rings.  Irreducibility of
 a polynomial c is that test on F_p[x]/(c), the polynomials in the companion
 matrix of c, and rep splits the local endomorphism rings with it.
+
+Characteristic and minimal polynomials are read off matrices, with no
+arithmetic on coefficient lists: charpoly is Berkowitz's division-free
+recurrence over a whole stack of matrices, and minpoly is one kernel row of
+the powers of its matrix.
 """
 
 import bisect
@@ -343,26 +348,6 @@ def enumerate_subspaces(n, p, dim=None, cap=10 ** 6):
 # --- polynomials mod p (coefficient arrays, ascending degree) ---------------
 
 
-def poly_trim(c):
-    c = np.asarray(c, dtype=INT)
-    nz = np.nonzero(c)[0]
-    if len(nz) == 0:
-        return np.array([0], dtype=INT)
-    return c[: nz[-1] + 1].copy()
-
-
-def poly_add(a, b, p):
-    n = max(len(a), len(b))
-    out = zeros(1, n)[0]
-    out[: len(a)] += a
-    out[: len(b)] += b
-    return poly_trim(out % p)
-
-
-def poly_scale(a, s, p):
-    return poly_trim((np.asarray(a, dtype=INT) * (s % p)) % p)
-
-
 def companion(coeffs, p):
     """Companion matrix of a monic polynomial c given highest-first: x acting
     on F_p[x]/(c) in the basis 1, x, ..., x^(d-1)."""
@@ -411,7 +396,7 @@ def poly_is_irreducible(c, p):
     """Whether c has positive degree and no factor of smaller positive degree,
     i.e. whether F_p[x]/(c), the polynomials in the companion matrix of c
     made monic, is a field."""
-    c = poly_trim(amod(c, p))
+    c = np.trim_zeros(amod(c, p), "b")
     if len(c) < 2:
         return False
     monic = c[::-1] * inv_mod(c[-1], p) % p
@@ -431,66 +416,37 @@ def is_prime(n):
 
 
 def charpoly(a, p):
-    """det(xI - A) over F_p, ascending coefficients, length n+1 (monic)."""
-    a = amod(a, p).copy()
-    n = a.shape[0]
-    if n == 0:
-        return np.array([1], dtype=INT)
-    # similarity reduction to upper Hessenberg form
-    for j in range(n - 2):
-        piv = None
-        for i in range(j + 1, n):
-            if a[i, j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != j + 1:
-            a[[j + 1, piv]] = a[[piv, j + 1]]
-            a[:, [j + 1, piv]] = a[:, [piv, j + 1]]
-        s = inv_mod(a[j + 1, j], p)
-        for i in range(j + 2, n):
-            if a[i, j]:
-                t = (a[i, j] * s) % p
-                a[i] = (a[i] - t * a[j + 1]) % p
-                a[:, j + 1] = (a[:, j + 1] + t * a[:, i]) % p
-    # p_k(x) = (x - a_kk) p_{k-1}(x) - sum_i a_{i,k} (prod subdiag) p_{i-1}(x)
-    polys = [np.array([1], dtype=INT)]
-    for k in range(1, n + 1):
-        pk = poly_add(
-            np.concatenate([[0], polys[k - 1]]),
-            poly_scale(polys[k - 1], -int(a[k - 1, k - 1]), p),
-            p,
-        )
-        prod = 1
-        for i in range(k - 1, 0, -1):
-            prod = (prod * a[i, i - 1]) % p
-            if a[i - 1, k - 1] and prod:
-                pk = poly_add(
-                    pk, poly_scale(polys[i - 1], -int(a[i - 1, k - 1] * prod), p), p
-                )
-        polys.append(pk)
-    out = zeros(1, n + 1)[0]
-    out[: len(polys[n])] = polys[n]
-    return out
+    """det(xI - A) over F_p of a square matrix or of a stack (..., n, n) of them:
+    ascending coefficients along the last axis, length n + 1 (monic).
+
+    Berkowitz's division-free recurrence (Inform. Process. Lett. 18 (1984)):
+    split A_{k+1} = [[A_k, c], [r, d]]; the descending coefficients of
+    det(x - A_{k+1}) are those of det(x - A_k) times the lower triangular
+    Toeplitz matrix with first column (1, -d, -rc, -rA_k c, ..., -rA_k^(k-1) c).
+    It needs no inverse and no pivot, so a stack runs as one recurrence.
+    """
+    a = amod(a, p)
+    n = a.shape[-1]
+    coeffs = np.ones(a.shape[:-2] + (1,), dtype=INT)
+    for k in range(n):
+        ak, v, r, d = a[..., :k, :k], a[..., :k, k], a[..., k, :k], a[..., k, k]
+        col = [np.ones_like(d), -d]
+        for _ in range(k):
+            col.append(-np.einsum("...i,...i->...", r, v))
+            v = np.einsum("...ij,...j->...i", ak, v) % p
+        lag = np.subtract.outer(np.arange(k + 2), np.arange(k + 1))
+        toeplitz = np.where(lag >= 0, np.stack(col, axis=-1)[..., lag.clip(0)], 0)
+        coeffs = np.einsum("...ij,...j->...i", toeplitz, coeffs) % p
+    return coeffs[..., ::-1] % p
 
 
 def minpoly(a, p):
-    """Monic minimal polynomial, ascending coefficients."""
+    """Monic minimal polynomial, ascending coefficients: the first kernel row
+    of the columns I, a, ..., a^n.  Its first free column d is the first power
+    that depends on the lower ones, and its row is 1 at d and zero past d."""
     a = amod(a, p)
     n = a.shape[0]
-    if n == 0:
-        return np.array([1], dtype=INT)
-    cur = identity(n)
-    stack = [cur.reshape(-1)]
-    for k in range(1, n + 1):
-        cur = (cur @ a) % p
-        target = cur.reshape(-1)
-        sol = solve_all(np.array(stack, dtype=INT).T, target, p)
-        if sol is not None:
-            coeffs = zeros(1, k + 1)[0]
-            coeffs[:k] = (-sol[0]) % p
-            coeffs[k] = 1
-            return coeffs
-        stack.append(target)
-    raise VerificationFailure("minimal polynomial has degree above n")
+    powers = [identity(n)]
+    for _ in range(n):
+        powers.append(powers[-1] @ a % p)
+    return np.trim_zeros(kernel(np.reshape(powers, (n + 1, n * n)).T, p)[0], "b")

@@ -32,7 +32,7 @@ def kronecker_algebra(n, p, name=None):
 def kP(A, i):
     """Preprojective P_i (P_0 = S(a), P_1 = P(b), tau^- shifts by two)."""
     if i < 0:
-        raise ValueError("preprojective index must be nonnegative")
+        raise ParseError("preprojective index must be nonnegative")
     m = A.proj(0) if i % 2 == 0 else A.proj(1)
     for _ in range(i // 2):
         m = ar.tau_minus(m)
@@ -42,18 +42,11 @@ def kP(A, i):
 def kQ(A, j):
     """Preinjective Q_j (Q_0 = S(b), Q_1 = Q(a), tau shifts by two)."""
     if j < 0:
-        raise ValueError("preinjective index must be nonnegative")
+        raise ParseError("preinjective index must be nonnegative")
     m = A.inj(1) if j % 2 == 0 else A.inj(0)
     for _ in range(j // 2):
         m = ar.tau(m)
     return m
-
-
-def _jordan(lam, t, p):
-    m = (lam % p) * identity(t)
-    for i in range(t - 1):
-        m[i, i + 1] = 1
-    return m % p
 
 
 def _poly_jordan(coeffs, t, p):
@@ -73,19 +66,20 @@ def kR(A, label, t=1):
 
     Labels: an integer lam in 0..p-1 for the tube of t - lam, the string "inf"
     for the tube at infinity, or a highest-first tuple of coefficients in
-    0..p-1 of a monic irreducible polynomial of degree at least 2.
+    0..p-1 of a monic irreducible polynomial of degree at least 2.  Every tube
+    is the block Jordan matrix of its polynomial, x - lam for lam, and x with
+    the two arrows swapped at infinity.
     """
     if len(A.quiver.arrows) != 2:
         raise ValueError("regular tubes are classified only for two arrows")
     p = A.p
-    if label == "inf":
-        xm, ym = _jordan(0, t, p), identity(t)
-        dims = [t, t]
+    at_inf = label == "inf"
+    if at_inf:
+        coeffs = (1, 0)
     elif isinstance(label, (int, np.integer)):
         if label not in range(p):
             raise ParseError("tube label %d is not an element of F_%d" % (label, p))
-        xm, ym = identity(t), _jordan(int(label), t, p)
-        dims = [t, t]
+        coeffs = (1, -int(label) % p)
     else:
         coeffs = tuple(label) if isinstance(label, (tuple, list)) else ()
         if not (
@@ -95,10 +89,9 @@ def kR(A, label, t=1):
             and ffmat.poly_is_irreducible(coeffs[::-1], p)
         ):
             raise ParseError("tube label %r is not a monic irreducible of degree >= 2 over F_%d" % (label, p))
-        d = len(coeffs) - 1
-        xm, ym = identity(t * d), _poly_jordan(coeffs, t, p)
-        dims = [t * d, t * d]
-    return rep.Rep(A, dims, {0: xm, 1: ym})
+    d = len(coeffs) - 1
+    jm, one = _poly_jordan(coeffs, t, p), identity(t * d)
+    return rep.Rep(A, [t * d, t * d], {0: jm, 1: one} if at_inf else {0: one, 1: jm})
 
 
 def defect(m):

@@ -657,8 +657,8 @@ def _max_nil_ideal(ed):
     i = 0
     while p ** i <= n and cur.dim:
         elems = ed.to_mats(cur.B)
-        g = [[ffmat.charpoly((y @ x) % p, p)[n - p ** i] for x in elems] for y in ed.mats]
-        cur = ffmat.Subspace(ffmat.kernel(np.array(g, dtype=INT), p) @ cur.B, ed.dim, p)
+        g = ffmat.charpoly(np.einsum("yij,xjk->yxik", ed.mats, elems), p)[..., n - p ** i]
+        cur = ffmat.Subspace(ffmat.kernel(g, p) @ cur.B, ed.dim, p)
         i += 1
     if cur.dim:
         jm = ed.to_mats(cur.B)

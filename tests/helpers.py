@@ -4,7 +4,7 @@ import numpy as np
 
 from auskit import rep
 from auskit.errors import VerificationFailure
-from auskit.ffmat import INT, amod, identity, inv, inv_mod, rref, zeros
+from auskit.ffmat import INT, amod, identity, inv, inv_mod, rref, solve_all, zeros
 
 
 def rand_mat(rng, m, n, p):
@@ -75,6 +75,19 @@ def mul_vec(A, u, v):
     return np.einsum("i,j,ijl->l", amod(u, A.p), amod(v, A.p), A.mul_table) % A.p
 
 
+def nf(A, path):
+    """Normal form of an arbitrary path of the algebra A as a basis vector."""
+    src, names = path
+    pt = (src, tuple(names))
+    if pt in A._nf:
+        return A._nf[pt].copy()
+    v = zeros(1, A.dim)[0]
+    v[A._bindex[(src, ())]] = 1
+    for ai in reversed(names):
+        v = (A._arrow_left[ai] @ v) % A.p
+    return v
+
+
 def yoneda(A, v, module, vec):
     """Morphism P(v) -> module sending e_v to vec (an element of module at v)."""
     v = A._vertex_of(v)
@@ -119,3 +132,96 @@ def rref_reference(a, p):
         pivots.append(col)
         row += 1
     return r, pivots
+
+
+# --- polynomials mod p by coefficient lists: reference oracles for ffmat -----
+
+
+def poly_trim(c):
+    c = np.asarray(c, dtype=INT)
+    nz = np.nonzero(c)[0]
+    if len(nz) == 0:
+        return np.array([0], dtype=INT)
+    return c[: nz[-1] + 1].copy()
+
+
+def poly_add(a, b, p):
+    n = max(len(a), len(b))
+    out = zeros(1, n)[0]
+    out[: len(a)] += a
+    out[: len(b)] += b
+    return poly_trim(out % p)
+
+
+def poly_scale(a, s, p):
+    return poly_trim((np.asarray(a, dtype=INT) * (s % p)) % p)
+
+
+def charpoly_reference(a, p):
+    """det(xI - A) over F_p, ascending coefficients, length n+1 (monic): a
+    similarity reduction to upper Hessenberg form and its two-term recurrence.
+    A reference oracle for ffmat.charpoly, on one square matrix."""
+    a = amod(a, p).copy()
+    n = a.shape[0]
+    if n == 0:
+        return np.array([1], dtype=INT)
+    # similarity reduction to upper Hessenberg form
+    for j in range(n - 2):
+        piv = None
+        for i in range(j + 1, n):
+            if a[i, j]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != j + 1:
+            a[[j + 1, piv]] = a[[piv, j + 1]]
+            a[:, [j + 1, piv]] = a[:, [piv, j + 1]]
+        s = inv_mod(a[j + 1, j], p)
+        for i in range(j + 2, n):
+            if a[i, j]:
+                t = (a[i, j] * s) % p
+                a[i] = (a[i] - t * a[j + 1]) % p
+                a[:, j + 1] = (a[:, j + 1] + t * a[:, i]) % p
+    # p_k(x) = (x - a_kk) p_{k-1}(x) - sum_i a_{i,k} (prod subdiag) p_{i-1}(x)
+    polys = [np.array([1], dtype=INT)]
+    for k in range(1, n + 1):
+        pk = poly_add(
+            np.concatenate([[0], polys[k - 1]]),
+            poly_scale(polys[k - 1], -int(a[k - 1, k - 1]), p),
+            p,
+        )
+        prod = 1
+        for i in range(k - 1, 0, -1):
+            prod = (prod * a[i, i - 1]) % p
+            if a[i - 1, k - 1] and prod:
+                pk = poly_add(
+                    pk, poly_scale(polys[i - 1], -int(a[i - 1, k - 1] * prod), p), p
+                )
+        polys.append(pk)
+    out = zeros(1, n + 1)[0]
+    out[: len(polys[n])] = polys[n]
+    return out
+
+
+def minpoly_reference(a, p):
+    """Monic minimal polynomial, ascending coefficients: the first power of a
+    that solve_all writes in the lower ones.  A reference oracle for
+    ffmat.minpoly."""
+    a = amod(a, p)
+    n = a.shape[0]
+    if n == 0:
+        return np.array([1], dtype=INT)
+    cur = identity(n)
+    stack = [cur.reshape(-1)]
+    for k in range(1, n + 1):
+        cur = (cur @ a) % p
+        target = cur.reshape(-1)
+        sol = solve_all(np.array(stack, dtype=INT).T, target, p)
+        if sol is not None:
+            coeffs = zeros(1, k + 1)[0]
+            coeffs[:k] = (-sol[0]) % p
+            coeffs[k] = 1
+            return coeffs
+        stack.append(target)
+    raise VerificationFailure("minimal polynomial has degree above n")

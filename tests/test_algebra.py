@@ -7,7 +7,7 @@ import pytest
 
 from auskit import algebra, catalog, rep
 from auskit.errors import BadRelation, NotFiniteDimensional, ParseError
-from helpers import mul_vec, yoneda
+from helpers import mul_vec, nf, yoneda
 
 
 def dv(m):
@@ -41,7 +41,7 @@ def test_a3_radical_square_zero(a3rad):
     ia = a3rad.quiver.arrow_index("alpha")
     ib = a3rad.quiver.arrow_index("beta")
     c = a3rad.quiver.vertex_index("c")
-    assert not a3rad.nf((c, (ia, ib))).any()
+    assert not nf(a3rad, (c, (ia, ib))).any()
 
 
 def test_loop_b(loopb):
@@ -52,8 +52,8 @@ def test_loop_b(loopb):
     assert dv(loopb.inj("b")) == (0, 1)
     ia = loopb.quiver.arrow_index("alpha")
     a = loopb.quiver.vertex_index("a")
-    assert not loopb.nf((a, (ia, ia))).any()
-    assert loopb.nf((a, (ia,))).any()
+    assert not nf(loopb, (a, (ia, ia))).any()
+    assert nf(loopb, (a, (ia,))).any()
 
 
 def test_uniserial(uni4):
@@ -98,7 +98,7 @@ def test_commutativity_relation():
     s = q.vertex_index("s")
     ca = (s, (q.arrow_index("c"), q.arrow_index("a")))
     db = (s, (q.arrow_index("d"), q.arrow_index("b")))
-    assert (A.nf(ca) == A.nf(db)).all()
+    assert (nf(A, ca) == nf(A, db)).all()
     assert dv(A.proj("s")) == (1, 1, 1, 1)
 
 
@@ -106,9 +106,9 @@ def test_unit_and_products(a2):
     q = a2.quiver
     b = q.vertex_index("b")
     al = (b, (q.arrow_index("alpha"),))
-    ea = a2.nf((q.vertex_index("a"), ()))
-    eb = a2.nf((b, ()))
-    v = a2.nf(al)
+    ea = nf(a2, (q.vertex_index("a"), ()))
+    eb = nf(a2, (b, ()))
+    v = nf(a2, al)
     assert (mul_vec(a2, a2.unit, v) == v).all()
     assert (mul_vec(a2, v, eb) == v).all()
     assert not mul_vec(a2, v, ea).any()

@@ -155,6 +155,12 @@ def test_kronecker_sigma(capsys):
     assert "match" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag,index", [("-i", "-1"), ("-j", "-2")])
+def test_kronecker_sigma_negative_index_exit_code(capsys, flag, index):
+    assert cli.main(["kronecker", "sigma", flag, index]) == 2
+    assert capsys.readouterr().err.startswith("error: pre")
+
+
 def test_kronecker_strongreg(capsys):
     assert cli.main(["kronecker", "strongreg", "-p", "2", "4"]) == 0
     assert "7 strongly regular" in capsys.readouterr().out

@@ -17,7 +17,7 @@ from auskit.ffmat import (
     rref,
     solve_all,
 )
-from helpers import poly_eval_mat, rand_mat, rref_reference
+from helpers import charpoly_reference, minpoly_reference, poly_eval_mat, rand_mat, rref_reference
 
 
 def test_rref_collapses_equal_rows():
@@ -198,6 +198,52 @@ def test_minpoly_divides_charpoly():
         # whose minimal polynomial is mp
         assert not poly_eval_mat(charpoly(a, p), ffmat.companion(mp[::-1], p), p).any()
         assert not poly_eval_mat(mp, a, p).any()
+
+
+def _poly_inputs(seed, count, max_n, primes):
+    """Seeded square matrices with unreduced entries in [-2p, 3p): dense and
+    upper triangular, plus diagonal ones and ones of rank at most two."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n, p = rng.randrange(max_n + 1), rng.choice(primes)
+        a = np.array([[rng.randrange(-2 * p, 3 * p) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+        a = a.reshape(n, n)
+        shape = k % 4
+        if shape == 1:
+            a = np.triu(a)
+        elif shape == 2:
+            a = np.diag(np.diag(a))
+        elif shape == 3 and n:
+            r = min(n, 2)
+            a = a[:, :r] @ rand_mat(rng, r, n, p)
+        out.append((a, p))
+    return out
+
+
+def _same(x, y):
+    return (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+def test_charpoly_matches_hessenberg_reference():
+    for a, p in _poly_inputs(3, 600, 12, [2, 3, 5, 7]):
+        assert _same(charpoly(a, p), charpoly_reference(a, p)), (a.tolist(), p)
+
+
+def test_charpoly_of_a_stack_is_the_charpoly_of_each_matrix():
+    rng = random.Random(4)
+    for n in range(6):
+        for p in (2, 3, 5):
+            stack = np.array([rand_mat(rng, n, n, p) for _ in range(12)]).reshape(3, 4, n, n)
+            got = charpoly(stack - p * rng.randrange(-2, 3), p)
+            assert got.shape == (3, 4, n + 1) and got.dtype == np.int64
+            for i, j in itertools.product(range(3), range(4)):
+                assert _same(got[i, j], charpoly(stack[i, j], p))
+
+
+def test_minpoly_matches_solve_all_reference():
+    for a, p in _poly_inputs(5, 600, 8, [2, 3, 5]):
+        assert _same(minpoly(a, p), minpoly_reference(a, p)), (a.tolist(), p)
 
 
 def _monic(p, d):

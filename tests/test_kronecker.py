@@ -2,6 +2,7 @@ import pytest
 
 from auskit import factor, kronecker as kr, lattice, rep
 from auskit.errors import ParseError, VerificationFailure
+from auskit.ffmat import identity, mat_key
 
 
 def test_preprojective_preinjective_dims(kron2):
@@ -47,6 +48,26 @@ def test_regular_modules(kron2):
 def test_regular_tube_needs_two_arrows(kron3):
     with pytest.raises(ValueError):
         kr.kR(kron3, 0, 1)
+
+
+def _jordan(lam, t, p):
+    """The t x t Jordan block of lam, built entry by entry: the arrow matrix
+    of a linear tube, a reference for kR's companion blocks."""
+    m = (lam % p) * identity(t)
+    for i in range(t - 1):
+        m[i, i + 1] = 1
+    return m % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_linear_tubes_are_jordan_blocks(p):
+    A = kr.kronecker_algebra(2, p)
+    for t in range(5):
+        want = {"inf": rep.Rep(A, [t, t], {0: _jordan(0, t, p), 1: identity(t)})}
+        want.update((lam, rep.Rep(A, [t, t], {0: identity(t), 1: _jordan(lam, t, p)})) for lam in range(p))
+        for label, m in want.items():
+            got = kr.kR(A, label, t)
+            assert [mat_key(got.mats[a]) for a in (0, 1)] == [mat_key(m.mats[a]) for a in (0, 1)], (label, t)
 
 
 def test_monic_irreducibles():

@@ -7,9 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from auskit import algebra, ar, ffmat, kronecker as kr, rep
+from auskit import algebra, ar, catalog, ffmat, kronecker as kr, rep
 from auskit.errors import VerificationFailure
-from helpers import BasisHom, _counting, rebased, yoneda
+from helpers import BasisHom, _counting, charpoly_reference, rebased, yoneda
 
 
 def dv(m):
@@ -280,6 +280,34 @@ def test_local_residue_fields(kron2):
     assert (ed.dim, rad.dim) == (3, 2)  # F_3[x]/x^3
     with pytest.raises(VerificationFailure):
         rep.end_radical(rep.direct_sum(kron2, [kron2.simple(0)] * 2)[0])
+
+
+def test_radical_chain_reads_one_charpoly_stack_per_step(kron2, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ffmat, "charpoly", _counting(ffmat.charpoly, calls))
+    rad = rep._max_nil_ideal(rep.EndData(kr.kR(kron2, 0, 2)))
+    assert len(calls) == 3 and rad.dim == 1
+
+
+def _looped_charpoly(a, p):
+    """ffmat.charpoly over a stack, one charpoly_reference call per matrix."""
+    n = a.shape[-1]
+    polys = [charpoly_reference(m, p) for m in np.reshape(a, (-1, n, n))]
+    return np.array(polys, dtype=np.int64).reshape(a.shape[:-2] + (n + 1,))
+
+
+def test_radical_chain_matches_the_reference_charpoly(monkeypatch):
+    eds = {}
+    for name in catalog.instance_names():
+        _, c, y = catalog.resolve_instance(name)
+        for s, _, _ in rep.decompose(c) + rep.decompose(y):
+            ed = rep.EndData(s)
+            if ed.dim >= 2:
+                eds.setdefault(s.key(), ed)
+    assert eds
+    fast = {k: rep._max_nil_ideal(ed).key() for k, ed in eds.items()}
+    monkeypatch.setattr(ffmat, "charpoly", _looped_charpoly)
+    assert fast == {k: rep._max_nil_ideal(ed).key() for k, ed in eds.items()}
 
 
 def _endo(x, total):
