@@ -356,12 +356,16 @@ class Algebra:
 # -- text formats ------------------------------------------------------------
 
 
+_TERM = r"[A-Za-z0-9_]+(?:\*[A-Za-z0-9_]+)*"
+_RELATION = re.compile(r"[+-]? ?%s(?: ?[+-] ?%s)*" % (_TERM, _TERM))
+
+
 def parse_algebra_file(text, name=""):
     """Parse an algebra description.
 
     Line oriented:  `field p`, `vertices a b c`, `arrow name src tgt`,
-    `relation term [+|- term ...]` with term = arrowname(*arrowname)*.
-    `#` starts a comment.
+    `relation [+|-] term [+|- term ...]` with term = arrowname(*arrowname)*,
+    a space allowed on either side of each sign.  `#` starts a comment.
     """
     p = None
     vertices = None
@@ -390,6 +394,8 @@ def parse_algebra_file(text, name=""):
             arrows.append(toks[1:4])
         elif kw == "relation":
             rel_texts.append(" ".join(toks[1:]))
+            if not _RELATION.fullmatch(rel_texts[-1]):
+                raise ParseError("bad relation line: %r" % raw)
         else:
             raise ParseError("unknown keyword %r" % kw)
     if p is None or vertices is None:
@@ -405,14 +411,13 @@ def parse_algebra_file(text, name=""):
     relations = []
     for rt in rel_texts:
         terms = []
-        for sign, term in re.findall(r"([+-]?)\s*([A-Za-z0-9_*]+)", rt):
+        for sign, term in re.findall(r"([+-]?)\s*(%s)" % _TERM, rt):
             names = term.split("*")
             idxs = tuple(q.arrow_index(nm) for nm in names)
             src = q.arrows[idxs[-1]][1]
             path_target(q, (src, idxs))  # validates composability
             terms.append((-1 if sign == "-" else 1, (src, idxs)))
-        if terms:
-            relations.append(terms)
+        relations.append(terms)
     return Algebra(q, p, relations, name=name)
 
 

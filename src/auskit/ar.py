@@ -89,8 +89,8 @@ def dual(m):
 
 
 def tau(m):
-    """Auslander-Reiten translate D Tr M (kills projective summands)."""
-    return dual(transpose(m))
+    """Auslander-Reiten translate D Tr M (kills projective summands), memoized."""
+    return m.A.memoized(("tau", m.key()), lambda: dual(transpose(m)))
 
 
 def tau_minus(m):

@@ -26,8 +26,11 @@ from .errors import AuskitError, CapExceeded, ParseError, VerificationFailure
 
 def _load_algebra(spec):
     if os.path.exists(spec):
-        with open(spec) as fh:
-            text = fh.read()
+        try:
+            with open(spec, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError:
+            raise ParseError("algebra file %s is not UTF-8 text" % spec) from None
         name = os.path.splitext(os.path.basename(spec))[0]
         return parse_algebra_file(text, name=name)
     return catalog.load_catalog_algebra(spec)

@@ -99,16 +99,11 @@ def defect(m):
     return m.dims[1] - m.dims[0]
 
 
-def monic_irreducibles(p, d):
-    """Highest-first coefficient tuples of the monic irreducibles of degree d."""
-    return list(ffmat.monic_irreducibles(p, d))
-
-
 def tube_labels(p, max_deg):
     """All tube labels of degree up to max_deg: "inf", then linear, then higher."""
     labels = ["inf"] + list(range(p))
     for d in range(2, max_deg + 1):
-        labels.extend(monic_irreducibles(p, d))
+        labels.extend(ffmat.monic_irreducibles(p, d))
     return labels
 
 
@@ -176,83 +171,35 @@ def _shape_row(A, c, y, cdesc, ydesc, want_dim, want_shape):
 def verify_table(p, max_sum=3, max_t=3):
     """Recompute the whole (C, Y) shape table; returns (rows, all_ok)."""
     A = kronecker_algebra(2, p)
-    rows = []
-    tubes = list(range(p)) + ["inf"] + monic_irreducibles(p, 2)[:1]
+    tubes = [*range(p), "inf", *ffmat.monic_irreducibles(p, 2)[:1]]
+    # (label, t, t * deg label) for the regular members of quasi-length cap max_t
+    regs = [(lab, t, t * label_degree(lab)) for lab in tubes for t in range(1, max_t + 1)
+            if t * label_degree(lab) <= max_t]
+    # the index cap: pairs (i, j) with i + j <= max_sum, (0, max_sum) among them
+    pairs = [(i, j) for i in range(max_sum + 1) for j in range(max_sum + 1) if i + j <= max_sum]
 
-    for i in range(max_sum + 1):
-        for j in range(i, max_sum + 1):
-            if i + j > max_sum and (i, j) != (0, max_sum):
-                continue
-            rows.append(
-                _shape_row(
-                    A, kP(A, i), kP(A, j), "P%d" % i, "P%d" % j,
-                    j - i + 1, ("G", j - i + 1, p),
-                )
-            )
-    for i in range(2):
-        for lab in tubes:
-            d = label_degree(lab)
-            for t in range(1, max_t + 1):
-                if t * d > max_t:
-                    continue
-                rows.append(
-                    _shape_row(
-                        A, kP(A, i), kR(A, lab, t), "P%d" % i, "R[%s,%d]" % (lab, t),
-                        t * d, ("G", t * d, p),
-                    )
-                )
-    for i in range(max_sum + 1):
-        for j in range(max_sum + 1):
-            if i + j > max_sum:
-                continue
-            rows.append(
-                _shape_row(
-                    A, kP(A, i), kQ(A, j), "P%d" % i, "Q%d" % j,
-                    i + j, ("G", i + j, p),
-                )
-            )
-    for lab in tubes:
-        d = label_degree(lab)
-        for s in range(1, max_t + 1):
-            for t in range(1, max_t + 1):
-                if s * d > max_t or t * d > max_t:
-                    continue
-                rows.append(
-                    _shape_row(
-                        A, kR(A, lab, s), kR(A, lab, t),
-                        "R[%s,%d]" % (lab, s), "R[%s,%d]" % (lab, t),
-                        min(s, t) * d, ("I", min(s, t)),
-                    )
-                )
-    # distinct tubes have no homomorphisms between them
-    rows.append(
-        _shape_row(
-            A, kR(A, tubes[0], 1), kR(A, tubes[1], 1),
-            "R[%s,1]" % tubes[0], "R[%s,1]" % tubes[1], 0, ("I", 0),
-        )
-    )
-    for lab in tubes:
-        d = label_degree(lab)
-        for s in range(1, max_t + 1):
-            if s * d > max_t:
-                continue
-            for j in range(max_sum + 1):
-                rows.append(
-                    _shape_row(
-                        A, kR(A, lab, s), kQ(A, j),
-                        "R[%s,%d]" % (lab, s), "Q%d" % j, s * d, ("I", s),
-                    )
-                )
-    for j in range(max_sum + 1):
-        for i in range(j, max_sum + 1):
-            if i + j > max_sum and (j, i) != (0, max_sum):
-                continue
-            rows.append(
-                _shape_row(
-                    A, kQ(A, i), kQ(A, j), "Q%d" % i, "Q%d" % j,
-                    i - j + 1, ("G", i - j + 1, p),
-                )
-            )
+    def P(i):
+        return kP(A, i), "P%d" % i
+
+    def Q(j):
+        return kQ(A, j), "Q%d" % j
+
+    def R(lab, t):
+        return kR(A, lab, t), "R[%s,%d]" % (lab, t)
+
+    def family_pairs():
+        """(C, Y, want_dim, want_shape), each pair built just before its row."""
+        yield from ((P(i), P(j), j - i + 1, ("G", j - i + 1, p)) for i, j in pairs if i <= j)
+        yield from ((P(i), R(lab, t), d, ("G", d, p)) for i in range(2) for lab, t, d in regs)
+        yield from ((P(i), Q(j), i + j, ("G", i + j, p)) for i, j in pairs)
+        yield from ((R(lab, s), R(lab, t), min(ds, dt), ("I", min(s, t)))
+                    for lab, s, ds in regs for lab2, t, dt in regs if lab2 == lab)
+        # distinct tubes have no homomorphisms between them
+        yield R(tubes[0], 1), R(tubes[1], 1), 0, ("I", 0)
+        yield from ((R(lab, s), Q(j), d, ("I", s)) for lab, s, d in regs for j in range(max_sum + 1))
+        yield from ((Q(i), Q(j), i - j + 1, ("G", i - j + 1, p)) for j, i in pairs if j <= i)
+
+    rows = [_shape_row(A, c, y, cn, yn, dim, shape) for (c, cn), (y, yn), dim, shape in family_pairs()]
     return rows, all(r["ok"] for r in rows)
 
 

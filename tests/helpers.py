@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from auskit import rep
+from auskit import ffmat, kronecker, rep
 from auskit.errors import VerificationFailure
 from auskit.ffmat import INT, amod, identity, inv, inv_mod, rref, solve_all, zeros
 
@@ -225,3 +225,90 @@ def minpoly_reference(a, p):
             return coeffs
         stack.append(target)
     raise VerificationFailure("minimal polynomial has degree above n")
+
+
+# --- the Kronecker shape table, one loop nest per family pair -----------------
+
+
+def verify_table_reference(p, max_sum=3, max_t=3):
+    """The (C, Y) shape table as seven loop nests, one per family pair; a
+    reference oracle for kronecker.verify_table.  Returns (rows, all_ok)."""
+    A = kronecker.kronecker_algebra(2, p)
+    rows = []
+    tubes = list(range(p)) + ["inf"] + list(ffmat.monic_irreducibles(p, 2))[:1]
+
+    for i in range(max_sum + 1):
+        for j in range(i, max_sum + 1):
+            if i + j > max_sum and (i, j) != (0, max_sum):
+                continue
+            rows.append(
+                kronecker._shape_row(
+                    A, kronecker.kP(A, i), kronecker.kP(A, j), "P%d" % i, "P%d" % j,
+                    j - i + 1, ("G", j - i + 1, p),
+                )
+            )
+    for i in range(2):
+        for lab in tubes:
+            d = kronecker.label_degree(lab)
+            for t in range(1, max_t + 1):
+                if t * d > max_t:
+                    continue
+                rows.append(
+                    kronecker._shape_row(
+                        A, kronecker.kP(A, i), kronecker.kR(A, lab, t), "P%d" % i, "R[%s,%d]" % (lab, t),
+                        t * d, ("G", t * d, p),
+                    )
+                )
+    for i in range(max_sum + 1):
+        for j in range(max_sum + 1):
+            if i + j > max_sum:
+                continue
+            rows.append(
+                kronecker._shape_row(
+                    A, kronecker.kP(A, i), kronecker.kQ(A, j), "P%d" % i, "Q%d" % j,
+                    i + j, ("G", i + j, p),
+                )
+            )
+    for lab in tubes:
+        d = kronecker.label_degree(lab)
+        for s in range(1, max_t + 1):
+            for t in range(1, max_t + 1):
+                if s * d > max_t or t * d > max_t:
+                    continue
+                rows.append(
+                    kronecker._shape_row(
+                        A, kronecker.kR(A, lab, s), kronecker.kR(A, lab, t),
+                        "R[%s,%d]" % (lab, s), "R[%s,%d]" % (lab, t),
+                        min(s, t) * d, ("I", min(s, t)),
+                    )
+                )
+    # distinct tubes have no homomorphisms between them
+    rows.append(
+        kronecker._shape_row(
+            A, kronecker.kR(A, tubes[0], 1), kronecker.kR(A, tubes[1], 1),
+            "R[%s,1]" % tubes[0], "R[%s,1]" % tubes[1], 0, ("I", 0),
+        )
+    )
+    for lab in tubes:
+        d = kronecker.label_degree(lab)
+        for s in range(1, max_t + 1):
+            if s * d > max_t:
+                continue
+            for j in range(max_sum + 1):
+                rows.append(
+                    kronecker._shape_row(
+                        A, kronecker.kR(A, lab, s), kronecker.kQ(A, j),
+                        "R[%s,%d]" % (lab, s), "Q%d" % j, s * d, ("I", s),
+                    )
+                )
+    for j in range(max_sum + 1):
+        for i in range(j, max_sum + 1):
+            if i + j > max_sum and (j, i) != (0, max_sum):
+                continue
+            rows.append(
+                kronecker._shape_row(
+                    A, kronecker.kQ(A, i), kronecker.kQ(A, j), "Q%d" % i, "Q%d" % j,
+                    i - j + 1, ("G", i - j + 1, p),
+                )
+            )
+    return rows, all(r["ok"] for r in rows)

@@ -201,6 +201,11 @@ def test_parse_errors():
             algebra.parse_algebra_file("field %s\nvertices a\n" % field)
     with pytest.raises(ParseError):
         algebra.parse_algebra_file("vertices a\n")
+    # a relation line is [+|-] term [+|- term ...] and nothing else
+    kron2 = "field 2\nvertices a b\narrow x a b\narrow y a b\n"
+    for rel in ("x $ y", "x y", "x + + y", "+", ""):
+        with pytest.raises(ParseError):
+            algebra.parse_algebra_file(kron2 + "relation %s\n" % rel)
     # beta after alpha is not composable in the linear A3 quiver
     with pytest.raises(BadRelation):
         algebra.parse_algebra_file(

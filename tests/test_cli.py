@@ -43,6 +43,13 @@ def test_check_algebra_bad_field_exit_code(tmp_path, capsys):
     assert "field size 'x' is not an integer" in capsys.readouterr().err
 
 
+def test_check_algebra_file_not_utf8_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_bytes(b"field 2\nvertices a\n# \xff\n")
+    assert cli.main(["check-algebra", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_check_algebra_unknown(capsys):
     assert cli.main(["check-algebra", "no-such-thing"]) == 2
     assert "no catalog algebra" in capsys.readouterr().err

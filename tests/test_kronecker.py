@@ -1,8 +1,9 @@
 import pytest
 
-from auskit import factor, kronecker as kr, lattice, rep
+from auskit import factor, ffmat, kronecker as kr, lattice, rep
 from auskit.errors import ParseError, VerificationFailure
 from auskit.ffmat import identity, mat_key
+from helpers import verify_table_reference
 
 
 def test_preprojective_preinjective_dims(kron2):
@@ -71,10 +72,10 @@ def test_linear_tubes_are_jordan_blocks(p):
 
 
 def test_monic_irreducibles():
-    assert kr.monic_irreducibles(2, 1) == [(1, 0), (1, 1)]
-    assert kr.monic_irreducibles(2, 2) == [(1, 1, 1)]
-    assert len(kr.monic_irreducibles(3, 2)) == 3
-    assert len(kr.monic_irreducibles(2, 3)) == 2
+    assert ffmat.monic_irreducibles(2, 1) == ((1, 0), (1, 1))
+    assert ffmat.monic_irreducibles(2, 2) == ((1, 1, 1),)
+    assert len(ffmat.monic_irreducibles(3, 2)) == 3
+    assert len(ffmat.monic_irreducibles(2, 3)) == 2
 
 
 def _mobius(n):
@@ -93,7 +94,7 @@ def _mobius(n):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_monic_irreducibles_gauss_count(p, d):
     gauss = sum(_mobius(k) * p ** (d // k) for k in range(1, d + 1) if d % k == 0) // d
-    assert len(kr.monic_irreducibles(p, d)) == gauss
+    assert len(ffmat.monic_irreducibles(p, d)) == gauss
 
 
 def test_tube_labels_are_validated(kron2):
@@ -139,6 +140,26 @@ def test_shape_table(kron2):
     assert by_pair[("Q2", "Q0")]["shape"] == ("G", 3, 2)
     # a pair from different tubes
     assert by_pair[("R[0,1]", "R[1,1]")]["hom_dim"] == 0
+
+
+def test_shape_table_matches_the_loop_nests(monkeypatch):
+    """The family-pair table asks for the same rows, in the same order, on the
+    same modules, as one loop nest per family; edge caps included."""
+    calls = []
+
+    def recording(A, c, y, cdesc, ydesc, want_dim, want_shape):
+        calls.append((cdesc, ydesc, want_dim, want_shape, c.key(), y.key()))
+        return {"c": cdesc, "y": ydesc, "ok": True}
+
+    monkeypatch.setattr(kr, "_shape_row", recording)
+    for p in (2, 3, 5):
+        for max_sum in (-1, 0, 1, 2, 4):
+            for max_t in (-1, 0, 1, 2, 4):
+                got = kr.verify_table(p, max_sum, max_t)
+                got_calls, calls[:] = calls[:], []
+                want = verify_table_reference(p, max_sum, max_t)
+                assert got == want and got_calls == calls, (p, max_sum, max_t)
+                calls.clear()
 
 
 def test_sigma_check(kron2):

@@ -6,6 +6,7 @@ import pytest
 
 from auskit import algebra, ar, catalog, kronecker as kr, rep
 from auskit.errors import VerificationFailure
+from helpers import _counting
 
 
 def _twin(x):
@@ -170,6 +171,15 @@ def test_failed_tau_minus_leaves_nothing_behind(monkeypatch):
     monkeypatch.undo()
     ar.tau_minus(q)
     assert ("tau_minus", q.key()) in A._memo
+
+
+def test_tau_is_memoized(monkeypatch):
+    # the table asks for tau of Q_2 and Q_3 on every row that has them: four
+    # transposes in all (two for tau, two for tau_minus), 28 without the memo
+    calls = []
+    monkeypatch.setattr(ar, "transpose", _counting(ar.transpose, calls))
+    assert kr.verify_table(2, 3, 3)[1]
+    assert len(calls) <= 4
 
 
 def test_second_identical_check_instance_misses_nothing():

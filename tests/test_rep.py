@@ -369,7 +369,7 @@ def test_pivot_readers_keep_their_certificates(kron2, monkeypatch):
 def test_commutative_split_driven_directly(monkeypatch):
     # End = F_9 x F_9 for two regular modules from distinct degree-2 tubes
     k3 = _f3_kron2()
-    labs = kr.monic_irreducibles(3, 2)[:2]
+    labs = ffmat.monic_irreducibles(3, 2)[:2]
     x = rep.direct_sum(k3, [kr.kR(k3, lab, 1) for lab in labs])[0]
     basis = list(_shift_proof_basis(x, _end_elements(x)))
     assert len(basis) == len(rep.end_algebra(x)) == 4
