@@ -21,6 +21,7 @@ from .ffmat import INT, Subspace, is_prime, zeros
 
 MAX_PATH_LEN = 64  # longest path tried before an algebra is refused as infinite
 MAX_PATHS = 200000  # most paths enumerated before an algebra is refused
+MAX_FIELD = 2 ** 16  # smallest field size refused: below it the int64 arithmetic of ffmat is exact
 
 
 class Quiver:
@@ -103,6 +104,8 @@ class Algebra:
 
     def __init__(self, quiver, p, relations, name=""):
         p = int(p)
+        if p >= MAX_FIELD:
+            raise ParseError("field size %d is not below %d" % (p, MAX_FIELD))
         if not is_prime(p):
             raise ParseError("field size %d is not prime" % p)
         self.quiver = quiver

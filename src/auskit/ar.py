@@ -46,8 +46,6 @@ def _hom_proj_rep(A, verts):
 def transpose(m):
     """Tr M over the opposite algebra, from a minimal presentation."""
     A = m.A
-    if m.total_dim == 0:
-        return rep.zero_rep(A.opposite())
     p0, cover, v0 = proj_cover(m)
     om, incl = rep.kernel(cover)
     v1, lifts, _, _ = rep.generators(om)

@@ -182,7 +182,7 @@ def cmd_kronecker(args):
                       % (r["c"], r["y"], r["hom_dim"], tuple(r["shape"]), mark))
             print("table %s" % ("verified" if d["ok"] else "BROKEN"))
 
-        _emit(args, _jsonable(payload), show)
+        _emit(args, payload, show)
         if not ok:
             raise VerificationFailure("shape table mismatch")
         return 0
@@ -220,16 +220,6 @@ def cmd_examples(args):
         inst = catalog.get_instance(name)
         print("  %-24s %s: C = %s, Y = %s" % (name, inst["algebra"], inst["c"], inst["y"]))
     return 0
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if hasattr(obj, "item"):
-        return obj.item()
-    return obj
 
 
 def _add_module_args(sp, with_format=True):

@@ -45,9 +45,6 @@ class GammaHom:
         """Smallest submodule containing the given coordinate rows."""
         return closure(rows, self.act, self.n, self.p)
 
-    def is_submodule(self, sub):
-        return not sub.residues(np.concatenate([sub.B] + [sub.B @ m.T for m in self.act])).any()
-
     def eta(self, f):
         """Image of Hom(C, f) as a submodule of Hom(C, Y)."""
         if f.tgt.key() != self.y.key():

@@ -1,9 +1,13 @@
 """Exact dense linear algebra over the prime fields F_p (p small).
 
 Matrices are numpy int64 arrays with entries in {0, ..., p-1}; the modulus is
-passed explicitly.  Reduced row echelon form is the canonical representative
-used everywhere: two subspaces are equal iff their rref bases are bytewise
-equal, which is what makes deduplication by key sound.
+passed explicitly.  p is below 2^16 (algebra.MAX_FIELD), so a product of two
+reduced entries is below 2^32, and an int64 sum of fewer than 2^31 of them is
+exact; a product whose factors feed another product is reduced first.
+Reduced row echelon form is the canonical representative used everywhere: two
+subspaces are equal iff their rref bases are bytewise equal, which is what
+makes deduplication by key sound.
+solve_mat is the one solver of a @ x = b; solve, inv and solve_all read it.
 
 rref eliminates on Python lists of rows, not on the array.  Its matrices are
 tiny (most have at most 16 entries, many none), and on them a numpy
@@ -129,52 +133,36 @@ def null_space(a, p):
     return Subspace.from_rref(kernel_from_rref(r, piv, n, p)[::-1, ::-1], free, n, p)
 
 
-def solve_all(a, b, p):
-    """General solution of a @ x = b: (particular, kernel_rows), or None.
-
-    The particular solution is the canonical one with all free variables
-    set to zero, so repeated calls are reproducible.
-    """
-    a = np.asarray(a, dtype=INT)
-    n = a.shape[1]
-    aug = np.concatenate([a, np.reshape(b, (-1, 1))], axis=1)
-    r, piv = rref(aug, p)
-    if n in piv:
-        return None
-    x0 = zeros(1, n)[0]
-    for i, c in enumerate(piv):
-        x0[c] = r[i, n]
-    ker = kernel_from_rref(r[:, :n], piv, n, p)
-    return x0, ker
-
-
-def solve(a, b, p):
-    out = solve_all(a, b, p)
-    return None if out is None else out[0]
-
-
 def solve_mat(a, b, p):
-    """Solve a @ x = b columnwise (b a matrix); None if any column fails."""
+    """The one solver: a @ x = b for a matrix b, from one elimination of
+    [a | b], with every free variable 0; None when a pivot falls in b, that is
+    when some column has no solution."""
     a = np.asarray(a, dtype=INT)
     n = a.shape[1]
-    k = np.shape(b)[1]
     r, piv = rref(np.concatenate([a, b], axis=1), p)
     if piv and piv[-1] >= n:
         return None
-    x = zeros(n, k)
-    for i, c in enumerate(piv):
-        x[c] = r[i, n:]
+    x = zeros(n, np.shape(b)[1])
+    x[piv] = r[: len(piv), n:]
     return x
 
 
+def solve(a, b, p):
+    """a @ x = b for a vector b (solve_mat's column case), or None."""
+    x = solve_mat(a, np.reshape(b, (-1, 1)), p)
+    return None if x is None else x[:, 0]
+
+
+def solve_all(a, b, p):
+    """General solution of a @ x = b: (particular, kernel_rows), or None."""
+    x = solve(a, b, p)
+    return None if x is None else (x, kernel(a, p))
+
+
 def inv(a, p):
-    """Matrix inverse; None if singular."""
-    a = np.asarray(a, dtype=INT)
-    n = a.shape[0]
-    r, piv = rref(np.concatenate([a, identity(n)], axis=1), p)
-    if piv != list(range(n)):
-        return None
-    return r[:, n:].copy()
+    """Matrix inverse, or None if singular: a square a @ x = 1 is solvable
+    exactly when a is invertible."""
+    return solve_mat(a, identity(len(a)), p)
 
 
 # --- subspaces -------------------------------------------------------------
@@ -206,11 +194,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, n, p):
-        return cls(zeros(0, n), n, p)
+        return cls.from_rref(zeros(0, n), [], n, p)
 
     @classmethod
     def full(cls, n, p):
-        return cls(identity(n), n, p)
+        return cls.from_rref(identity(n), range(n), n, p)
 
     @property
     def dim(self):
@@ -270,12 +258,6 @@ class Subspace:
         r, piv = rref(np.concatenate([top, bot]), self.p)
         k = bisect.bisect_left(piv, n)
         return Subspace.from_rref(r[k : len(piv), n:], [c - n for c in piv[k:]], n, self.p)
-
-    def vectors(self):
-        """All p^dim member vectors (deterministic order)."""
-        d = self.dim
-        for coeffs in itertools.product(range(self.p), repeat=d):
-            yield (np.array(coeffs, dtype=INT) @ self.B) % self.p
 
 
 def closure(rows, mats, n, p):
@@ -432,7 +414,7 @@ def charpoly(a, p):
         ak, v, r, d = a[..., :k, :k], a[..., :k, k], a[..., k, :k], a[..., k, k]
         col = [np.ones_like(d), -d]
         for _ in range(k):
-            col.append(-np.einsum("...i,...i->...", r, v))
+            col.append(-np.einsum("...i,...i->...", r, v) % p)
             v = np.einsum("...ij,...j->...i", ak, v) % p
         lag = np.subtract.outer(np.arange(k + 2), np.arange(k + 1))
         toeplitz = np.where(lag >= 0, np.stack(col, axis=-1)[..., lag.clip(0)], 0)

@@ -100,8 +100,7 @@ class Rep:
 
 
 def zero_rep(algebra):
-    n = len(algebra.quiver.vertices)
-    return Rep(algebra, [0] * n, {ai: zeros(0, 0) for ai in range(len(algebra.quiver.arrows))}, check=False)
+    return direct_sum(algebra, [])[0]
 
 
 class Morphism:
@@ -308,7 +307,7 @@ def _hom_rows(x, y):
         (om @ t.reshape(len(t), t.shape[1] * starts[-1])).reshape(len(om) * t.shape[1], starts[-1])
         for (om, _, _), t in zip(rels, maps)])
     sol = ffmat.kernel(eqs, p)
-    f = _flatten([(t[piv] @ sol.T).transpose(2, 1, 0) @ sec
+    f = _flatten([(t[piv] @ sol.T % p).transpose(2, 1, 0) @ sec
                   for (_, piv, sec), t in zip(rels, maps)], len(sol))
     # the free-column kernel basis: rref of the reversed columns, reversed back
     r, piv = ffmat.rref(f[:, ::-1], p)
@@ -476,9 +475,6 @@ def top(x):
 
 def direct_sum(algebra, reps):
     """(D, inclusions, projections)."""
-    if not reps:
-        z = zero_rep(algebra)
-        return z, [], []
     nv = len(algebra.quiver.vertices)
     dims = [sum(r.dims[v] for r in reps) for v in range(nv)]
     mats = {}
@@ -653,7 +649,7 @@ def _max_nil_ideal(ed):
     p^i <= n.  The verification does not rely on the chain being right.
     """
     p, n = ed.p, ed.x.total_dim
-    cur = ffmat.Subspace(identity(ed.dim), ed.dim, p)
+    cur = ffmat.Subspace.full(ed.dim, p)
     i = 0
     while p ** i <= n and cur.dim:
         elems = ed.to_mats(cur.B)

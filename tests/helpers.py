@@ -1,10 +1,12 @@
 """Helpers shared by the test modules."""
 
+import itertools
+
 import numpy as np
 
 from auskit import ffmat, kronecker, rep
 from auskit.errors import VerificationFailure
-from auskit.ffmat import INT, amod, identity, inv, inv_mod, rref, solve_all, zeros
+from auskit.ffmat import INT, amod, identity, inv, inv_mod, kernel_from_rref, rref, zeros
 
 
 def rand_mat(rng, m, n, p):
@@ -134,6 +136,66 @@ def rref_reference(a, p):
     return r, pivots
 
 
+# --- the solvers of ffmat, each its own elimination of [a | b]: reference oracles
+
+
+def solve_all_reference(a, b, p):
+    """General solution of a @ x = b: (particular, kernel_rows), or None.
+
+    The particular solution is the canonical one with all free variables
+    set to zero, so repeated calls are reproducible.  A reference oracle for
+    ffmat.solve_all.
+    """
+    a = np.asarray(a, dtype=INT)
+    n = a.shape[1]
+    aug = np.concatenate([a, np.reshape(b, (-1, 1))], axis=1)
+    r, piv = rref(aug, p)
+    if n in piv:
+        return None
+    x0 = zeros(1, n)[0]
+    for i, c in enumerate(piv):
+        x0[c] = r[i, n]
+    ker = kernel_from_rref(r[:, :n], piv, n, p)
+    return x0, ker
+
+
+def solve_mat_reference(a, b, p):
+    """Solve a @ x = b columnwise (b a matrix); None if any column fails.
+    A reference oracle for ffmat.solve_mat."""
+    a = np.asarray(a, dtype=INT)
+    n = a.shape[1]
+    k = np.shape(b)[1]
+    r, piv = rref(np.concatenate([a, b], axis=1), p)
+    if piv and piv[-1] >= n:
+        return None
+    x = zeros(n, k)
+    for i, c in enumerate(piv):
+        x[c] = r[i, n:]
+    return x
+
+
+def inv_reference(a, p):
+    """Matrix inverse; None if singular.  A reference oracle for ffmat.inv."""
+    a = np.asarray(a, dtype=INT)
+    n = a.shape[0]
+    r, piv = rref(np.concatenate([a, identity(n)], axis=1), p)
+    if piv != list(range(n)):
+        return None
+    return r[:, n:].copy()
+
+
+def vectors(sub):
+    """All p^dim member vectors of a Subspace (deterministic order)."""
+    for coeffs in itertools.product(range(sub.p), repeat=sub.dim):
+        yield (np.array(coeffs, dtype=INT) @ sub.B) % sub.p
+
+
+def is_submodule(gh, sub):
+    """Whether a Subspace of Hom(C, Y) coordinates is closed under the
+    End(C)-action of the GammaHom gh."""
+    return not sub.residues(np.concatenate([sub.B] + [sub.B @ m.T for m in gh.act])).any()
+
+
 # --- polynomials mod p by coefficient lists: reference oracles for ffmat -----
 
 
@@ -206,7 +268,7 @@ def charpoly_reference(a, p):
 
 def minpoly_reference(a, p):
     """Monic minimal polynomial, ascending coefficients: the first power of a
-    that solve_all writes in the lower ones.  A reference oracle for
+    that solve_all_reference writes in the lower ones.  A reference oracle for
     ffmat.minpoly."""
     a = amod(a, p)
     n = a.shape[0]
@@ -217,7 +279,7 @@ def minpoly_reference(a, p):
     for k in range(1, n + 1):
         cur = (cur @ a) % p
         target = cur.reshape(-1)
-        sol = solve_all(np.array(stack, dtype=INT).T, target, p)
+        sol = solve_all_reference(np.array(stack, dtype=INT).T, target, p)
         if sol is not None:
             coeffs = zeros(1, k + 1)[0]
             coeffs[:k] = (-sol[0]) % p

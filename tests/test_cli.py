@@ -43,6 +43,14 @@ def test_check_algebra_bad_field_exit_code(tmp_path, capsys):
     assert "field size 'x' is not an integer" in capsys.readouterr().err
 
 
+def test_check_algebra_field_too_large_exit_code(tmp_path, capsys):
+    # int64 products of entries below p are exact only for p below 2^16
+    path = tmp_path / "big.alg"
+    path.write_text("field 2147483647\nvertices a b\narrow x a b\n")
+    assert cli.main(["check-algebra", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_check_algebra_file_not_utf8_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.alg"
     path.write_bytes(b"field 2\nvertices a\n# \xff\n")

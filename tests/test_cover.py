@@ -103,6 +103,15 @@ def _assert_same_cover(name, m):
         assert ar.transpose(x).key() == _reference_transpose(x).key(), name
 
 
+def test_transpose_of_a_zero_module_matches_reference():
+    for name in catalog.algebra_names():
+        A = catalog.load_catalog_algebra(name)
+        for alg in (A, A.opposite()):
+            z = rep.zero_rep(alg)
+            t = ar.transpose(z)
+            assert t.A is alg.opposite() and t.key() == _reference_transpose(z).key(), alg.name
+
+
 def test_cover_matches_reference_on_generator_pools(kron2, loopb, sub3):
     for name, mods in _generator_pools(kron2, loopb, sub3).items():
         for m in mods:

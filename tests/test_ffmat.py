@@ -17,7 +17,17 @@ from auskit.ffmat import (
     rref,
     solve_all,
 )
-from helpers import charpoly_reference, minpoly_reference, poly_eval_mat, rand_mat, rref_reference
+from helpers import (
+    charpoly_reference,
+    inv_reference,
+    minpoly_reference,
+    poly_eval_mat,
+    rand_mat,
+    rref_reference,
+    solve_all_reference,
+    solve_mat_reference,
+    vectors,
+)
 
 
 def test_rref_collapses_equal_rows():
@@ -101,6 +111,61 @@ def test_inverse_of_empty_matrix():
     assert ai is not None and ai.shape == (0, 0)
 
 
+def _solver_inputs(p, rng):
+    """Seeded (a, b) over F_p with 0 to 6 rows and columns and 0 to 3
+    right-hand sides: a dense or of rank at most 1, b = a x (solvable) or
+    random (often not, when a has low rank); entries of a from -p to 2p."""
+    for m in range(7):
+        for n in range(7):
+            k = min(1, m, n)
+            low_rank = rng.integers(-p, 2 * p, (m, k)) @ rng.integers(0, p, (k, n))
+            for a in (rng.integers(-p, 2 * p, (m, n)), low_rank):
+                for cols in range(4):
+                    yield a, a @ rng.integers(0, p, (n, cols))
+                    yield a, rng.integers(0, p, (m, cols))
+
+
+def _square_inputs(p, rng):
+    """Seeded square matrices over F_p, 0 x 0 to 6 x 6: random (mostly
+    invertible) and of rank n - 1 (singular)."""
+    for n in range(7):
+        yield rng.integers(-p, 2 * p, (n, n))
+        if n:
+            yield rng.integers(0, p, (n, n - 1)) @ rng.integers(-p, 2 * p, (n - 1, n))
+
+
+def _assert_same(got, want):
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_solvers_match_the_eliminations_they_replaced(p):
+    # solve, solve_all and inv all read solve_mat; each must give what its own
+    # elimination of [a | b] gave, None included
+    rng = np.random.default_rng(2000 + p)
+    solvable, invertible = set(), set()
+    for a, b in _solver_inputs(p, rng):
+        _assert_same(ffmat.solve_mat(a, b, p), solve_mat_reference(a, b, p))
+        for col in b.T:
+            got, want = solve_all(a, col, p), solve_all_reference(a, col, p)
+            assert (got is None) == (want is None)
+            if want is not None:
+                _assert_same(got[0], want[0])
+                _assert_same(got[1], want[1])
+            _assert_same(ffmat.solve(a, col, p), None if want is None else want[0])
+            solvable.add(want is not None)
+    for a in _square_inputs(p, rng):
+        want = inv_reference(a, p)
+        _assert_same(ffmat.inv(a, p), want)
+        invertible.add((len(a), want is not None))
+    assert solvable == {True, False}
+    assert (0, True) in invertible and {ok for _, ok in invertible} == {True, False}
+
+
 def test_subspace_canonical_equality():
     u = Subspace([[1, 1, 0], [0, 0, 1]], 3, 2)
     v = Subspace([[1, 1, 1], [0, 0, 1]], 3, 2)
@@ -179,6 +244,25 @@ def test_charpoly_consistent_with_determinant():
         assert len(cp) == n + 1 and cp[n] == 1
         # Cayley-Hamilton
         assert not poly_eval_mat(cp, a, p).any()
+
+
+@pytest.mark.parametrize("n", [32, 96, 200])
+def test_charpoly_of_a_conjugated_companion_near_the_field_bound(n):
+    # p just below the largest field size an Algebra accepts, in a dense
+    # matrix: every int64 product in the recurrence must stay exact
+    p = 65521
+    rng = np.random.default_rng(n)
+    c = np.append(rng.integers(0, p, n), 1)  # ascending, monic
+    s = s_inv = ffmat.identity(n)
+    for _ in range(3):  # 1 + u v^T with v.u = 0 has the inverse 1 - u v^T
+        u, v = rng.integers(0, p, n), rng.integers(0, p, n)
+        u[-1] = 1
+        v[-1] = -(v[:-1] @ u[:-1]) % p
+        t = np.outer(u, v) % p
+        s, s_inv = s @ (ffmat.identity(n) + t) % p, (ffmat.identity(n) - t) @ s_inv % p
+    assert not (s @ s_inv % p - ffmat.identity(n)).any()
+    m = s @ ffmat.companion(c[::-1], p) % p @ s_inv % p
+    assert charpoly(m, p).tolist() == c.tolist()
 
 
 def test_minpoly():
@@ -291,9 +375,9 @@ def test_zassenhaus_vs_pointwise():
         u = Subspace(rand_mat(rng, 2, n, p), n, p)
         w = Subspace(rand_mat(rng, 2, n, p), n, p)
         inter = u.intersect(w)
-        members = [tuple(v) for v in u.vectors() if w.contains(v)]
+        members = [tuple(v) for v in vectors(u) if w.contains(v)]
         assert len(members) == p ** inter.dim
-        for v in inter.vectors():
+        for v in vectors(inter):
             assert u.contains(v) and w.contains(v)
         # the rows read off the Zassenhaus RREF are the canonical basis
         again = Subspace(inter.B, n, p)
@@ -322,7 +406,7 @@ def _reader_cases(p):
     for _ in range(12):
         n = rng.randrange(1, 5)
         s = Subspace(rand_mat(rng, rng.randrange(0, n + 1), n, p), n, p)
-        rows = np.concatenate([rand_mat(rng, 4, n, p), np.array(list(s.vectors()))[:3]])
+        rows = np.concatenate([rand_mat(rng, 4, n, p), np.array(list(vectors(s)))[:3]])
         out.append((s, rows))
     return out
 
@@ -331,7 +415,7 @@ def _reader_cases(p):
 def test_pivot_readers_match_brute_force(p):
     for s, rows in _reader_cases(p):
         n = s.n
-        members = {tuple(v) for v in s.vectors()}
+        members = {tuple(v) for v in vectors(s)}
         res = s.residues(rows)
         assert res.shape == rows.shape and not res[:, s.pivots].any()
         assert (s.residues(rows + 3 * p) == res).all()  # inputs need not be reduced mod p
@@ -360,5 +444,5 @@ def test_subspace_order_matches_brute_force():
         n, p = rng.randrange(0, 4), rng.choice([2, 3])
         u, w = (Subspace(rand_mat(rng, rng.randrange(0, 3), n, p), n, p) for _ in range(2))
         for a, b in ((u, w), (w, u), (u, u.sum(w)), (u.intersect(w), w)):
-            want = {tuple(v) for v in a.vectors()} <= {tuple(v) for v in b.vectors()}
+            want = {tuple(v) for v in vectors(a)} <= {tuple(v) for v in vectors(b)}
             assert a.leq(b) == want

@@ -177,6 +177,17 @@ def test_morphism_checks(a2):
         bad.check()
 
 
+def test_zero_module_is_the_empty_direct_sum():
+    for name in catalog.algebra_names():
+        A = catalog.load_catalog_algebra(name)
+        for alg in (A, A.opposite()):
+            # no dimension anywhere and a 0 x 0 matrix on every arrow
+            want = ((0,) * alg.nv,) + (((0, 0), b""),) * len(alg.quiver.arrows)
+            d, incls, projs = rep.direct_sum(alg, [])
+            assert d.key() == want and rep.zero_rep(alg).key() == want, alg.name
+            assert d.A is alg and incls == [] and projs == [], alg.name
+
+
 def test_zero_and_identity(a3lin):
     pc = a3lin.proj("c")
     z = rep.zero_morphism(pc, pc)
