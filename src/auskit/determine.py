@@ -34,6 +34,7 @@ class GammaHom:
         self.act = rep.hom_matrix_precompose(self.basis, self.end, self.basis).reshape(
             self.n, len(self.end), self.n).transpose(1, 0, 2)
         self._simple = None
+        self._ranks = {}
 
     def zero_sub(self):
         return Subspace.zero(self.n, self.p)
@@ -104,9 +105,17 @@ class GammaHom:
         classes, eps_mats, _, residue = self.simple_data()
         if not lo.leq(hi):
             raise VerificationFailure("not a subquotient pair")
+
+        def ranks(sub):
+            """The dims of sub e_i over the classes i, once per submodule."""
+            key = sub.key()
+            if key not in self._ranks:
+                self._ranks[key] = [rank(sub.B @ m.T, self.p) for m in eps_mats]
+            return self._ranks[key]
+
         out, filled = {}, 0
-        for i, m in enumerate(eps_mats):
-            d = rank(hi.B @ m.T, self.p) - rank(lo.B @ m.T, self.p)
+        for i, (top, bottom) in enumerate(zip(ranks(hi), ranks(lo))):
+            d = top - bottom
             if d % residue[i]:
                 raise VerificationFailure("isotypic block is not a multiple of the residue dimension")
             if d:

@@ -9,11 +9,33 @@ per kernel class as subspaces of Ext^1(Y', K_i), which enumerates each class
 exactly once up to the base change group.
 
 The bijection with the submodule lattice of Hom(C, Y) is certified during the
-build: every submodule must be reached (surjectivity), candidates landing on
-the same submodule must be right equivalent (injectivity), and optionally the
-partial orders and meets are compared pairwise.
+build: every submodule must be reached (surjectivity), and candidates landing
+on the same submodule must be right equivalent (injectivity).  A candidate is
+filtered and keyed by eta of the map as assembled, and only the first one
+reaching a submodule is right minimalized (Auslander-Reiten-Smalo,
+Representation Theory of Artin Algebras, 1995, ch. XI): f = f_min o s with s
+a split epi, so Hom(X, s) is onto for every X.  Hence eta(f) = eta(f_min),
+the missing-projective filter, which reads only the images of Hom(P, f) and
+Hom(rad P, f), gives the same verdict on both, and [f> = [f_min>.
+
+Optionally the order and the meets are certified, on pairs chosen by the
+lattice rather than on all n^2:
+  - order, positive: f_i factors through f_j on every cover i < j.  Every
+    i <= j is a chain of covers, so the cover witnesses compose.
+  - order, negative: f_k does not factor through f_j for every
+    join-irreducible k (one lower cover) and every j with k not <= j.  If
+    f_i factored through f_j with i not <= j, then, since in a finite lattice
+    every element is the join of the join-irreducibles below it (Birkhoff;
+    Davey-Priestley, Introduction to Lattices and Order, 2nd ed., 2002), some
+    join-irreducible k <= i has k not <= j, and f_k <= f_i <= f_j contradicts
+    the check.
+  - meets: eta of the pullback map of f_i and f_j is the meet of nodes i and
+    j, built for incomparable pairs only.  For i <= j the meet is i, and once
+    the order is certified a witness f_i = f_j o h gives a section (1, h) of
+    the pullback, so its map is in [f_i>.
 """
 
+import collections
 import itertools
 
 import numpy as np
@@ -83,25 +105,18 @@ class FactorizationLattice:
                 if n_cand > CAND_CAP:
                     raise CapExceeded("too many factorization candidates")
                 f = _assemble(A, incl, eds, combo)
-                ts = [len(rows) for rows in combo]
-                if any(ts):
-                    fmin, _ = rep.right_minimalize(f)
-                else:
-                    fmin = f  # submodule inclusions are right minimal
-                if any(
-                    determine.almost_factors_strictly(fmin, A.proj(v))
-                    for v in missing_proj
-                ):
+                if any(determine.almost_factors_strictly(f, A.proj(v)) for v in missing_proj):
                     continue
-                sub = gh.eta(fmin)
+                sub = gh.eta(f)
                 key = sub.key()
                 if key in found:
-                    if not rep.right_equivalent(fmin, found[key].f):
+                    if not rep.right_equivalent(f, found[key].f):
                         raise VerificationFailure(
                             "distinct classes share an eta image"
                         )
                 else:
-                    found[key] = RightClass(fmin, sub)
+                    # submodule inclusions (no cocycle) are right minimal
+                    found[key] = RightClass(rep.right_minimalize(f)[0] if any(combo) else f, sub)
 
         classes = []
         for node in lat.nodes:
@@ -154,21 +169,34 @@ class FactorizationLattice:
     # -- certificates ----------------------------------------------------------
 
     def check_order_isomorphism(self):
-        n = len(self.classes)
-        for i in range(n):
-            for j in range(n):
-                ok, _ = rep.right_leq(self.classes[i].f, self.classes[j].f)
-                if ok != bool(self.lat.leq[i, j]):
-                    raise VerificationFailure("factorization order differs from eta order")
+        """f_i factors through f_j iff i <= j, checked on the covers and on
+        the join-irreducibles (see the module docstring)."""
+        fs = [rc.f for rc in self.classes]
+        covers = self.lat.covers()
+        for i, j in covers:
+            if not rep.right_leq(fs[i], fs[j])[0]:
+                raise VerificationFailure(
+                    "factorization order differs from eta order: cover %d<%d does not factor" % (i, j))
+        lower = collections.Counter(j for _, j in covers)
+        for k in (k for k in range(len(fs)) if lower[k] == 1):
+            for j in np.flatnonzero(~self.lat.leq[k]).tolist():
+                if rep.right_leq(fs[k], fs[j])[0]:
+                    raise VerificationFailure(
+                        "factorization order differs from eta order: join-irreducible %d factors "
+                        "through %d though %d is not below %d" % (k, j, k, j))
 
     def check_meets(self):
-        n = len(self.classes)
+        """eta of the pullback map is the meet, on incomparable pairs; for
+        comparable ones this follows from the order certificate."""
+        n, leq = len(self.classes), self.lat.leq
         for i in range(n):
             for j in range(i):
+                if leq[i, j] or leq[j, i]:
+                    continue
                 m = rep.meet_map(self.classes[i].f, self.classes[j].f)
                 expect = self.lat.nodes[self.lat.meet(i, j)]
                 if self.gh.eta(m).key() != expect.key():
-                    raise VerificationFailure("meet of classes does not match eta meet")
+                    raise VerificationFailure("meet of classes %d and %d does not match eta meet" % (i, j))
 
     def to_json(self):
         data = self.lat.to_json()

@@ -389,8 +389,14 @@ def poly_is_irreducible(c, p):
 @functools.lru_cache(maxsize=None)
 def monic_irreducibles(p, d):
     """Highest-first coefficient tuples of the monic irreducibles of degree d."""
-    return tuple((1,) + tail for tail in itertools.product(range(p), repeat=d)
-                 if poly_is_irreducible(tail[::-1] + (1,), p))
+    return tuple(iter_monic_irreducibles(p, d))
+
+
+def iter_monic_irreducibles(p, d):
+    """monic_irreducibles(p, d) in the same order, tested one at a time as
+    they are drawn."""
+    return ((1,) + tail for tail in itertools.product(range(p), repeat=d)
+            if poly_is_irreducible(tail[::-1] + (1,), p))
 
 
 def is_prime(n):

@@ -171,7 +171,7 @@ def _shape_row(A, c, y, cdesc, ydesc, want_dim, want_shape):
 def verify_table(p, max_sum=3, max_t=3):
     """Recompute the whole (C, Y) shape table; returns (rows, all_ok)."""
     A = kronecker_algebra(2, p)
-    tubes = [*range(p), "inf", *ffmat.monic_irreducibles(p, 2)[:1]]
+    tubes = [*range(p), "inf", next(ffmat.iter_monic_irreducibles(p, 2))]
     # (label, t, t * deg label) for the regular members of quasi-length cap max_t
     regs = [(lab, t, t * label_degree(lab)) for lab in tubes for t in range(1, max_t + 1)
             if t * label_degree(lab) <= max_t]

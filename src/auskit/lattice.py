@@ -183,8 +183,16 @@ class SubmoduleLattice:
                 "Hom space dimension %d over F_%d exceeds the enumeration cap"
                 % (gh.n, gh.p)
             )
-        # the certificate that the summand idempotents sum to 1 runs here, before any closure
-        spans = [Subspace(m.T, gh.n, gh.p).B for m in gh.simple_data()[1]]
+        # the certificate that the summand idempotents sum to 1 runs here, before any
+        # closure; a zero Hom space has no seeds, and for indecomposable C the one
+        # idempotent is 1, so its span is all of Hom(C, Y)
+        spans = []
+        if gh.n:
+            classes, eps_mats = gh.simple_data()[:2]
+            if [len(cl) for cl in classes] == [1]:
+                spans = [gh.full_sub().B]
+            else:
+                spans = [Subspace(m.T, gh.n, gh.p).B for m in eps_mats]
         return cls(gh, *_cyclic_search(gh.zero_sub(), _seed_lines(spans, gh.p), gh.close,
                                        lambda s: (s.dim, s.key())))
 

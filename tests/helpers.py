@@ -1,10 +1,11 @@
 """Helpers shared by the test modules."""
 
+import functools
 import itertools
 
 import numpy as np
 
-from auskit import ffmat, kronecker, rep
+from auskit import catalog, factor, ffmat, kronecker, rep
 from auskit.errors import VerificationFailure
 from auskit.ffmat import INT, amod, identity, inv, inv_mod, kernel_from_rref, rref, zeros
 
@@ -194,6 +195,38 @@ def is_submodule(gh, sub):
     """Whether a Subspace of Hom(C, Y) coordinates is closed under the
     End(C)-action of the GammaHom gh."""
     return not sub.residues(np.concatenate([sub.B] + [sub.B @ m.T for m in gh.act])).any()
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_lattice(name):
+    """The FactorizationLattice of a catalog instance, built once per session
+    without its certificates; callers must not change it."""
+    _, c, y = catalog.resolve_instance(name)
+    return factor.FactorizationLattice.build(c, y, certify=False)
+
+
+# --- the factorization certificates on all pairs: reference oracles ----------
+
+
+def check_order_isomorphism_reference(fl):
+    """FactorizationLattice.check_order_isomorphism on all n^2 pairs."""
+    n = len(fl.classes)
+    for i in range(n):
+        for j in range(n):
+            ok, _ = rep.right_leq(fl.classes[i].f, fl.classes[j].f)
+            if ok != bool(fl.lat.leq[i, j]):
+                raise VerificationFailure("factorization order differs from eta order")
+
+
+def check_meets_reference(fl):
+    """FactorizationLattice.check_meets with a pullback for every pair."""
+    n = len(fl.classes)
+    for i in range(n):
+        for j in range(i):
+            m = rep.meet_map(fl.classes[i].f, fl.classes[j].f)
+            expect = fl.lat.nodes[fl.lat.meet(i, j)]
+            if fl.gh.eta(m).key() != expect.key():
+                raise VerificationFailure("meet of classes does not match eta meet")
 
 
 # --- polynomials mod p by coefficient lists: reference oracles for ffmat -----

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import auskit
-from auskit import catalog, cli, factor, lattice
+from auskit import catalog, cli, factor, ffmat, lattice
 from auskit.errors import VerificationFailure
+from helpers import _counting
 
 A2_TEXT = """
 field 3
@@ -184,6 +186,18 @@ def test_kronecker_strongreg(capsys):
 def test_kronecker_table_small(capsys):
     assert cli.main(["kronecker", "table", "-p", "2", "--max-sum", "1",
                      "--max-t", "1"]) == 0
+    assert "table verified" in capsys.readouterr().out
+
+
+def test_kronecker_table_over_a_large_field(monkeypatch, capsys):
+    # the one irreducible quadratic tube label is the first one drawn: over
+    # F_101, x^2 + 2 after x^2 and x^2 + 1, not all 101^2 monic quadratics
+    calls = []
+    monkeypatch.setattr(ffmat, "poly_is_irreducible", _counting(ffmat.poly_is_irreducible, calls))
+    t0 = time.perf_counter()
+    assert cli.main(["kronecker", "table", "-p", "101", "--max-sum", "0", "--max-t", "0"]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert len(calls) == 3
     assert "table verified" in capsys.readouterr().out
 
 

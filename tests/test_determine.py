@@ -103,6 +103,23 @@ def test_class_sizes_certify_the_factor_count(a2, monkeypatch):
     assert len(calls) == 1
 
 
+def test_jh_between_ranks_each_block_once(monkeypatch):
+    # every class's C-length and the label count read jh_between up to the
+    # full module; dim sub e_i is computed once per submodule
+    seen = {}
+    real = determine.rank
+
+    def counted(a, p):
+        key = (a.shape, a.tobytes())
+        seen[key] = seen.get(key, 0) + 1
+        return real(a, p)
+
+    monkeypatch.setattr(determine, "rank", counted)
+    report = catalog.check_instance("kron3-ex10", certify=False)
+    assert report["ok"] and seen
+    assert max(seen.values()) == 1
+
+
 def test_projective_c_length(sub3):
     # for projective C, the length of [f> counts the factor's top pieces
     lam, _, _ = rep.direct_sum(sub3, [sub3.proj(v) for v in range(4)])

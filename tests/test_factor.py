@@ -1,11 +1,12 @@
 import functools
 import random
+import re
 
 import pytest
 
 from auskit import ar, catalog, determine, factor, lattice, rep
 from auskit.errors import VerificationFailure
-from helpers import rebased
+from helpers import _counting, catalog_lattice, check_meets_reference, check_order_isomorphism_reference, rebased
 
 
 def _lam(A):
@@ -122,6 +123,75 @@ def test_kernel_comparison_rejects(loopb, kron2):
     f = fl.classes[0].f
     with pytest.raises(VerificationFailure):
         factor.kernel_comparison(fl.top_class.f, f)  # kernels differ
+
+
+def test_one_right_minimalization_per_class(monkeypatch):
+    # candidates are filtered and keyed by eta of the assembled map; only the
+    # first candidate of each class is minimalized (86 calls for 91 candidates
+    # when every candidate was)
+    _, c, y = catalog.resolve_instance("uniserial-8")
+    calls = []
+    monkeypatch.setattr(rep, "right_minimalize", _counting(rep.right_minimalize, calls))
+    fl = factor.FactorizationLattice.build(c, y, certify=False)
+    assert 1 <= len(calls) <= len(fl) == 5
+
+
+@pytest.mark.parametrize("name", catalog.instance_names())
+def test_lattice_certificates_agree_with_all_pairs(name):
+    # the certificates on covers, join-irreducibles and incomparable pairs
+    # pass exactly where the all-pairs oracles pass: on every catalog instance
+    fl = catalog_lattice(name)
+    fl.check_order_isomorphism()
+    fl.check_meets()
+    check_order_isomorphism_reference(fl)
+    check_meets_reference(fl)
+
+
+CERTIFICATE_FAILURE = re.compile(
+    r"factorization order differs from eta order: (cover (\d+)<(\d+) does not factor"
+    r"|join-irreducible (\d+) factors through (\d+) though \4 is not below \5)$")
+
+
+@pytest.mark.parametrize("name", ["kron3-ex10", "subspace3-ex9", "kron2-ex4",
+                                  "onepoint-ext-ex19b", "uniserial-6"])
+def test_lattice_certificates_catch_a_swapped_class(name):
+    # class i's representative replaced by class j's, for every ordered pair:
+    # both the lattice-sized certificates and the all-pairs oracles raise,
+    # and the failure names a cover or a join-irreducible pair that is one
+    fl = catalog_lattice(name)
+    n, leq = len(fl), fl.lat.leq
+    lower = [sum(1 for _, b in fl.lat.covers() if b == k) for k in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            classes = list(fl.classes)
+            classes[i] = fl.classes[j]
+            bad = factor.FactorizationLattice(fl.c, fl.y, fl.gh, fl.lat, classes)
+            with pytest.raises(VerificationFailure) as err:
+                bad.check_order_isomorphism()
+                bad.check_meets()
+            m = CERTIFICATE_FAILURE.match(str(err.value))
+            assert m, str(err.value)
+            if m.group(2) is not None:
+                assert (int(m.group(2)), int(m.group(3))) in fl.lat.covers()
+            else:
+                k, t = int(m.group(4)), int(m.group(5))
+                assert lower[k] == 1 and not leq[k, t]
+            with pytest.raises(VerificationFailure):
+                check_order_isomorphism_reference(bad)
+                check_meets_reference(bad)
+
+
+def test_meet_certificate_names_its_pair(monkeypatch):
+    # a wrong lattice meet is caught on the first incomparable pair
+    fl = catalog_lattice("kron2-ex4")
+    leq = fl.lat.leq
+    i, j = next((i, j) for i in range(len(fl)) for j in range(i) if not (leq[i, j] or leq[j, i]))
+    monkeypatch.setattr(fl.lat, "meet", lambda a, b: fl.lat.full_i)
+    with pytest.raises(VerificationFailure,
+                       match="^meet of classes %d and %d does not match eta meet$" % (i, j)):
+        fl.check_meets()
 
 
 # The classes and the Gamma-lattice depend on C only through add C: repeating a

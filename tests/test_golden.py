@@ -16,7 +16,10 @@ quotient coordinates are not unit vectors, so the file pins those choices
 where the catalog outputs cannot.  algebras.txt holds one digest per catalog
 algebra and per opposite: its multiplication table, its unit, and the
 content keys of every projective P(v), injective Q(v) and right
-multiplication by an arrow.  After a deliberate output change,
+multiplication by an arrow.  classes.txt holds one line per factorization
+class of every catalog instance, subspace3-ex21 included: the dimension
+vectors and content keys of its source and kernel, whether it is epi or
+mono, and its C-length.  After a deliberate output change,
 rewrite them all with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -34,6 +37,7 @@ import pytest
 
 from auskit import ar, catalog, cli, kronecker, lattice, rep
 from auskit.errors import CapExceeded
+from helpers import catalog_lattice
 from test_lattice_oracle import CASES as RANDOM_CASES, _modules
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
@@ -165,6 +169,26 @@ def algebras_text():
     return "".join(line + "\n" for line in lines)
 
 
+CLASS_FACTS = "classes.txt"
+
+
+def class_facts_text():
+    lines = []
+    for name in catalog.instance_names():
+        fl = catalog_lattice(name)
+        for i, rc in enumerate(fl.classes):
+            lines.append("%s %d source=%s %s kernel=%s %s epi=%d mono=%d c_length=%d" % (
+                name, i, rc.source.dim_vector(), _fingerprint(rc.source), rc.kernel.dim_vector(),
+                _fingerprint(rc.kernel), rc.is_epi, rc.is_mono, fl.c_length(i)))
+    return "".join(line.replace(", ", ",") + "\n" for line in lines)
+
+
+def test_class_facts():
+    with open(os.path.join(GOLDEN, CLASS_FACTS)) as fh:
+        want = fh.read()
+    assert class_facts_text() == want
+
+
 def test_algebras_digest():
     with open(os.path.join(GOLDEN, ALGEBRAS)) as fh:
         want = fh.read()
@@ -206,7 +230,9 @@ def main():
         fh.write(random_basis_text())
     with open(os.path.join(GOLDEN, ALGEBRAS), "w") as fh:
         fh.write(algebras_text())
-    print("wrote %d files to %s" % (len(CASES) + 3, GOLDEN))
+    with open(os.path.join(GOLDEN, CLASS_FACTS), "w") as fh:
+        fh.write(class_facts_text())
+    print("wrote %d files to %s" % (len(CASES) + 4, GOLDEN))
 
 
 if __name__ == "__main__":
