@@ -35,7 +35,6 @@ lattice rather than on all n^2:
     the pullback, so its map is in [f_i>.
 """
 
-import collections
 import itertools
 
 import numpy as np
@@ -177,8 +176,7 @@ class FactorizationLattice:
             if not rep.right_leq(fs[i], fs[j])[0]:
                 raise VerificationFailure(
                     "factorization order differs from eta order: cover %d<%d does not factor" % (i, j))
-        lower = collections.Counter(j for _, j in covers)
-        for k in (k for k in range(len(fs)) if lower[k] == 1):
+        for k in self.lat.join_irreducibles():
             for j in np.flatnonzero(~self.lat.leq[k]).tolist():
                 if rep.right_leq(fs[k], fs[j])[0]:
                     raise VerificationFailure(
@@ -186,8 +184,9 @@ class FactorizationLattice:
                         "through %d though %d is not below %d" % (k, j, k, j))
 
     def check_meets(self):
-        """eta of the pullback map is the meet, on incomparable pairs; for
-        comparable ones this follows from the order certificate."""
+        """eta of the pullback map is the meet, on incomparable pairs.  For
+        comparable ones this follows from the order certificate, so run it
+        after check_order_isomorphism has passed."""
         n, leq = len(self.classes), self.lat.leq
         for i in range(n):
             for j in range(i):

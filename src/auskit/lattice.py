@@ -183,16 +183,8 @@ class SubmoduleLattice:
                 "Hom space dimension %d over F_%d exceeds the enumeration cap"
                 % (gh.n, gh.p)
             )
-        # the certificate that the summand idempotents sum to 1 runs here, before any
-        # closure; a zero Hom space has no seeds, and for indecomposable C the one
-        # idempotent is 1, so its span is all of Hom(C, Y)
-        spans = []
-        if gh.n:
-            classes, eps_mats = gh.simple_data()[:2]
-            if [len(cl) for cl in classes] == [1]:
-                spans = [gh.full_sub().B]
-            else:
-                spans = [Subspace(m.T, gh.n, gh.p).B for m in eps_mats]
+        # the certificate that the summand idempotents sum to 1 runs here, before any closure
+        spans = [Subspace(m.T, gh.n, gh.p).B for m in gh.simple_data()[1]]
         return cls(gh, *_cyclic_search(gh.zero_sub(), _seed_lines(spans, gh.p), gh.close,
                                        lambda s: (s.dim, s.key())))
 
@@ -218,6 +210,10 @@ class SubmoduleLattice:
             lower = _bit_rows(self._lower_covers, len(self.nodes)).T
             self._covers = [tuple(ij) for ij in np.argwhere(lower).tolist()]
         return self._covers
+
+    def join_irreducibles(self):
+        """The nodes with exactly one lower cover."""
+        return [k for k, below in enumerate(self._lower_covers) if below.bit_count() == 1]
 
     def cover_labels(self):
         if self._labels is None:

@@ -191,12 +191,14 @@ def test_kronecker_table_small(capsys):
 
 def test_kronecker_table_over_a_large_field(monkeypatch, capsys):
     # the one irreducible quadratic tube label is the first one drawn: over
-    # F_101, x^2 + 2 after x^2 and x^2 + 1, not all 101^2 monic quadratics
+    # F_101, x^2 + 2 after x^2 and x^2 + 1, not all 101^2 monic quadratics.
+    # The call count pins this; the time bound is loose enough for a loaded
+    # machine and still fails when all quadratics are tested (6-8 s)
     calls = []
     monkeypatch.setattr(ffmat, "poly_is_irreducible", _counting(ffmat.poly_is_irreducible, calls))
     t0 = time.perf_counter()
     assert cli.main(["kronecker", "table", "-p", "101", "--max-sum", "0", "--max-t", "0"]) == 0
-    assert time.perf_counter() - t0 < 1.0
+    assert time.perf_counter() - t0 < 4.0
     assert len(calls) == 3
     assert "table verified" in capsys.readouterr().out
 

@@ -224,29 +224,6 @@ def test_gamma_seeds_wait_for_the_idempotent_certificate(monkeypatch):
         lattice.SubmoduleLattice.build(gh)
 
 
-def test_gamma_seeds_skip_the_identity_idempotent_and_zero_hom(monkeypatch):
-    # an indecomposable C has the identity as its one class idempotent, so the
-    # seeds are the lines of all of Hom(C, Y) with no elimination of it; a
-    # zero Hom space needs no seeds and no summand data.  A decomposable C
-    # still spans one M e_i per class.
-    A = kronecker.kronecker_algebra(2, 2)
-    ghs = [determine.GammaHom(c, y) for c, y in [
-        (kronecker.kP(A, 0), kronecker.kP(A, 2)),
-        (kronecker.kQ(A, 0), kronecker.kP(A, 0)),
-        catalog.resolve_instance("kron2-ex4")[1:]]]
-    assert [gh.n for gh in ghs] == [3, 0, 3]
-    spans, summands = [], []
-    monkeypatch.setattr(lattice, "Subspace", _counting(lattice.Subspace, spans))
-    monkeypatch.setattr(determine.GammaHom, "simple_data", _counting(determine.GammaHom.simple_data, summands))
-    counts = []
-    for gh in ghs:
-        lat = lattice.SubmoduleLattice.build(gh)
-        counts.append((len(lat), len(spans), len(summands)))
-        spans.clear()
-        summands.clear()
-    assert counts == [(16, 0, 1), (1, 0, 0), (6, 2, 1)]
-
-
 def test_sub_rep_of_reads_the_vertex_spans_without_elimination(monkeypatch):
     _, _, y = catalog.resolve_instance("kron2-ex4")
     nodes = lattice.rep_submodule_lattice(y)
