@@ -4,16 +4,22 @@ A right equivalence class [f> of morphisms ending in Y is represented by a
 right minimal map.  Candidates are built as submodule inclusions composed with
 extensions: the kernel of a right minimal map determined by C lies in add of
 tau C, so every class arises from a submodule Y' of Y together with a tuple of
-extension classes of Y' by copies of the kernel candidates.  Tuples are taken
-per kernel class as subspaces of Ext^1(Y', K_i), which enumerates each class
-exactly once up to the base change group.
+extension classes of Y' by copies of the kernel candidates K_i = tau X_i.
+
+A tuple's class depends only on the End(K)-submodule U of
+Ext^1(Y', K) = ⊕ Ext^1(Y', K_i) that its cocycles generate, K = ⊕ K_i acting
+by pushout (Auslander-Reiten-Smalo, Representation Theory of Artin Algebras,
+1995, ch. I and XI): the automorphism [[1, 0], [-psi, 1]] of K ⊕ K carries
+(xi, psi o xi) to (xi, 0), which is xi plus a split summand K -> 0.  Every U
+is graded, hence a tuple of subspaces, and every tuple gives the class of its
+End(K)-closure, so one candidate per U reaches every class.  U is realized by
+generators, not a basis, which keeps the sources small (_ext_submodules).
 
 The bijection with the submodule lattice of Hom(C, Y) is certified during the
 build: every submodule must be reached (surjectivity), and candidates landing
 on the same submodule must be right equivalent (injectivity).  A candidate is
 filtered and keyed by eta of the map as assembled, and only the first one
-reaching a submodule is right minimalized (Auslander-Reiten-Smalo,
-Representation Theory of Artin Algebras, 1995, ch. XI): f = f_min o s with s
+reaching a submodule is right minimalized (ibid., ch. XI): f = f_min o s with s
 a split epi, so Hom(X, s) is onto for every X.  Hence eta(f) = eta(f_min),
 the missing-projective filter, which reads only the images of Hom(P, f) and
 Hom(rad P, f), gives the same verdict on both, and [f> = [f_min>.
@@ -35,15 +41,13 @@ lattice rather than on all n^2:
     the pullback, so its map is in [f_i>.
 """
 
-import itertools
-
 import numpy as np
 
 from . import ar, determine, lattice, rep
 from .errors import CapExceeded, VerificationFailure
-from .ffmat import INT, Subspace, enumerate_subspaces, zeros
+from .ffmat import INT, Subspace, zeros
 
-CAND_CAP = 20000
+CAND_CAP = 20000  # per build: one candidate per End(K)-submodule of each Ext^1(Y', K)
 
 
 class RightClass:
@@ -65,10 +69,69 @@ class RightClass:
         )
 
 
-def _ext_choices(ed):
-    """All subspaces of Ext^1, each as a list of cocycle coordinate rows."""
-    reps_ = np.array(ed.class_reps(), dtype=INT).reshape(-1, len(ed.cocycles))
-    return [list((sub.B @ reps_) % ed.p) for sub in enumerate_subspaces(len(reps_), ed.p)]
+def _pushout_action(eds):
+    """End(K) on Ext^1(Y', K) in class coordinates (the free columns of the
+    coboundaries), applied to column vectors: psi: K_i -> K_j of the Hom basis
+    sends xi to psi o xi, a (j, i) block; cocycles.coords certifies the cocycle."""
+    off = np.cumsum([0] + [ed.dim for ed in eds])
+    mats = [np.zeros((0, off[-1], off[-1]), dtype=INT)]
+    for i, edi in enumerate(eds):
+        for j, edj in enumerate(eds):
+            hom = rep.hom_space(edi.k, edj.k)
+            rows = edj.cocycles.coords(rep._compose_rows(edi.cocycles, hom, True))
+            cls = edj.coboundaries.residues(rows)[:, edj.coboundaries.free()]
+            block = np.zeros((len(hom), off[-1], off[-1]), dtype=INT)
+            block[:, off[j] : off[j + 1], off[i] : off[i + 1]] = cls.reshape(
+                len(hom), len(edi.cocycles), edj.dim)[:, edi.coboundaries.free()].transpose(0, 2, 1)
+            mats.append(block)
+    return np.concatenate(mats)
+
+
+def _ext_submodules(eds, p):
+    """For each End(K)-submodule U of Ext^1(Y', K), a list per kernel class of
+    the cocycle rows of generators of U: the seeds g in U (each in one block)
+    by (-dim C(g), pivot column, entries), each kept when outside the sum of
+    the cyclic submodules of those kept before.  The last two keys are the
+    echelon order of lines; the representatives in classes.txt rest on it."""
+    off = np.cumsum([0] + [ed.dim for ed in eds])
+    lifts = [np.array(ed.class_reps(), dtype=INT) for ed in eds]
+    nodes, seeds = lattice.graded_submodules([ed.dim for ed in eds], _pushout_action(eds), p)
+    gens = sorted((-cg.dim, int(np.flatnonzero(g)[0]), g.tolist(), cg) for g, cg in seeds)
+    rows = np.array([t[2] for t in gens], dtype=INT).reshape(len(gens), off[-1])
+    for u in nodes:
+        combo, span = [[] for _ in eds], Subspace.zero(off[-1], p)
+        for t in np.flatnonzero(~u.residues(rows).any(axis=1)).tolist():
+            _, lead, g, cg = gens[t]
+            if span.dim < u.dim and not span.contains(g):
+                span = span.sum(cg)
+                i = int(np.searchsorted(off, lead, side="right")) - 1
+                combo[i].append(np.array(g[off[i] : off[i + 1]]) @ lifts[i])
+        yield combo
+
+
+def _candidates(gh, y, extensions):
+    """(f, extended) for each candidate that passes the missing-projective
+    filter: the inclusion of a submodule Y' of Y after the extension of each
+    cocycle list of extensions(eds, p), extended if it has a cocycle."""
+    A = y.A
+    reps = [cl[0] for cl in gh.simple_data()[0]]  # one summand of C per iso class
+    # the kernel candidates: tau is injective on non-projective indecomposable classes
+    kclasses = [ar.tau(s) for s in reps if not ar.is_projective(s)]
+    # classes come in order of first appearance: one led by a P(v) holds no summand of C
+    projs = [A.proj(v) for v in range(A.nv)]
+    missing_proj = [cl[0] - len(reps) for cl in rep.iso_classes(reps + projs) if cl[0] >= len(reps)]
+    n_cand = 0
+    for vt in lattice.rep_submodule_lattice(y):
+        yprime, incl = lattice.sub_rep_of(y, vt)
+        eds = [ar.ExtData(yprime, k) for k in kclasses]
+        eds = [ed for ed in eds if ed.dim > 0]
+        for combo in extensions(eds, y.p):
+            n_cand += 1
+            if n_cand > CAND_CAP:
+                raise CapExceeded("too many factorization candidates")
+            f = _assemble(A, incl, eds, combo)
+            if not any(determine.almost_factors_strictly(f, A.proj(v)) for v in missing_proj):
+                yield f, any(combo)
 
 
 class FactorizationLattice:
@@ -84,47 +147,20 @@ class FactorizationLattice:
     def build(cls, c, y, certify=True):
         gh = determine.GammaHom(c, y)
         lat = lattice.SubmoduleLattice.build(gh)
-        A = y.A
-        reps = [cl[0] for cl in gh.simple_data()[0]]  # one summand of C per iso class
-        # the kernel candidates: tau is injective on non-projective indecomposable classes
-        kclasses = [ar.tau(s) for s in reps if not ar.is_projective(s)]
-        # classes come in order of first appearance: one led by a P(v) holds no summand of C
-        projs = [A.proj(v) for v in range(A.nv)]
-        missing_proj = [cl[0] - len(reps) for cl in rep.iso_classes(reps + projs) if cl[0] >= len(reps)]
-
         found = {}
-        n_cand = 0
-        for vt in lattice.rep_submodule_lattice(y):
-            yprime, incl = lattice.sub_rep_of(y, vt)
-            eds = [ar.ExtData(yprime, k) for k in kclasses]
-            eds = [ed for ed in eds if ed.dim > 0]
-            option_lists = [_ext_choices(ed) for ed in eds]
-            for combo in itertools.product(*option_lists):
-                n_cand += 1
-                if n_cand > CAND_CAP:
-                    raise CapExceeded("too many factorization candidates")
-                f = _assemble(A, incl, eds, combo)
-                if any(determine.almost_factors_strictly(f, A.proj(v)) for v in missing_proj):
-                    continue
-                sub = gh.eta(f)
-                key = sub.key()
-                if key in found:
-                    if not rep.right_equivalent(f, found[key].f):
-                        raise VerificationFailure(
-                            "distinct classes share an eta image"
-                        )
-                else:
-                    # submodule inclusions (no cocycle) are right minimal
-                    found[key] = RightClass(rep.right_minimalize(f)[0] if any(combo) else f, sub)
+        for f, extended in _candidates(gh, y, _ext_submodules):
+            sub = gh.eta(f)
+            key = sub.key()
+            if key in found:
+                if not rep.right_equivalent(f, found[key].f):
+                    raise VerificationFailure("distinct classes share an eta image")
+            else:
+                # submodule inclusions (no cocycle) are right minimal
+                found[key] = RightClass(rep.right_minimalize(f)[0] if extended else f, sub)
 
-        classes = []
-        for node in lat.nodes:
-            rc = found.get(node.key())
-            if rc is None:
-                raise VerificationFailure(
-                    "no right determined class found for a submodule"
-                )
-            classes.append(rc)
+        classes = [found.get(node.key()) for node in lat.nodes]
+        if None in classes:
+            raise VerificationFailure("no right determined class found for a submodule")
         out = cls(c, y, gh, lat, classes)
         if certify:
             out.check_order_isomorphism()

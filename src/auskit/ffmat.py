@@ -34,7 +34,7 @@ import itertools
 
 import numpy as np
 
-from .errors import CapExceeded, VerificationFailure
+from .errors import VerificationFailure
 
 INT = np.int64
 
@@ -298,35 +298,6 @@ def gaussian_binomial(n, k, q):
     return num // den
 
 
-def enumerate_subspaces(n, p, dim=None, cap=10 ** 6):
-    """All subspaces of F_p^n (optionally of a fixed dimension).
-
-    Enumerated directly by echelon pattern: choice of pivot columns plus the
-    free entries to the right of each pivot.  Deterministic order.
-    """
-    dims = range(n + 1) if dim is None else [dim]
-    total = sum(gaussian_binomial(n, d, p) for d in dims)
-    if total > cap:
-        raise CapExceeded("subspace enumeration: %d > cap %d" % (total, cap))
-    out = []
-    for d in dims:
-        for piv in itertools.combinations(range(n), d):
-            free = [
-                (i, j)
-                for i in range(d)
-                for j in range(piv[i] + 1, n)
-                if j not in piv
-            ]
-            for vals in itertools.product(range(p), repeat=len(free)):
-                b = zeros(d, n)
-                for i in range(d):
-                    b[i, piv[i]] = 1
-                for (i, j), v in zip(free, vals):
-                    b[i, j] = v
-                out.append(Subspace.from_rref(b, piv, n, p))
-    return out
-
-
 # --- polynomials mod p (coefficient arrays, ascending degree) ---------------
 
 
@@ -367,8 +338,10 @@ def frobenius(basis, coords, p):
     lambda of s, s - lambda is neither nilpotent nor a unit.
     """
     powers = basis
-    for _ in range(p - 1):
-        powers = np.einsum("aij,ajk->aik", powers, basis) % p
+    for bit in bin(p)[3:]:  # square and multiply: about 2 log2 p products, p - 1 for p = 2, 3
+        powers = np.einsum("aij,ajk->aik", powers, powers) % p
+        if bit == "1":
+            powers = np.einsum("aij,ajk->aik", powers, basis) % p
     frob = coords(powers)
     fixed = kernel((frob.T - identity(len(frob))) % p, p)
     return rank(frob, p) == len(frob), fixed, coords(identity(basis.shape[-1])[None])[0]

@@ -1,19 +1,19 @@
-"""Submodule lattices of Hom(C, Y) and of representations.
+"""Submodule lattices of Hom(C, Y), of representations and of Ext groups.
 
-Both sides use one search.  Every submodule is the sum of the cyclic
+All three use one search.  Every submodule is the sum of the cyclic
 submodules of its elements, so the search closes each seed vector once to its
 cyclic submodule and then forms plain subspace sums, with no closure per step;
 the inclusion order and the covers are read off the sums it formed.  On the
 Gamma side the submodules are the End(C)-stable subspaces of Hom(C, Y) in
 its coordinates; on the representation side they are the subspaces of the
 total space F_p^{total_dim} stable under the arrows (rep.total_arrows), which
-are vertex-graded.
+are vertex-graded; factor's are the End(K)-submodules of Ext^1(Y', K).
 
-Both sides seed the search by one rule (the local submodules of Lux, Mueller
+All sides seed the search by one rule (the local submodules of Lux, Mueller
 and Ringe, Peakword condensation and submodule lattices, J. Symbolic Comput.
 17, 1994): one vector per line of M e, for e in a complete set of orthogonal
-idempotents up to conjugacy.  On the representation side e runs over the
-vertex idempotents, and M e is a vertex block of coordinates.  On the Gamma
+idempotents up to conjugacy.  On the graded sides e runs over the block
+idempotents, and M e is a block of coordinates (graded_submodules).  On the Gamma
 side e runs over the class idempotents e_i = incl o proj of
 GammaHom.simple_data, one per isomorphism class of summands of C, and M e_i
 is the row space of the transposed action of e_i.
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import rep
 from .errors import CapExceeded, ParseError, VerificationFailure
-from .ffmat import INT, Subspace, closure, gaussian_binomial, inv_mod, kernel, projective_points
+from .ffmat import INT, Subspace, closure, gaussian_binomial, inv_mod, kernel, mat_key, projective_points
 
 DEFAULT_DIM_CAPS = {2: 12, 3: 8, 5: 6}
 NODE_CAP = 20000
@@ -81,10 +81,10 @@ def dim_cap(p):
     return max(2, int(round(12 / np.log2(p))))
 
 
-def _cyclic_search(zero, seeds, close, order):
+def _cyclic_search(zero, seeds, order):
     """Every submodule, as a sum of cyclic submodules, with its order read off.
 
-    Each seed g is closed once to its cyclic submodule C(g).  A node u grows
+    seeds holds each seed g with its cyclic submodule C(g).  A node u grows
     along an edge u -> u + C(g) for each g not in u, a plain subspace sum, so
     the submodules reached are the sums of the seeds' cyclic submodules.  That
     is all of them, since the seeds follow the rule of the module docstring:
@@ -109,8 +109,7 @@ def _cyclic_search(zero, seeds, close, order):
     """
     p = zero.p
     cyclic = {}
-    for g in seeds:
-        cg = close([g])
+    for g, cg in seeds:
         cyclic.setdefault(cg.key(), (g, cg))
     gens = list(cyclic.values())
     gen_rows = np.array([g for g, _ in gens], dtype=INT).reshape(len(gens), zero.n)
@@ -150,10 +149,28 @@ def _cyclic_search(zero, seeds, close, order):
     return nodes, below, lower_covers
 
 
-def _seed_lines(spans, p):
-    """The seeds of _cyclic_search: one vector per line of each span M e,
-    given by its rows in the coordinates of M (see the module docstring)."""
-    return [(c @ b) % p for b in spans for c in projective_points(len(b), p)]
+def _seed_lines(spans, p, close):
+    """The seeds of _cyclic_search with their cyclic submodules: one vector
+    per line of each span M e, given by its rows in the coordinates of M."""
+    return [(g, close([g])) for g in ((c @ b) % p for b in spans for c in projective_points(len(b), p))]
+
+
+def graded_submodules(dims, mats, p):
+    """(nodes, seeds): the subspaces of F_p^n, n = sum(dims), stable under
+    v -> m v for the (k, n, n) stack mats, by dimension and then the RREF of
+    their block parts, and the seeds with their cyclic submodules.  They must
+    be graded by the unit blocks of dims (the vertices; the Ext^1(Y', K_i)),
+    so that every member is a sum of multiples of seeds inside it."""
+    n, off = sum(dims), np.cumsum([0] + list(dims))
+    unit = np.eye(n, dtype=INT)
+    seeds = _seed_lines([unit[off[v] : off[v + 1]] for v in range(len(dims))], p,
+                        lambda rows: closure(rows, mats, n, p))
+
+    def order(s):  # the RREF of a graded subspace is block diagonal
+        cuts = np.searchsorted(s.pivots, off)
+        return s.dim, tuple(mat_key(s.B[cuts[v] : cuts[v + 1], off[v] : off[v + 1]]) for v in range(len(dims)))
+
+    return _cyclic_search(Subspace.zero(n, p), seeds, order)[0], seeds
 
 
 def _bit_rows(bitsets, n):
@@ -185,7 +202,7 @@ class SubmoduleLattice:
             )
         # the certificate that the summand idempotents sum to 1 runs here, before any closure
         spans = [Subspace(m.T, gh.n, gh.p).B for m in gh.simple_data()[1]]
-        return cls(gh, *_cyclic_search(gh.zero_sub(), _seed_lines(spans, gh.p), gh.close,
+        return cls(gh, *_cyclic_search(gh.zero_sub(), _seed_lines(spans, gh.p, gh.close),
                                        lambda s: (s.dim, s.key())))
 
     def __len__(self):
@@ -348,17 +365,7 @@ def rep_submodule_lattice(x):
             raise CapExceeded("vertex dimension exceeds the enumeration cap")
     if _submodule_lower_bound(x) > NODE_CAP:
         raise CapExceeded("submodule lattice exceeds the node cap")
-    n, off = x.total_dim, x.offsets()
-    unit = np.eye(n, dtype=INT)
-    seeds = _seed_lines([unit[off[v] : off[v + 1]] for v in range(len(x.dims))], p)
-    arrows = rep.total_arrows(x)
-
-    def order(s):
-        return (s.dim, tuple(t.key() for t in rep.vertex_spans(x, s)))
-
-    nodes, _, _ = _cyclic_search(Subspace.zero(n, p), seeds,
-                                 lambda rows: closure(rows, arrows, n, p), order)
-    return nodes
+    return graded_submodules(x.dims, rep.total_arrows(x), p)[0]
 
 
 def sub_rep_of(x, sub):

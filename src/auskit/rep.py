@@ -452,6 +452,12 @@ def sub_from_vectors(x, seed_rows):
 
 
 def rad(x):
+    """rad X, memoized by the content of x like decompose, re-based onto x."""
+    r, incl = x.A.memoized(("rad", x.key()), lambda: _rad(x))
+    return (r, incl) if incl.tgt is x else (r, Morphism(r, x, incl.blocks))
+
+
+def _rad(x):
     """(R, incl) with R the radical (sum of all arrow images)."""
     rows = [zeros(0, x.dims[v]) for v in range(len(x.dims))]
     for ai, (_, u, v) in enumerate(x.A.quiver.arrows):

@@ -5,9 +5,10 @@ import itertools
 
 import numpy as np
 
-from auskit import catalog, factor, ffmat, kronecker, rep
-from auskit.errors import VerificationFailure
-from auskit.ffmat import INT, amod, identity, inv, inv_mod, kernel_from_rref, rref, zeros
+from auskit import catalog, determine, factor, ffmat, kronecker, rep
+from auskit.errors import CapExceeded, VerificationFailure
+from auskit.ffmat import (INT, Subspace, amod, gaussian_binomial, identity, inv, inv_mod, kernel,
+                          kernel_from_rref, rank, rref, zeros)
 
 
 def rand_mat(rng, m, n, p):
@@ -185,6 +186,35 @@ def inv_reference(a, p):
     return r[:, n:].copy()
 
 
+def enumerate_subspaces(n, p, dim=None, cap=10 ** 6):
+    """All subspaces of F_p^n (optionally of a fixed dimension).
+
+    Enumerated directly by echelon pattern: choice of pivot columns plus the
+    free entries to the right of each pivot.  Deterministic order.
+    """
+    dims = range(n + 1) if dim is None else [dim]
+    total = sum(gaussian_binomial(n, d, p) for d in dims)
+    if total > cap:
+        raise CapExceeded("subspace enumeration: %d > cap %d" % (total, cap))
+    out = []
+    for d in dims:
+        for piv in itertools.combinations(range(n), d):
+            free = [
+                (i, j)
+                for i in range(d)
+                for j in range(piv[i] + 1, n)
+                if j not in piv
+            ]
+            for vals in itertools.product(range(p), repeat=len(free)):
+                b = zeros(d, n)
+                for i in range(d):
+                    b[i, piv[i]] = 1
+                for (i, j), v in zip(free, vals):
+                    b[i, j] = v
+                out.append(Subspace.from_rref(b, piv, n, p))
+    return out
+
+
 def vectors(sub):
     """All p^dim member vectors of a Subspace (deterministic order)."""
     for coeffs in itertools.product(range(sub.p), repeat=sub.dim):
@@ -227,6 +257,41 @@ def check_meets_reference(fl):
             expect = fl.lat.nodes[fl.lat.meet(i, j)]
             if fl.gh.eta(m).key() != expect.key():
                 raise VerificationFailure("meet of classes does not match eta meet")
+
+
+# --- the F_p-subspace candidates: a reference for the End(K)-submodules --------
+
+
+def ext_choices(ed):
+    """All subspaces of Ext^1, each as a list of cocycle coordinate rows."""
+    reps_ = np.array(ed.class_reps(), dtype=INT).reshape(-1, len(ed.cocycles))
+    return [list((sub.B @ reps_) % ed.p) for sub in enumerate_subspaces(len(reps_), ed.p)]
+
+
+def subspace_extensions(eds, p):
+    """Every tuple of F_p-subspaces of the Ext^1(Y', K_i): the reference
+    enumeration of the candidates' extensions, an extensions argument of
+    factor._candidates, which the build calls with one per End(K)-submodule."""
+    return itertools.product(*map(ext_choices, eds))
+
+
+def subspace_classes(c, y):
+    """{eta key: RightClass} from the F_p-subspace candidates, the first
+    candidate of each key right minimalized: the reference classes for
+    FactorizationLattice.build."""
+    gh = determine.GammaHom(c, y)
+    found = {}
+    for f, extended in factor._candidates(gh, y, subspace_extensions):
+        sub = gh.eta(f)
+        if sub.key() not in found:
+            found[sub.key()] = factor.RightClass(rep.right_minimalize(f)[0] if extended else f, sub)
+    return found
+
+
+def class_facts(rc):
+    """The class facts of a RightClass that classes.txt records, less the
+    fingerprints, which depend on the representative."""
+    return rc.source.dim_vector(), rc.kernel.dim_vector(), rc.is_epi, rc.is_mono
 
 
 # --- polynomials mod p by coefficient lists: reference oracles for ffmat -----
@@ -323,6 +388,16 @@ def minpoly_reference(a, p):
 
 
 # --- the Kronecker shape table, one loop nest per family pair -----------------
+
+
+def frobenius_reference(basis, coords, p):
+    """ffmat.frobenius with r^p formed by p - 1 products."""
+    powers = basis
+    for _ in range(p - 1):
+        powers = np.einsum("aij,ajk->aik", powers, basis) % p
+    frob = coords(powers)
+    fixed = kernel((frob.T - identity(len(frob))) % p, p)
+    return rank(frob, p) == len(frob), fixed, coords(identity(basis.shape[-1])[None])[0]
 
 
 def verify_table_reference(p, max_sum=3, max_t=3):

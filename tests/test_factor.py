@@ -5,8 +5,10 @@ import re
 import pytest
 
 from auskit import ar, catalog, determine, factor, lattice, rep
+from auskit import kronecker as kr
 from auskit.errors import VerificationFailure
-from helpers import _counting, catalog_lattice, check_meets_reference, check_order_isomorphism_reference, rebased
+from helpers import (_counting, catalog_lattice, check_meets_reference, check_order_isomorphism_reference,
+                     class_facts, rebased, subspace_classes, subspace_extensions)
 
 
 def _lam(A):
@@ -127,13 +129,84 @@ def test_kernel_comparison_rejects(loopb, kron2):
 
 def test_one_right_minimalization_per_class(monkeypatch):
     # candidates are filtered and keyed by eta of the assembled map; only the
-    # first candidate of each class is minimalized (86 calls for 91 candidates
-    # when every candidate was)
+    # first candidate of each class is minimalized
     _, c, y = catalog.resolve_instance("uniserial-8")
     calls = []
     monkeypatch.setattr(rep, "right_minimalize", _counting(rep.right_minimalize, calls))
     fl = factor.FactorizationLattice.build(c, y, certify=False)
     assert 1 <= len(calls) <= len(fl) == 5
+
+
+def test_one_candidate_per_ext_submodule(monkeypatch):
+    # uniserial-8 has 15 End(K)-submodules of its Ext groups (the tuples of
+    # F_p-subspaces were 91 candidates), and no catalog build meets an eta
+    # key twice, so none calls right_equivalent
+    assembled, compared = [], []
+    monkeypatch.setattr(factor, "_assemble", _counting(factor._assemble, assembled))
+    monkeypatch.setattr(rep, "right_equivalent", _counting(rep.right_equivalent, compared))
+    for name in catalog.instance_names():
+        _, c, y = catalog.resolve_instance(name)
+        before = len(assembled)
+        fl = factor.FactorizationLattice.build(c, y, certify=False)
+        assert len(assembled) - before >= len(fl)
+        if name == "uniserial-8":
+            assert len(assembled) - before == 15
+    assert compared == []
+
+
+def test_eta_collisions_are_certified(monkeypatch):
+    # the injectivity certificate, which the catalog no longer reaches: a
+    # candidate repeated on its eta key passes when it is right equivalent to
+    # the first, and raises when it is not
+    _, c, y = catalog.resolve_instance("kron2-ex4")
+    compared = []
+    monkeypatch.setattr(rep, "right_equivalent", _counting(rep.right_equivalent, compared))
+    with monkeypatch.context() as mp:
+        ext_submodules = factor._ext_submodules
+        mp.setattr(factor, "_ext_submodules",
+                   lambda eds, p: (combo for combo in ext_submodules(eds, p) for _ in range(2)))
+        fl = factor.FactorizationLattice.build(c, y, certify=False)
+    assert len(compared) == len(fl) == 6
+    del compared[:]
+    # every candidate keyed to the zero submodule: the second one is not in the class of the first
+    monkeypatch.setattr(determine.GammaHom, "eta", lambda self, f: self.zero_sub())
+    with pytest.raises(VerificationFailure, match="^distinct classes share an eta image$"):
+        factor.FactorizationLattice.build(c, y, certify=False)
+    assert len(compared) == 1
+
+
+@pytest.mark.parametrize("name", catalog.instance_names())
+def test_subspace_candidates_lie_in_the_class_of_their_eta_key(name):
+    # every candidate of the F_p-subspace enumeration that passes the filter
+    # is right equivalent to the class built for its eta key, from one
+    # candidate per End(K)-submodule
+    fl = catalog_lattice(name)
+    count = 0
+    for f, _ in factor._candidates(fl.gh, fl.y, subspace_extensions):
+        assert rep.right_equivalent(f, fl.classes[fl.lat.index_of(fl.gh.eta(f))].f)
+        count += 1
+    assert count >= len(fl)
+
+
+@pytest.mark.parametrize("c_parts, kernels, count", [
+    ((("R", 0, 2), ("P", 1)), 1, 61),
+    ((("R", 0, 2), ("R", 0, 1)), 2, 20),
+    ((("R", 0, 2), ("Q", 2)), 2, 24),
+], ids=["R02+P1", "R02+R01", "R02+Q2"])
+def test_class_facts_match_the_subspace_candidates_over_f3(c_parts, kernels, count):
+    # the catalog is over F_2 only.  Y = Q_1 + R[0,1] over F_3; with two kernel
+    # classes End(K) holds maps between them, so it mixes the Ext blocks
+    A = kr.kronecker_algebra(2, 3)
+    build = {"P": kr.kP, "Q": kr.kQ, "R": kr.kR}
+    c = rep.direct_sum(A, [build[k](A, *args) for k, *args in c_parts])[0]
+    y = rep.direct_sum(A, [kr.kQ(A, 1), kr.kR(A, 0, 1)])[0]
+    ks = [ar.tau(s) for s, _, _ in rep.decompose(c) if not ar.is_projective(s)]
+    assert len(ks) == kernels
+    assert kernels == 1 or any(len(rep.hom_space(a, b)) for a in ks for b in ks if a is not b)
+    fl = factor.FactorizationLattice.build(c, y, certify=False)
+    want = subspace_classes(c, y)
+    assert len(fl) == len(want) == count
+    assert [class_facts(rc) for rc in fl.classes] == [class_facts(want[s.key()]) for s in fl.lat.nodes]
 
 
 @pytest.mark.parametrize("name", catalog.instance_names())

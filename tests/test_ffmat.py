@@ -9,7 +9,6 @@ from auskit.errors import VerificationFailure
 from auskit.ffmat import (
     Subspace,
     charpoly,
-    enumerate_subspaces,
     gaussian_binomial,
     kernel,
     minpoly,
@@ -19,6 +18,8 @@ from auskit.ffmat import (
 )
 from helpers import (
     charpoly_reference,
+    enumerate_subspaces,
+    frobenius_reference,
     inv_reference,
     minpoly_reference,
     poly_eval_mat,
@@ -365,6 +366,35 @@ def test_frobenius_of_a_product_of_fields():
     basis, coords = ffmat.polynomial_algebra(ffmat.companion([1, 1, 0, 0], 2), 2)
     injective, fixed, _ = ffmat.frobenius(basis, coords, 2)
     assert not injective and len(fixed) == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+def test_frobenius_squares_and_multiplies(monkeypatch, p):
+    # r^p along the bits of p, one product per bit below the top and one per
+    # further set bit: p - 1 products for p = 2 and 3, 30 for 65521; the
+    # answers are those of p - 1 products, on a field and on a ring with a
+    # nilpotent (x^3 + x + 1 is irreducible over F_2, F_5 and F_7)
+    einsum, products = np.einsum, []
+    for coeffs in ([1, 0, 1, 1], [1, 1, 0, 0]):
+        basis, coords = ffmat.polynomial_algebra(ffmat.companion(coeffs, p), p)
+        want = frobenius_reference(basis, coords, p)
+        del products[:]
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "einsum", lambda *args: products.append(args[0]) or einsum(*args))
+            injective, fixed, one = ffmat.frobenius(basis, coords, p)
+        assert injective == want[0] and (fixed == want[1]).all() and (one == want[2]).all()
+        assert len(products) == p.bit_length() + bin(p).count("1") - 2 <= 2 * np.log2(p)
+        assert p > 3 or len(products) == p - 1
+    assert not injective and len(fixed) == 2  # x^2 (x + 1): the nilpotent x, two idempotents
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_monic_irreducibles_of_low_degree(p):
+    # below degree 4 a polynomial of degree at least 2 is irreducible iff it has no root
+    for d in (1, 2, 3):
+        want = tuple((1,) + tail for tail in itertools.product(range(p), repeat=d)
+                     if d == 1 or all(np.polyval((1,) + tail, x) % p for x in range(p)))
+        assert ffmat.monic_irreducibles(p, d) == tuple(ffmat.iter_monic_irreducibles(p, d)) == want
 
 
 def test_zassenhaus_vs_pointwise():

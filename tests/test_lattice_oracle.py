@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from auskit import algebra, ar, determine, lattice, rep
-from auskit.ffmat import Subspace, enumerate_subspaces
-from helpers import is_submodule, rebased
+from auskit.ffmat import Subspace
+from helpers import enumerate_subspaces, is_submodule, rebased
 
 ALGEBRAS = {
     "kron2": "vertices a b\narrow x b a\narrow y b a\n",

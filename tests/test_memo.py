@@ -4,7 +4,7 @@ caller's modules, nothing stored from a failed computation."""
 import numpy as np
 import pytest
 
-from auskit import algebra, ar, catalog, kronecker as kr, rep
+from auskit import algebra, ar, catalog, factor, kronecker as kr, rep
 from auskit.errors import VerificationFailure
 from helpers import _counting
 
@@ -180,6 +180,25 @@ def test_tau_is_memoized(monkeypatch):
     monkeypatch.setattr(ar, "transpose", _counting(ar.transpose, calls))
     assert kr.verify_table(2, 3, 3)[1]
     assert len(calls) <= 4
+
+
+def test_rad_is_computed_once_per_module(monkeypatch):
+    # the missing-projective filter asks for rad P of every candidate; on a
+    # fresh algebra one build computes each radical once
+    inst = catalog.get_instance("subspace3-ex17")
+    A = catalog.load_catalog_algebra.__wrapped__(inst["algebra"])
+    c, y = (catalog.build_module(A, inst[k]) for k in ("c", "y"))
+    calls = []
+    monkeypatch.setattr(rep, "_rad", _counting(rep._rad, calls))
+    factor.FactorizationLattice.build(c, y)
+    keys = [x.key() for x, in calls]
+    assert keys and len(keys) == len(set(keys))
+    hits, misses = A.memo_stats()["rad"]
+    assert misses == len(keys) and hits > misses
+    # a hit is re-based onto the caller's module
+    x = _twin(calls[0][0])
+    r, incl = rep.rad(x)
+    assert incl.tgt is x and incl.src is r and incl.is_mono()
 
 
 def test_second_identical_check_instance_misses_nothing():
