@@ -205,7 +205,7 @@ def min_right_almost_split(y):
     if ed.dim == 0:
         raise VerificationFailure("no extensions of a non-projective by its translate")
     end, rad = rep.end_radical(y)
-    radb = [end.from_coords(row) for row in rad.B]
+    radb = [end.basis.element(row) for row in rad.B]
     # (- o om) on cocycle coordinates, for the restrictions om of radical endomorphisms
     acts = [rep.hom_matrix_precompose(ed.cocycles, _omega_endo(ed, phi), ed.cocycles) for phi in radb]
     reps_ = np.array(ed.class_reps(), dtype=INT).reshape(-1, len(ed.cocycles))

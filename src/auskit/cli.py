@@ -310,6 +310,9 @@ def main(argv=None):
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError:
+        print("cap exceeded: out of memory", file=sys.stderr)
+        return 3
     finally:
         if saved_caps is None:
             os.environ.pop("AUSKIT_CAPS", None)

@@ -84,7 +84,7 @@ class GammaHom:
             ed, rad = rep.end_radical(x)
             residue.append(ed.dim - rad.dim)
             eps.append(incl.compose(proj).flat())
-            rads.extend(incl.compose(ed.from_coords(r)).compose(proj).flat() for r in rad.B)
+            rads.extend(incl.compose(ed.basis.element(r)).compose(proj).flat() for r in rad.B)
         mats = list(np.tensordot(self.end.coords(eps + rads), self.act, 1) % self.p)
         self._simple = ([[trips[k][0] for k in cl] for cl in classes], mats[:len(eps)], mats[len(eps):],
                         residue)

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import rep
 from .errors import CapExceeded, ParseError, VerificationFailure
-from .ffmat import INT, Subspace, closure, gaussian_binomial, inv_mod, kernel, mat_key, projective_points
+from .ffmat import INT, Subspace, closure, gaussian_binomial, inv_mod, mat_key, projective_points, zeros
 
 DEFAULT_DIM_CAPS = {2: 12, 3: 8, 5: 6}
 NODE_CAP = 20000
@@ -374,13 +374,14 @@ def sub_rep_of(x, sub):
 
 
 def maximal_submodules(x):
-    """The maximal submodules: preimages of the hyperplanes a.t = 0 of the top."""
-    p = x.p
+    """The maximal submodules: the kernels of the maps X -> top X -> S(v),
+    one per line of functionals a on top X at v."""
     t, proj = rep.top(x)
     out = []
     for v in range(len(x.dims)):
-        for a in projective_points(t.dims[v], p):
-            rows = [np.eye(d, dtype=INT) for d in x.dims]
-            rows[v] = kernel((a @ proj.blocks[v]).reshape(1, -1), p)
-            out.append(rep.sub_from_vectors(x, rows))
+        s = x.A.simple(v)
+        for a in projective_points(t.dims[v], x.p):
+            f = rep.Morphism(t, s, [a.reshape(1, -1) if w == v else zeros(s.dims[w], d)
+                                    for w, d in enumerate(t.dims)])
+            out.append(rep.kernel(f.compose(proj)))
     return out

@@ -438,19 +438,6 @@ def vertex_spans(x, sub):
             for v, d in enumerate(x.dims)]
 
 
-def sub_from_vectors(x, seed_rows):
-    """The submodule generated by per-vertex seed rows, with its inclusion."""
-    n, off = x.total_dim, x.offsets()
-    rows = []
-    for v, r in enumerate(seed_rows):
-        r = amod(r, x.p).reshape(-1, x.dims[v]) if np.size(r) else zeros(0, x.dims[v])
-        block = zeros(len(r), n)
-        block[:, off[v] : off[v + 1]] = r
-        rows.extend(block)
-    sub = ffmat.closure(rows, total_arrows(x), n, x.p)
-    return _sub_rep(x, vertex_spans(x, sub))
-
-
 def rad(x):
     """rad X, memoized by the content of x like decompose, re-based onto x."""
     r, incl = x.A.memoized(("rad", x.key()), lambda: _rad(x))
@@ -533,7 +520,9 @@ def structure(x):
 # unit nor nilpotent gives X = Im b^N + Ker b^N.  Every "indecomposable"
 # verdict comes with a verified nilpotent ideal J of End(X) such that End/J is
 # a field (Lux-Szoke, Computing decompositions of modules over
-# finite-dimensional algebras, Exp. Math. 2007).
+# finite-dimensional algebras, Exp. Math. 2007).  The verdict, e or J, is
+# memoized by content, and every split of X along an idempotent e into the
+# images of e and 1 - e, in decompose and right_minimalize, is one _split.
 
 SPLIT_CANDIDATES = 64  # seeded random a whose F_p[a] is split when End/J is not commutative
 
@@ -569,13 +558,6 @@ class EndData:
     def to_mats(self, coords):
         """Total matrices of a stack of coordinate rows."""
         return np.tensordot(np.asarray(coords, dtype=INT), self.mats, 1) % self.p
-
-    def endo(self, m):
-        """The endomorphism whose total matrix is m."""
-        return morphism_from_flat(self.x, self.x, np.asarray(m).reshape(-1)[self._inside])
-
-    def from_coords(self, c):
-        return self.basis.element(c)
 
 
 def _fitting_projection(b, p):
@@ -716,33 +698,36 @@ def _split_or_certify(ed):
     )
 
 
-def _verified_idempotent(ed, e):
-    """The endomorphism with total matrix e, checked to be an idempotent morphism."""
-    f = ed.endo(e).check()
-    if (f.compose(f).flat() != f.flat()).any():
+def _split_verdict(ed):
+    """_split_or_certify(ed), memoized per algebra by the content of ed.x."""
+    return ed.x.A.memoized(("split", ed.x.key()), lambda: _split_or_certify(ed))
+
+
+def _split(ed, e):
+    """(em, (I, incl, onto), (I', incl', onto')): the total-matrix idempotent e
+    of End(X) as a morphism, checked idempotent, and the images of e and 1 - e,
+    each with onto o incl = 1 certified, their dimensions adding up to dim X."""
+    x = ed.x
+    em = morphism_from_flat(x, x, np.asarray(e).reshape(-1)[ed._inside]).check()
+    if (em.compose(em).flat() != em.flat()).any():
         raise VerificationFailure("claimed idempotent is not idempotent")
-    return f
-
-
-def _idempotent_image(e):
-    """(I, incl, onto) for the image of an idempotent endomorphism e, with
-    onto o incl = 1_I certified, so that I is a direct summand."""
-    i, incl, onto = image(e)
-    if (onto.compose(incl).flat() != identity_morphism(i).flat()).any():
-        raise VerificationFailure("idempotent image retraction failed")
-    return i, incl, onto
+    parts = []
+    for f in (em, identity_morphism(x).add(em.scale(x.p - 1))):
+        i, incl, onto = image(f)
+        if (onto.compose(incl).flat() != identity_morphism(i).flat()).any():
+            raise VerificationFailure("idempotent image retraction failed")
+        parts.append((i, incl, onto))
+    if sum(i.total_dim for i, _, _ in parts) != x.total_dim:
+        raise VerificationFailure("split dimensions do not add up")
+    return em, parts[0], parts[1]
 
 
 def end_radical(x):
     """(EndData, J) for an indecomposable X, J = rad End(X) as decompose certified it."""
-    if "end_radical" not in x._cache:
-        parts = decompose(x)
-        if len(parts) != 1:
-            raise VerificationFailure("End(X) is only certified local for indecomposable X")
-        s = parts[0][0]
-        if s is not x:  # certified on a module with the same content
-            x._cache["end_radical"] = (EndData(x), end_radical(s)[1])
-    return x._cache["end_radical"]
+    if len(decompose(x)) != 1:
+        raise VerificationFailure("End(X) is only certified local for indecomposable X")
+    ed = EndData(x)
+    return ed, _split_verdict(ed)[1]
 
 
 def decompose(x):
@@ -761,35 +746,21 @@ def decompose(x):
 
 
 def _decompose(x):
-    out = []
-
-    def walk(y, incl_to_x, proj_from_x):
-        if y.total_dim == 0:
-            return
-        ed = EndData(y)
-        e, rad = _split_or_certify(ed)
-        if e is None:
-            y._cache["end_radical"] = (ed, rad)
-            out.append((y, incl_to_x, proj_from_x))
-            return
-        em = _verified_idempotent(ed, e)
-        i1, u1, r1 = _idempotent_image(em)
-        i2, u2, r2 = _idempotent_image(identity_morphism(y).add(em.scale(y.p - 1)))
-        if i1.total_dim == 0 or i2.total_dim == 0:
-            raise VerificationFailure("trivial split from claimed nontrivial idempotent")
-        if i1.total_dim + i2.total_dim != y.total_dim:
-            raise VerificationFailure("split dimensions do not add up")
-        walk(i1, incl_to_x.compose(u1), r1.compose(proj_from_x))
-        walk(i2, incl_to_x.compose(u2), r2.compose(proj_from_x))
-
-    walk(x, identity_morphism(x), identity_morphism(x))
+    """Split x once along its memoized verdict and decompose both images."""
+    if x.total_dim == 0:
+        return ()
+    ed = EndData(x)
+    e, _ = _split_verdict(ed)
+    if e is None:
+        return ((x, identity_morphism(x), identity_morphism(x)),)
+    _, *parts = _split(ed, e)
+    if any(i.total_dim == 0 for i, _, _ in parts):
+        raise VerificationFailure("trivial split from claimed nontrivial idempotent")
+    out = tuple((s, incl.compose(u), r.compose(onto)) for i, incl, onto in parts for s, u, r in decompose(i))
     # certificate: the idempotents incl o proj sum to the identity
-    total = zero_morphism(x, x)
-    for (_, u, r) in out:
-        total = total.add(u.compose(r))
-    if (total.flat() != identity_morphism(x).flat()).any():
+    if (sum(u.compose(r).flat() for _, u, r in out) % x.p != identity_morphism(x).flat()).any():
         raise VerificationFailure("summand idempotents do not sum to identity")
-    return tuple(out)
+    return out
 
 
 def is_isomorphic(x, y):
@@ -848,10 +819,9 @@ def right_minimalize(f):
     split_acc = identity_morphism(f.src)
     cur = f
     for _ in range(f.src.total_dim + 1):
-        src = cur.src
-        if src.total_dim == 0:
+        if cur.src.total_dim == 0:
             break
-        ed = EndData(src)
+        ed = EndData(cur.src)
         cols = _compose_rows(ed.basis, cur, True).T
         k0_mats = ed.to_mats(ffmat.kernel(cols, p))
         e = next((e for e in (_fitting_projection(h, p) for h in k0_mats) if e.any()), None)
@@ -859,10 +829,9 @@ def right_minimalize(f):
             if not is_nilpotent(k0_mats, p):
                 raise VerificationFailure("K0 is not nil, yet none of its basis elements splits")
             break
-        em = _verified_idempotent(ed, e)
+        em, _, (_, uk, rk) = _split(ed, e)  # peel off Im e, keep Im(1 - e)
         if cur.compose(em).flat().any():
             raise VerificationFailure("idempotent not killed by the map")
-        knew, uk, rk = _idempotent_image(identity_morphism(src).add(em.scale(p - 1)))  # 1 - e
         cur = cur.compose(uk)
         split_acc = rk.compose(split_acc)
     else:

@@ -235,6 +235,57 @@ def catalog_lattice(name):
     return factor.FactorizationLattice.build(c, y, certify=False)
 
 
+# --- decomposition by a walk over single splits: a reference oracle ----------
+
+
+def _verified_idempotent(ed, e):
+    """The endomorphism with total matrix e, checked to be an idempotent morphism."""
+    f = rep.morphism_from_flat(ed.x, ed.x, np.asarray(e).reshape(-1)[ed._inside]).check()
+    if (f.compose(f).flat() != f.flat()).any():
+        raise VerificationFailure("claimed idempotent is not idempotent")
+    return f
+
+
+def _idempotent_image(e):
+    """(I, incl, onto) for the image of an idempotent endomorphism e, with
+    onto o incl = 1_I certified, so that I is a direct summand."""
+    i, incl, onto = rep.image(e)
+    if (onto.compose(incl).flat() != rep.identity_morphism(i).flat()).any():
+        raise VerificationFailure("idempotent image retraction failed")
+    return i, incl, onto
+
+
+def decompose_reference(x):
+    """rep.decompose as a walk down the tree of splits, carrying each node's
+    inclusion into x and projection from x, with no memo: every node asks
+    rep._split_or_certify afresh and splits along e and 1 - e by hand."""
+    out = []
+
+    def walk(y, incl_to_x, proj_from_x):
+        if y.total_dim == 0:
+            return
+        ed = rep.EndData(y)
+        e, _ = rep._split_or_certify(ed)
+        if e is None:
+            out.append((y, incl_to_x, proj_from_x))
+            return
+        em = _verified_idempotent(ed, e)
+        i1, u1, r1 = _idempotent_image(em)
+        i2, u2, r2 = _idempotent_image(rep.identity_morphism(y).add(em.scale(y.p - 1)))
+        if i1.total_dim == 0 or i2.total_dim == 0:
+            raise VerificationFailure("trivial split from claimed nontrivial idempotent")
+        walk(i1, incl_to_x.compose(u1), r1.compose(proj_from_x))
+        walk(i2, incl_to_x.compose(u2), r2.compose(proj_from_x))
+
+    walk(x, rep.identity_morphism(x), rep.identity_morphism(x))
+    total = rep.zero_morphism(x, x)
+    for (_, u, r) in out:
+        total = total.add(u.compose(r))
+    if (total.flat() != rep.identity_morphism(x).flat()).any():
+        raise VerificationFailure("summand idempotents do not sum to identity")
+    return tuple(out)
+
+
 # --- the factorization certificates on all pairs: reference oracles ----------
 
 

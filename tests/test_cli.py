@@ -159,6 +159,12 @@ def test_max_dim_exit_code(monkeypatch, capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+def test_out_of_memory_exit_code(capsys):
+    # a summand count too large to allocate ends like a cap, not in a traceback
+    assert cli.main(["hom", "--algebra", "kron2", "-c", "P(a)^99999999999", "-y", "S(a)"]) == 3
+    assert "cap exceeded: out of memory" in capsys.readouterr().err
+
+
 def test_max_dim_leaves_environment(monkeypatch, capsys):
     monkeypatch.delenv("AUSKIT_CAPS", raising=False)
     assert cli.main(["--max-dim", "1", "lattice", "--algebra", "kron3",

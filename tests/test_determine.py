@@ -55,7 +55,7 @@ def test_simple_data_reads_every_action_in_one_call(loopb, monkeypatch):
     monkeypatch.undo()
     firsts = [trips[cl[0]] for cl in rep.iso_classes([s for s, _, _ in trips])]
     eps = [incl.compose(proj) for _, incl, proj in firsts]
-    rads = [incl.compose(ed.from_coords(r)).compose(proj)
+    rads = [incl.compose(ed.basis.element(r)).compose(proj)
             for x, incl, proj in firsts for ed, rad in [rep.end_radical(x)] for r in rad.B]
     assert len(eps_mats) == len(eps) == 1 and len(rad_mats) == len(rads) == 1
     for m, f in zip(eps_mats + rad_mats, eps + rads):

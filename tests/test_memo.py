@@ -154,6 +154,25 @@ def test_failed_decomposition_leaves_nothing_behind(monkeypatch):
     assert ("decompose", m.key()) in A._memo
 
 
+def test_split_verdict_runs_once_per_content(monkeypatch):
+    # the walk this replaced asked for a verdict at every node of every split
+    # tree, and end_radical re-based a verdict kept on the module: 8 calls on
+    # 5 contents here, where the memo by content makes 5
+    A = _kron2_f3()
+    x, y = kr.kR(A, 0, 2), kr.kP(A, 1)
+    calls = []
+    monkeypatch.setattr(rep, "_split_or_certify", _counting(rep._split_or_certify, calls))
+    m = rep.direct_sum(A, [x, x, y])[0]
+    xx = rep.direct_sum(A, [x, x])[0]
+    rep.decompose(m)
+    rep.decompose(_twin(m))
+    for mod in (m, xx):
+        for s, _, _ in rep.decompose(mod):
+            rep.end_radical(s)
+    keys = [ed.x.key() for (ed,) in calls]
+    assert len(keys) == len(set(keys)) == 5
+
+
 def test_failed_tau_minus_leaves_nothing_behind(monkeypatch):
     A = _kron2_f3()
     q = kr.kQ(A, 1)

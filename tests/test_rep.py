@@ -9,7 +9,7 @@ import pytest
 
 from auskit import algebra, ar, catalog, ffmat, kronecker as kr, rep
 from auskit.errors import VerificationFailure
-from helpers import BasisHom, _counting, charpoly_reference, rebased, yoneda
+from helpers import BasisHom, _counting, catalog_lattice, charpoly_reference, decompose_reference, rebased, yoneda
 
 
 def dv(m):
@@ -61,15 +61,6 @@ def test_soc_of_injective(kron2):
     assert dv(s) == (1, 0)
     q, _ = rep.cokernel(incl)
     assert dv(q) == (0, 2)
-
-
-def test_sub_closure(kron2):
-    # a single line in Q(a) at vertex b generates a (1,1) submodule
-    qa = kron2.inj("a")
-    seeds = [np.zeros((0, 1), dtype=int), np.array([[1, 0]], dtype=int)]
-    sub, incl = rep.sub_from_vectors(qa, seeds)
-    assert dv(sub) == (1, 1)
-    incl.check()
 
 
 def test_decompose_projective_sum(a2):
@@ -235,7 +226,7 @@ def _brute_summands(x):
 def _nonunit_coords(ed):
     """Coordinates of the non-units of End(X), which form rad End(X) when it is local."""
     return [c for c in itertools.product(range(ed.p), repeat=ed.dim)
-            if not ed.from_coords(np.array(c)).is_iso()]
+            if not ed.basis.element(np.array(c)).is_iso()]
 
 
 def _f3_kron2():
@@ -393,7 +384,7 @@ def test_commutative_split_driven_directly(monkeypatch):
     assert all(rep._fitting_split(a, 3) is None for a in ed.mats)
     e, rad = rep._split_or_certify(ed)
     assert rad is None
-    f = rep._verified_idempotent(ed, e)
+    f = rep._split(ed, e)[0]
     assert not f.is_zero() and not f.is_iso()
 
 
@@ -410,7 +401,7 @@ def test_noncommutative_fallback_driven_directly(a2, monkeypatch):
     assert all(rep._fitting_split(a, 2) is None for a in ed.mats)
     e, rad = rep._split_or_certify(ed)
     assert rad is None
-    f = rep._verified_idempotent(ed, e)
+    f = rep._split(ed, e)[0]
     assert not f.is_zero() and not f.is_iso()
     # with the candidate budget spent, the search raises instead of answering
     monkeypatch.setattr(rep, "SPLIT_CANDIDATES", 0)
@@ -434,7 +425,7 @@ def test_fallback_splits_without_rational_eigenvalues(kron2, monkeypatch):
     assert rep._fitting_split(a, 2) is None
     # F_2[a] = F_8 x F_8, split by a Frobenius-fixed idempotent
     _, e = rep._frobenius_split(*ffmat.polynomial_algebra(a, 2), 2)
-    f = rep._verified_idempotent(ed, e)
+    f = rep._split(ed, e)[0]
     assert not f.is_zero() and not f.is_iso()
     # the fallback, driven on a basis where no a - lambda splits, reads
     # F_2[a] without testing any polynomial for irreducibility
@@ -448,7 +439,7 @@ def test_fallback_splits_without_rational_eigenvalues(kron2, monkeypatch):
     e, rad = rep._split_or_certify(rep.EndData(x))
     assert len(calls) == 1
     assert rad is None and algebras and not poly_calls
-    f = rep._verified_idempotent(rep.EndData(x), e)
+    f = rep._split(rep.EndData(x), e)[0]
     assert not f.is_zero() and not f.is_iso()
 
 
@@ -495,3 +486,101 @@ def test_right_minimalize_exhausted_search_raises(a2, kron2, loopb, monkeypatch)
     with pytest.raises(VerificationFailure, match="K0 is not nil"):
         rep.right_minimalize(f)
     assert calls
+
+
+# --- the split step: the walk reference and forced certificate failures -------
+
+
+def _parts(parts):
+    return [(s.key(), [b.tobytes() for b in u.blocks], [b.tobytes() for b in r.blocks]) for s, u, r in parts]
+
+
+def test_decompose_matches_the_walk_reference(a2, kron2, loopb, uni4):
+    # one split per module and its images decomposed through the memo give
+    # the summands, inclusions and projections of the walk down the split tree
+    mods = list(_oracle_modules(a2, kron2, loopb, uni4).values())
+    for name in catalog.instance_names():
+        _, c, y = catalog.resolve_instance(name)
+        mods += [c, y] + [rc.source for rc in catalog_lattice(name).classes]
+    k3 = _f3_kron2()
+    for x in (uni4.proj("a"), kr.kP(kron2, 2), kr.kR(k3, 0, 2), kr.kQ(k3, 1)):
+        mods.append(rep.direct_sum(x.A, [x, x])[0])  # twin-content summands
+    for x in mods:
+        want = _parts(decompose_reference(x))
+        assert _parts(rep.decompose(x)) == want
+        assert _parts(rep.decompose(rep.Rep(x.A, x.dims, x.mats))) == want  # a memo hit, re-based
+
+
+def _splitting():
+    """(X, f): X = P(1) + R(0, 2) over F_3 on an algebra with an empty memo,
+    and f the projection X -> P(1), which kills the summand R(0, 2)."""
+    A = _f3_kron2()
+    x, _, projs = rep.direct_sum(A, [kr.kP(A, 1), kr.kR(A, 0, 2)])
+    return x, projs[0]
+
+
+def _via(entry):
+    x, f = _splitting()
+    return (lambda: rep.decompose(x)) if entry == "decompose" else (lambda: rep.right_minimalize(f))
+
+
+@pytest.mark.parametrize("entry", ["decompose", "right_minimalize"])
+def test_split_refuses_a_non_idempotent(entry, monkeypatch):
+    run = _via(entry)
+    # 2 is a unit of F_3 that is not idempotent: 2 o 2 = 1
+    monkeypatch.setattr(rep, "_fitting_projection", lambda b, p: 2 * ffmat.identity(len(b)))
+    with pytest.raises(VerificationFailure, match="claimed idempotent is not idempotent"):
+        run()
+
+
+@pytest.mark.parametrize("entry", ["decompose", "right_minimalize"])
+def test_split_refuses_an_image_without_retraction(entry, monkeypatch):
+    run, real = _via(entry), rep.image
+
+    def doubled(f):  # onto o incl = 2
+        i, incl, onto = real(f)
+        return i, incl, onto.scale(2)
+
+    monkeypatch.setattr(rep, "image", doubled)
+    with pytest.raises(VerificationFailure, match="idempotent image retraction failed"):
+        run()
+
+
+@pytest.mark.parametrize("entry", ["decompose", "right_minimalize"])
+def test_split_refuses_images_that_miss_dimensions(entry, monkeypatch):
+    run, real, calls = _via(entry), rep.image, []
+
+    def lost(f):  # the image of 1 - e comes back as the zero module
+        calls.append(f)
+        if len(calls) == 1:
+            return real(f)
+        z = rep.zero_rep(f.src.A)
+        return z, rep.zero_morphism(z, f.tgt), rep.zero_morphism(f.src, z)
+
+    monkeypatch.setattr(rep, "image", lost)
+    with pytest.raises(VerificationFailure, match="split dimensions do not add up"):
+        run()
+    assert len(calls) == 2
+
+
+def test_decompose_refuses_a_trivial_split(monkeypatch):
+    x, _ = _splitting()
+    monkeypatch.setattr(rep, "_split_or_certify", lambda ed: (ffmat.identity(ed.x.total_dim), None))
+    with pytest.raises(VerificationFailure, match="trivial split from claimed nontrivial idempotent"):
+        rep.decompose(x)
+
+
+def test_decompose_refuses_summand_idempotents_off_the_identity(monkeypatch):
+    x, _ = _splitting()
+    real = rep.decompose
+    # each image decomposes with its projections doubled, so the sum is 2
+    monkeypatch.setattr(rep, "decompose", lambda y: tuple((s, u, r.scale(2)) for s, u, r in real(y)))
+    with pytest.raises(VerificationFailure, match="summand idempotents do not sum to identity"):
+        rep._decompose(x)
+
+
+def test_right_minimalize_refuses_an_idempotent_the_map_does_not_kill(monkeypatch):
+    _, f = _splitting()
+    monkeypatch.setattr(rep, "_fitting_projection", lambda b, p: ffmat.identity(len(b)))
+    with pytest.raises(VerificationFailure, match="idempotent not killed by the map"):
+        rep.right_minimalize(f)
