@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ar, rep
 from .errors import VerificationFailure
-from .ffmat import Subspace, closure, kernel, rank
+from .ffmat import INT, Subspace, closure, kernel, rank, solve_columns
 
 
 class GammaHom:
@@ -188,10 +188,11 @@ def is_right_determined(f, c):
     return all(0 in cl for cl in rep.summand_classes([c, *minimal_determiner(f)]))
 
 
-def default_probes(f, c, count=20, seed=0):
-    """Deterministic probe maps into the target of f: basis maps of Hom(W, Y), W among
-    f.src, C, the projectives and Y, or sums of two with sources of equal content.
-    Draws work on flat rows and source ids; only a kept draw becomes a Morphism."""
+def _probe_draws(f, c, count, seed):
+    """Deterministic probes into the target Y of f, as (source, flat) pairs:
+    basis maps of Hom(W, Y), W among f.src, C, the projectives and Y, or sums
+    of two with sources of equal content.  Draws work on flat rows and source
+    ids; a draw already kept is skipped."""
     y = f.tgt
     A = y.A
     sources = [f.src, c] + [A.proj(v) for v in range(A.nv)] + [y]
@@ -218,26 +219,81 @@ def default_probes(f, c, count=20, seed=0):
         key = (ids[i], flat.tobytes())
         if key not in seen:
             seen.add(key)
-            out.append(rep.morphism_from_flat(srcs[i], y, flat))
+            out.append((srcs[i], flat))
     return out
+
+
+def _farkas(a, b, index, w, p):
+    """Certify that no column b_j of b is a combination of the columns of a:
+    a row y with y a = 0 and y b_j != 0 for each, read off kernel(a.T) and
+    checked by one product.  index names the probe of each column, w their
+    source."""
+    ker = kernel(a.T, p)
+    sep = ker @ b % p
+    ys = ker[np.argmax(sep != 0, axis=0)] if len(ker) else np.zeros((b.shape[1], a.shape[0]), dtype=INT)
+    prod = ys @ np.concatenate([a, b], axis=1) % p
+    n = a.shape[1]
+    for j, k in enumerate(index):
+        if prod[j, :n].any() or not prod[j, n + j]:
+            raise VerificationFailure("no Farkas row separates probe %d (source %s) from the maps through f"
+                                      % (k, w.dim_vector()))
 
 
 def definitional_check(f, c, probes=None, count=20, seed=0):
     """Probe the defining property of right C-determination.
 
     Returns the list of probe maps g with eta(g) <= eta(f) that do not factor
-    through f (empty when f is right C-determined, for any probe set).
+    through f (empty when f is right C-determined, for any probe set), in
+    probe order: the caller's own maps, or new maps for the default probes
+    (_probe_draws with count and seed).
+
+    The probes run in one batch per source W.  Each probe g: W -> Y is a
+    combination of the basis of Hom(W, Y), and composition is bilinear, so
+    one product serves every probe of W on each side:
+    - eta(g), the image of Hom(C, g), is spanned by the g o h over the basis
+      h of Hom(C, W).  One composition of that basis with every probe, one
+      coordinate read in Hom(C, Y) and one residue test against eta(f) decide
+      eta(g) <= eta(f) for all of them (an empty Hom(C, W) gives eta(g) = 0);
+    - g factors through f when a x = g is solvable, a the columns f o h over
+      the basis h of Hom(W, f.src).  One elimination of [a | probes] reads
+      solvability column by column.  The solutions are certified by one
+      product, and a probe that lands in the list by a Farkas row (_farkas).
+    A probe that factors through f with larger eta image contradicts
+    functoriality of eta, and raises.
     """
-    gh = GammaHom(c, f.tgt)
-    ef = gh.eta(f)
+    y = f.tgt
+    if c.A is not y.A:
+        raise VerificationFailure("C and Y are modules over different algebras")
+    p = f.p
+    hom_cy = rep.hom_space(c, y)
+    ef = rep.factor_subspace(f, c, hom_cy)
     if probes is None:
-        probes = default_probes(f, c, count, seed)
+        draws = _probe_draws(f, c, count, seed)
+    else:
+        if any(g.tgt.key() != y.key() for g in probes):
+            raise VerificationFailure("eta needs a map ending in Y")
+        draws = [(g.src, g.flat()) for g in probes]
+    batches = {}
+    for i, (w, _) in enumerate(draws):
+        batches.setdefault(w.key(), []).append(i)
     bad = []
-    for g in probes:
-        lhs = gh.eta(g).leq(ef)
-        rhs, _ = rep.right_leq(g, f)
-        if rhs and not lhs:
+    for index in batches.values():
+        w = draws[index[0]][0]
+        flats = np.array([draws[i][1] for i in index], dtype=INT)
+        rows = hom_cy.coords(rep._compose_rows(rep.hom_space(c, w), (w, y, flats), True))
+        lhs = ~ef.residues(rows).reshape(len(index), -1).any(axis=1)
+        a = rep._compose_rows(rep.hom_space(w, f.src), f, True).T
+        b = flats.T
+        x, rhs = solve_columns(a, b, p)
+        if ((a @ x - b)[:, rhs] % p).any():
+            raise VerificationFailure("factoring witness does not compose to the probe")
+        if (rhs & ~lhs).any():
             raise VerificationFailure("factoring map with larger eta image")
-        if lhs and not rhs:
-            bad.append(g)
-    return bad
+        miss = np.flatnonzero(lhs & ~rhs)
+        if len(miss):
+            _farkas(a, b[:, miss], [index[j] for j in miss], w, p)
+            bad.extend(index[j] for j in miss)
+    bad.sort()
+    if probes is not None:
+        return [probes[i] for i in bad]
+    return [rep.morphism_from_flat(draws[i][0], y, draws[i][1]) for i in bad]

@@ -7,7 +7,8 @@ exact; a product whose factors feed another product is reduced first.
 Reduced row echelon form is the canonical representative used everywhere: two
 subspaces are equal iff their rref bases are bytewise equal, which is what
 makes deduplication by key sound.
-solve_mat is the one solver of a @ x = b; solve, inv and solve_all read it.
+solve_columns is the one solver of a @ x = b, column by column; solve_mat
+(all columns at once), solve, inv and solve_all read it.
 
 rref eliminates on Python lists of rows, not on the array.  Its matrices are
 tiny (most have at most 16 entries, many none), and on them a numpy
@@ -133,18 +134,30 @@ def null_space(a, p):
     return Subspace.from_rref(kernel_from_rref(r, piv, n, p)[::-1, ::-1], free, n, p)
 
 
-def solve_mat(a, b, p):
-    """The one solver: a @ x = b for a matrix b, from one elimination of
-    [a | b], with every free variable 0; None when a pivot falls in b, that is
-    when some column has no solution."""
+def solve_columns(a, b, p):
+    """a @ x = b column by column, from the one elimination of [a | b]:
+    (x, ok), ok[j] saying whether column j of b is solvable, and x[:, j] its
+    solution with every free variable 0 where it is.  The rows of the RREF
+    below the rank of a are zero on a, and their b part is T b for rows T
+    spanning {y : y a = 0}; so column j is solvable exactly when its entries
+    there are zero."""
     a = np.asarray(a, dtype=INT)
     n = a.shape[1]
     r, piv = rref(np.concatenate([a, b], axis=1), p)
-    if piv and piv[-1] >= n:
-        return None
-    x = zeros(n, np.shape(b)[1])
-    x[piv] = r[: len(piv), n:]
-    return x
+    k = np.shape(b)[1]
+    rank_a = bisect.bisect_left(piv, n)
+    x = zeros(n, k)
+    x[piv[:rank_a]] = r[:rank_a, n:]
+    if rank_a == len(piv):  # no pivot in b: every column is solvable
+        return x, np.ones(k, dtype=bool)
+    return x, ~r[rank_a:, n:].any(axis=0)
+
+
+def solve_mat(a, b, p):
+    """a @ x = b for a matrix b, with every free variable 0; None when some
+    column has no solution (solve_columns read as a whole)."""
+    x, ok = solve_columns(a, b, p)
+    return x if ok.all() else None
 
 
 def solve(a, b, p):

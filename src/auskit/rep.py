@@ -12,7 +12,7 @@ import random
 import numpy as np
 
 from . import ffmat
-from .errors import VerificationFailure
+from .errors import CapExceeded, VerificationFailure
 from .ffmat import INT, amod, identity, zeros
 
 
@@ -192,6 +192,9 @@ def morphism_from_flat(x, y, flat):
 # composition over a basis works on the canonical rows that hom_space keeps.
 
 
+MAX_HOM_UNKNOWNS = 1024  # most generator images a Hom system solves for; the catalog needs at most 118
+
+
 class HomSpace:
     """A basis of Hom(X, Y) as the canonical rows matrix of hom_space, the
     identity on its free columns (the last nonzero entry of each row): the
@@ -291,11 +294,15 @@ def _hom_rows(x, y):
 
     Solves for the images y_i of the generators with sum_c omega_c Y_s y_i = 0
     for every relation omega (c = (i, s)), reads the maps through the
-    section, and certifies that they are independent and intertwine.
+    section, and certifies that they are independent and intertwine.  A
+    system of more than MAX_HOM_UNKNOWNS unknowns (the sum of dim Y_v over
+    the generators at v) is refused with CapExceeded before it is built.
     """
     p = x.p
     verts, _, _, rels = generators(x)
     starts = list(itertools.accumulate([0] + [y.dims[v] for v in verts]))
+    if starts[-1] > MAX_HOM_UNKNOWNS:
+        raise CapExceeded("Hom system of %d unknowns exceeds the cap %d" % (starts[-1], MAX_HOM_UNKNOWNS))
     maps = []  # per w, (columns, dims_Y[w], unknowns): the unknowns to Y_s y_i
     for w, dw in enumerate(y.dims):
         stacks = [y.path_stack(v, w) for v in verts]
@@ -343,11 +350,13 @@ def morphism_coords(f, basis):
 
 def _compose_rows(hom, g, after):
     """Flattened rows of g o h (after) or of h o g over the basis h of hom; g
-    is a map or a HomSpace, whose basis maps run g-major over the rows."""
-    if isinstance(g, HomSpace):
-        gx, gy, gs = g.x, g.y, _vertex_blocks(g.x, g.y, g.matrix)
-    else:
+    is a map, a HomSpace or a triple (X, Y, flats) of a stack of flattened
+    maps X -> Y, whose maps run g-major over the rows."""
+    if isinstance(g, Morphism):
         gx, gy, gs = g.src, g.tgt, [b[None] for b in g.blocks]
+    else:
+        gx, gy, flats = (g.x, g.y, g.matrix) if isinstance(g, HomSpace) else g
+        gs = _vertex_blocks(gx, gy, flats)
     a, b = (hom.y, gx) if after else (gy, hom.x)
     if a is not b and a.key() != b.key():
         raise VerificationFailure("composition: target of the first map is not the source of the second")

@@ -286,6 +286,34 @@ def decompose_reference(x):
     return tuple(out)
 
 
+# --- the definitional check one probe at a time: a reference oracle ---------
+
+
+def default_probes(f, c, count=20, seed=0):
+    """The default probes of determine.definitional_check as maps: one
+    Morphism per draw of determine._probe_draws, in draw order."""
+    return [rep.morphism_from_flat(w, f.tgt, flat) for w, flat in determine._probe_draws(f, c, count, seed)]
+
+
+def definitional_check_reference(f, c, probes=None, count=20, seed=0):
+    """determine.definitional_check one probe at a time: eta(g) as a
+    Subspace of the GammaHom of (C, Y), compared by leq with eta(f), and
+    right_leq(g, f) solved per probe."""
+    gh = determine.GammaHom(c, f.tgt)
+    ef = gh.eta(f)
+    if probes is None:
+        probes = default_probes(f, c, count, seed)
+    bad = []
+    for g in probes:
+        lhs = gh.eta(g).leq(ef)
+        rhs, _ = rep.right_leq(g, f)
+        if rhs and not lhs:
+            raise VerificationFailure("factoring map with larger eta image")
+        if lhs and not rhs:
+            bad.append(g)
+    return bad
+
+
 # --- the factorization certificates on all pairs: reference oracles ----------
 
 

@@ -165,6 +165,15 @@ def test_out_of_memory_exit_code(capsys):
     assert "cap exceeded: out of memory" in capsys.readouterr().err
 
 
+def test_oversized_hom_system_exit_code(capsys):
+    # End(P(a)^50) solves for 50 x 50 generator images, above the Hom system
+    # cap; P(a)^20 (400 unknowns) still answers
+    assert cli.main(["hom", "--algebra", "kron2", "-c", "P(a)^50", "-y", "S(a)"]) == 3
+    assert "cap exceeded: Hom system of 2500 unknowns" in capsys.readouterr().err
+    assert cli.main(["hom", "--algebra", "kron2", "-c", "P(a)^20", "-y", "S(a)"]) == 0
+    assert "dim Hom(C,Y) = 20, dim End(C) = 400" in capsys.readouterr().out
+
+
 def test_max_dim_leaves_environment(monkeypatch, capsys):
     monkeypatch.delenv("AUSKIT_CAPS", raising=False)
     assert cli.main(["--max-dim", "1", "lattice", "--algebra", "kron3",

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
-from auskit import ar, catalog, determine, factor, rep
+from auskit import ar, catalog, determine, factor, ffmat, rep
 from auskit.algebra import parse_algebra_file, parse_module_expr
 from auskit.errors import VerificationFailure
-from helpers import _counting, is_submodule
+from helpers import (_counting, catalog_lattice, default_probes, definitional_check_reference,
+                     is_submodule)
 
 
 def _find_epi(x, y):
@@ -282,8 +285,135 @@ def test_default_probes_match_the_morphism_loop(name):
     fl = factor.FactorizationLattice.build(c, y, certify=False)
     for rc in fl.classes:
         for count, seed in ((20, 0), (7, 3)):
-            got = determine.default_probes(rc.f, c, count, seed)
+            got = default_probes(rc.f, c, count, seed)
             want = _probes_by_morphisms(rc.f, c, count, seed)
             assert [(g.src.key(), g.flat().tobytes()) for g in got] == \
                 [(g.src.key(), g.flat().tobytes()) for g in want]
             assert all(g.tgt is y and g.check() for g in got)
+
+
+def _outcome(check, f, c, **kw):
+    """The keys of the probes check flags, in order, or the message it raises."""
+    try:
+        return [g.key() for g in check(f, c, **kw)]
+    except VerificationFailure as exc:
+        return str(exc)
+
+
+def test_definitional_check_matches_the_per_probe_reference():
+    # every class of every catalog instance but subspace3-ex21, against C and
+    # against C without its first summand (where probes do land in the list):
+    # the default probes at two (count, seed), and a list that adds the basis
+    # maps of Hom(X_j, Y) for every class source X_j
+    flagged = 0
+    for name in catalog.instance_names():
+        if name == "subspace3-ex21":
+            continue
+        alg, c, y = catalog.resolve_instance(name)
+        fl = catalog_lattice(name)
+        summands = [s for s, _, _ in rep.decompose(c)]
+        smaller = rep.direct_sum(alg, summands[1:])[0] if len(summands) > 1 else rep.zero_rep(alg)
+        basis = [g for rc in fl.classes for g in rep.hom_space(rc.source, y)]
+        for rc in fl.classes:
+            for cc in (c, smaller):
+                for kw in (dict(count=20, seed=0), dict(count=7, seed=3),
+                           dict(probes=default_probes(rc.f, c, 20, 0) + basis)):
+                    got = _outcome(determine.definitional_check, rc.f, cc, **kw)
+                    assert got == _outcome(definitional_check_reference, rc.f, cc, **kw), (name, kw)
+                    flagged += bool(got)
+    assert flagged > 100
+
+
+def test_definitional_check_matches_the_reference_on_the_witnesses(a3lin, sub3):
+    _, _, _, h, fp, f = _example5_maps(a3lin)
+    c1 = rep.direct_sum(a3lin, [a3lin.simple(1), a3lin.simple(2)])[0]
+    lam = rep.direct_sum(sub3, [sub3.proj(v) for v in range(4)])[0]
+    y = sub3.inj(0)
+    _, _, projs = rep.direct_sum(sub3, [sub3.proj(1), sub3.proj(2)])
+    f1, f2 = (rep.hom_space(sub3.proj(v), y)[0] for v in (1, 2))
+    g = f1.compose(projs[0]).add(f2.compose(projs[1]))
+    incl = rep.image(g)[1]
+    # the second list interleaves three sources: the flagged probes keep probe order
+    mixed = [fp, f, fp.scale(0), rep.identity_morphism(f.tgt), fp]
+    cases = [(f, c1, dict(probes=[fp])), (f, c1, dict(probes=mixed)),
+             (g, lam, dict(probes=[incl])), (g, lam, dict(count=20)),
+             # a probe that does not end in Y, and C over another algebra
+             (f, c1, dict(probes=[fp, h])), (f, lam, dict(count=5))]
+    outcomes = [_outcome(determine.definitional_check, m, c, **kw) for m, c, kw in cases]
+    assert outcomes == [_outcome(definitional_check_reference, m, c, **kw) for m, c, kw in cases]
+    assert outcomes[0] == [fp.key()] and outcomes[2] == [incl.key()]
+    assert outcomes[1] == [fp.key(), fp.key()]
+    assert outcomes[4] == "eta needs a map ending in Y"
+    assert outcomes[5] == "C and Y are modules over different algebras"
+
+
+def test_definitional_check_is_one_batch_per_source(monkeypatch):
+    # class 3 of kron2-ex14 draws from the same 3 sources at count 5 and 20
+    # (5 and 8 probes): with the memo warmed, one RREF for eta(f) and one
+    # elimination per source, whatever the count.  The per-probe loop made 11
+    # and 17 rref calls, 5 and 8 right_leq solves, one GammaHom and one
+    # end_algebra read.
+    _, c, _ = catalog.resolve_instance("kron2-ex14")
+    f = catalog_lattice("kron2-ex14").classes[3].f
+    for count in (5, 20):
+        assert determine.definitional_check(f, c, count=count) == []
+    for name in ("right_leq", "end_algebra"):
+        monkeypatch.setattr(rep, name, None)
+    monkeypatch.setattr(determine, "GammaHom", None)
+    calls, counts = [], []
+    monkeypatch.setattr(ffmat, "rref", _counting(ffmat.rref, calls))
+    for count in (5, 20):
+        del calls[:]
+        assert determine.definitional_check(f, c, count=count) == []
+        counts.append(len(calls))
+    assert counts == [4, 4]
+
+
+def _kron2_identity(kron2):
+    c = rep.direct_sum(kron2, [kron2.proj(0), kron2.proj(1)])[0]
+    return rep.identity_morphism(kron2.inj(0)), c
+
+
+def test_factoring_probe_with_larger_eta_raises(kron2, monkeypatch):
+    # eta(f) read as zero: every probe factors through the identity, and one
+    # with a nonzero eta image contradicts functoriality
+    f, c = _kron2_identity(kron2)
+    monkeypatch.setattr(rep, "factor_subspace", lambda f, w, hom: ffmat.Subspace.zero(len(hom), f.p))
+    with pytest.raises(VerificationFailure, match="factoring map with larger eta image"):
+        determine.definitional_check(f, c, count=10)
+
+
+def test_factoring_witness_product_is_checked(kron2, monkeypatch):
+    # every column claimed solvable by x = 0: the product a x = probes fails
+    f, c = _kron2_identity(kron2)
+    monkeypatch.setattr(determine, "solve_columns",
+                        lambda a, b, p: (np.zeros((a.shape[1], b.shape[1]), dtype=int), np.ones(b.shape[1], bool)))
+    with pytest.raises(VerificationFailure, match="factoring witness does not compose to the probe"):
+        determine.definitional_check(f, c, count=10)
+
+
+def test_farkas_row_is_required(a3lin, monkeypatch):
+    # Example 5's witness f' lands in the list; with no row to read, nothing
+    # separates it from the maps through f
+    _, qb, _, _, fp, f = _example5_maps(a3lin)
+    c1 = rep.direct_sum(a3lin, [a3lin.simple(1), a3lin.simple(2)])[0]
+    monkeypatch.setattr(determine, "kernel", lambda m, p: np.zeros((0, m.shape[1]), dtype=int))
+    with pytest.raises(VerificationFailure, match=r"no Farkas row separates probe 1 \(source %s\)"
+                       % re.escape(str(qb.dim_vector()))):
+        determine.definitional_check(f, c1, probes=[f, fp])
+
+
+def test_corrupted_farkas_row_is_caught(monkeypatch):
+    # uniserial-4, C = 0: every probe that does not factor lands in the list,
+    # and there a is nonzero; a unit vector e_i with row i of a nonzero,
+    # added to every kernel row, makes every y a nonzero
+    alg, _, _ = catalog.resolve_instance("uniserial-4")
+    f = catalog_lattice("uniserial-4").classes[1].f
+    assert determine.definitional_check(f, rep.zero_rep(alg))
+
+    def corrupted(m, p):
+        return (ffmat.kernel(m, p) + np.eye(m.shape[1], dtype=int)[np.flatnonzero(m.any(axis=0))[0]]) % p
+
+    monkeypatch.setattr(determine, "kernel", corrupted)
+    with pytest.raises(VerificationFailure, match=r"no Farkas row separates probe \d+ \(source"):
+        determine.definitional_check(f, rep.zero_rep(alg))

@@ -167,6 +167,24 @@ def test_solvers_match_the_eliminations_they_replaced(p):
     assert (0, True) in invertible and {ok for _, ok in invertible} == {True, False}
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_solve_columns_reads_each_column(p):
+    # column j is solvable exactly when its own solve_all finds a solution,
+    # and then its column of x is that canonical solution
+    rng = np.random.default_rng(3000 + p)
+    seen = set()
+    for a, b in _solver_inputs(p, rng):
+        x, ok = ffmat.solve_columns(a, b, p)
+        assert x.shape == (a.shape[1], b.shape[1]) and ok.shape == (b.shape[1],)
+        for j, col in enumerate(b.T):
+            want = solve_all_reference(a, col, p)
+            assert bool(ok[j]) == (want is not None)
+            if want is not None:
+                assert (x[:, j] == want[0]).all()
+            seen.add(bool(ok[j]))
+    assert seen == {True, False}
+
+
 def test_subspace_canonical_equality():
     u = Subspace([[1, 1, 0], [0, 0, 1]], 3, 2)
     v = Subspace([[1, 1, 1], [0, 0, 1]], 3, 2)

@@ -166,8 +166,9 @@ def test_canonical_reader_matches_the_rref_reader(kron2, loopb):
 
 
 def test_batched_compositions_match_one_map_at_a_time(kron2, loopb):
-    # _compose_rows over a Morphism g and over a HomSpace g (g-major rows),
-    # after and before, against Morphism.compose one pair at a time
+    # _compose_rows over a Morphism g, a HomSpace g and a stack of flattened
+    # maps g (g-major rows), after and before, against Morphism.compose one
+    # pair at a time
     def rows(maps, width):
         return np.array([f.flat() for f in maps], dtype=np.int64).reshape(len(maps), width)
 
@@ -184,6 +185,13 @@ def test_batched_compositions_match_one_map_at_a_time(kron2, loopb):
             assert (got == rows([g.compose(h) for g in hom_yw for h in hom], width_xw)).all(), name
             got = rep._compose_rows(hom, hom_wx, False)
             assert (got == rows([h.compose(g) for g in hom_wx for h in hom], width_wy)).all(), name
+            for g, gx, gy, after in ((hom_yw, y, w, True), (hom_wx, w, x, False)):
+                # the basis backwards, then the sum of its first and last maps
+                stack = np.concatenate([g.matrix[::-1], (g.matrix[:1] + g.matrix[-1:]) % x.p])
+                maps = [rep.morphism_from_flat(gx, gy, s) for s in stack]
+                got = rep._compose_rows(hom, (gx, gy, stack), after)
+                want = [m.compose(h) if after else h.compose(m) for m in maps for h in hom]
+                assert (got == rows(want, width_xw if after else width_wy)).all(), name
             for g in hom_yw[:2]:
                 got = rep._compose_rows(hom, g, True)
                 assert (got == rows([g.compose(h) for h in hom], width_xw)).all(), name
