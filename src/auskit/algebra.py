@@ -16,12 +16,13 @@ import re
 import numpy as np
 
 from . import ar, rep
-from .errors import BadRelation, NotFiniteDimensional, ParseError
+from .errors import BadRelation, CapExceeded, NotFiniteDimensional, ParseError
 from .ffmat import INT, Subspace, is_prime, zeros
 
 MAX_PATH_LEN = 64  # longest path tried before an algebra is refused as infinite
 MAX_PATHS = 200000  # most paths enumerated before an algebra is refused
 MAX_FIELD = 2 ** 16  # smallest field size refused: below it the int64 arithmetic of ffmat is exact
+MAX_MODULE_DIM = 1024  # largest direct sum a module expression builds; the catalog needs at most 28
 
 
 class Quiver:
@@ -433,7 +434,9 @@ def parse_module_expr(algebra, text, env=None):
     Grammar: expr := atom ("++" atom)* ; atom := base ["^" n] ;
     base := P(v) | Q(v) | S(v) | tau(expr) | taum(expr) | rad(expr) |
             soc(expr) | top(expr) | 0 | IDENT | IDENT(scalar, ...).
-    IDENTs resolve through env to a module or a callable.
+    IDENTs resolve through env to a module or a callable.  A direct sum
+    ("^" or "++") of total dimension above MAX_MODULE_DIM is refused with
+    CapExceeded before it is built.
     """
     env = env or {}
     toks = _TOKEN.findall(text)
@@ -451,6 +454,11 @@ def parse_module_expr(algebra, text, env=None):
         pos[0] += 1
         return t
 
+    def check_size(total):
+        if total > MAX_MODULE_DIM:
+            raise CapExceeded("module of total dimension %d in %r is above the cap %d"
+                              % (total, text, MAX_MODULE_DIM))
+
     def parse_expr():
         parts = [parse_atom()]
         while peek() == "++":
@@ -458,6 +466,7 @@ def parse_module_expr(algebra, text, env=None):
             parts.append(parse_atom())
         if len(parts) == 1:
             return parts[0]
+        check_size(sum(m.total_dim for m in parts))
         return rep.direct_sum(algebra, parts)[0]
 
     def parse_atom():
@@ -467,6 +476,8 @@ def parse_module_expr(algebra, text, env=None):
             n = take()
             if not n.isdigit():
                 raise ParseError("exponent %r in %r is not an integer" % (n, text))
+            # a zero summand counts as one: each summand costs an inclusion and a projection
+            check_size(int(n) * max(base.total_dim, 1))
             return rep.direct_sum(algebra, [base] * int(n))[0]
         return base
 

@@ -87,19 +87,20 @@ def _pushout_action(eds):
     return np.concatenate(mats)
 
 
-def _ext_submodules(eds, p):
+def _ext_submodules(eds, A):
     """For each End(K)-submodule U of Ext^1(Y', K), a list per kernel class of
     the cocycle rows of generators of U: the seeds g in U (each in one block)
     by (-dim C(g), pivot column, entries), each kept when outside the sum of
     the cyclic submodules of those kept before.  The last two keys are the
-    echelon order of lines; the representatives in classes.txt rest on it."""
+    echelon order of lines; the representatives in classes.txt rest on it.
+    The search is memoized in the algebra A."""
     off = np.cumsum([0] + [ed.dim for ed in eds])
     lifts = [np.array(ed.class_reps(), dtype=INT) for ed in eds]
-    nodes, seeds = lattice.graded_submodules([ed.dim for ed in eds], _pushout_action(eds), p)
+    nodes, seeds = lattice.graded_submodules(A, [ed.dim for ed in eds], _pushout_action(eds))
     gens = sorted((-cg.dim, int(np.flatnonzero(g)[0]), g.tolist(), cg) for g, cg in seeds)
     rows = np.array([t[2] for t in gens], dtype=INT).reshape(len(gens), off[-1])
     for u in nodes:
-        combo, span = [[] for _ in eds], Subspace.zero(off[-1], p)
+        combo, span = [[] for _ in eds], Subspace.zero(off[-1], A.p)
         for t in np.flatnonzero(~u.residues(rows).any(axis=1)).tolist():
             _, lead, g, cg = gens[t]
             if span.dim < u.dim and not span.contains(g):
@@ -112,7 +113,7 @@ def _ext_submodules(eds, p):
 def _candidates(gh, y, extensions):
     """(f, extended) for each candidate that passes the missing-projective
     filter: the inclusion of a submodule Y' of Y after the extension of each
-    cocycle list of extensions(eds, p), extended if it has a cocycle."""
+    cocycle list of extensions(eds, A), extended if it has a cocycle."""
     A = y.A
     reps = [cl[0] for cl in gh.simple_data()[0]]  # one summand of C per iso class
     # the kernel candidates: tau is injective on non-projective indecomposable classes
@@ -125,7 +126,7 @@ def _candidates(gh, y, extensions):
         yprime, incl = lattice.sub_rep_of(y, vt)
         eds = [ar.ExtData(yprime, k) for k in kclasses]
         eds = [ed for ed in eds if ed.dim > 0]
-        for combo in extensions(eds, y.p):
+        for combo in extensions(eds, A):
             n_cand += 1
             if n_cand > CAND_CAP:
                 raise CapExceeded("too many factorization candidates")

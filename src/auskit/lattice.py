@@ -28,6 +28,11 @@ the sum of the cyclic submodules of the seeds it contains.  This uses only the
 positive verdicts of rep.iso_classes, each witnessed by an invertible
 composite; a missed isomorphism only adds seeds.
 
+The lattice depends only on the module, given by the grading, the action
+stack and the seed idempotents, so each search is memoized in the algebra
+under exactly that input (_search): on the Kronecker shape table, every
+Hom(C, Y) with End(C) = F_p of one dimension is the same search.
+
 Shape certificates:
   ("G", d, q)  -- the full subspace lattice of a d-dimensional space over F_q,
                   certified on the module side: Hom(C, Y) is isotypic of one
@@ -155,22 +160,55 @@ def _seed_lines(spans, p, close):
     return [(g, close([g])) for g in ((c @ b) % p for b in spans for c in projective_points(len(b), p))]
 
 
-def graded_submodules(dims, mats, p):
-    """(nodes, seeds): the subspaces of F_p^n, n = sum(dims), stable under
-    v -> m v for the (k, n, n) stack mats, by dimension and then the RREF of
-    their block parts, and the seeds with their cyclic submodules.  They must
-    be graded by the unit blocks of dims (the vertices; the Ext^1(Y', K_i)),
-    so that every member is a sum of multiples of seeds inside it."""
-    n, off = sum(dims), np.cumsum([0] + list(dims))
-    unit = np.eye(n, dtype=INT)
-    seeds = _seed_lines([unit[off[v] : off[v + 1]] for v in range(len(dims))], p,
-                        lambda rows: closure(rows, mats, n, p))
+def _search(A, dims, mats, idems, close):
+    """(nodes, below, lower_covers, seeds) of _cyclic_search on F_p^n,
+    n = sum(dims), for the (k, n, n) action stack mats, memoized per algebra
+    A under kind "lattice" by the search's whole input: the grading dims,
+    mats, and the seed spans, M e for e in the (n, n) matrices idems on the
+    Gamma side (dims = (n,)) or the unit blocks of dims when idems is None.
+
+    Nodes are ordered by dimension and then the RREF of their block parts
+    (for dims = (n,), by dimension and then key).  The stored arrays are
+    read-only and the lists are copied out, so no caller can change an
+    answer another one reads; a stored lattice over NODE_CAP nodes is refused
+    as the search itself would refuse it.
+    """
+    p, n = A.p, sum(dims)
+    off = np.cumsum([0] + list(dims))
 
     def order(s):  # the RREF of a graded subspace is block diagonal
         cuts = np.searchsorted(s.pivots, off)
         return s.dim, tuple(mat_key(s.B[cuts[v] : cuts[v + 1], off[v] : off[v + 1]]) for v in range(len(dims)))
 
-    return _cyclic_search(Subspace.zero(n, p), seeds, order)[0], seeds
+    def search():
+        if idems is None:
+            unit = np.eye(n, dtype=INT)
+            spans = [unit[off[v] : off[v + 1]] for v in range(len(dims))]
+        else:
+            spans = [Subspace(m.T, n, p).B for m in idems]
+        seeds = _seed_lines(spans, p, close)
+        nodes, below, lower_covers = _cyclic_search(Subspace.zero(n, p), seeds, order)
+        for a in [s.B for s in nodes] + [a for g, cg in seeds for a in (g, cg.B)]:
+            a.flags.writeable = False
+        return tuple(nodes), tuple(below), tuple(lower_covers), tuple(seeds)
+
+    key = ("lattice", tuple(dims), mat_key(mats), None if idems is None else tuple(map(mat_key, idems)))
+    nodes, below, lower_covers, seeds = A.memoized(key, search)
+    if len(nodes) > NODE_CAP:
+        raise CapExceeded("submodule lattice exceeds the node cap")
+    return list(nodes), list(below), list(lower_covers), list(seeds)
+
+
+def graded_submodules(A, dims, mats):
+    """(nodes, seeds): the subspaces of F_p^n, n = sum(dims), stable under
+    v -> m v for the (k, n, n) stack mats, by dimension and then the RREF of
+    their block parts, and the seeds with their cyclic submodules, memoized
+    in the algebra A (see _search).  They must be graded by the unit blocks
+    of dims (the vertices; the Ext^1(Y', K_i)), so that every member is a
+    sum of multiples of seeds inside it."""
+    n = sum(dims)
+    nodes, _, _, seeds = _search(A, dims, mats, None, lambda rows: closure(rows, mats, n, A.p))
+    return nodes, seeds
 
 
 def _bit_rows(bitsets, n):
@@ -201,9 +239,8 @@ class SubmoduleLattice:
                 % (gh.n, gh.p)
             )
         # the certificate that the summand idempotents sum to 1 runs here, before any closure
-        spans = [Subspace(m.T, gh.n, gh.p).B for m in gh.simple_data()[1]]
-        return cls(gh, *_cyclic_search(gh.zero_sub(), _seed_lines(spans, gh.p, gh.close),
-                                       lambda s: (s.dim, s.key())))
+        eps_mats = gh.simple_data()[1]
+        return cls(gh, *_search(gh.c.A, (gh.n,), gh.act, eps_mats, gh.close)[:3])
 
     def __len__(self):
         return len(self.nodes)
@@ -365,7 +402,7 @@ def rep_submodule_lattice(x):
             raise CapExceeded("vertex dimension exceeds the enumeration cap")
     if _submodule_lower_bound(x) > NODE_CAP:
         raise CapExceeded("submodule lattice exceeds the node cap")
-    return graded_submodules(x.dims, rep.total_arrows(x), p)[0]
+    return graded_submodules(x.A, x.dims, rep.total_arrows(x))[0]
 
 
 def sub_rep_of(x, sub):

@@ -74,6 +74,21 @@ def _counting(fn, calls):
     return counted
 
 
+def _twin(x):
+    """A distinct Rep with the same content as x."""
+    return rep.Rep(x.A, x.dims, x.mats)
+
+
+def fresh_instance(name):
+    """(A, C, Y) of a catalog instance over a newly parsed copy of its
+    algebra, whose answer memo is empty: for tests that count the work of a
+    cold computation, which earlier tests may have memoized in the shared
+    catalog algebra."""
+    inst = catalog.get_instance(name)
+    A = catalog.load_catalog_algebra.__wrapped__(inst["algebra"])
+    return A, catalog.build_module(A, inst["c"]), catalog.build_module(A, inst["y"])
+
+
 def mul_vec(A, u, v):
     """Product of two elements of the algebra A in basis coordinates."""
     return np.einsum("i,j,ijl->l", amod(u, A.p), amod(v, A.p), A.mul_table) % A.p
@@ -347,7 +362,7 @@ def ext_choices(ed):
     return [list((sub.B @ reps_) % ed.p) for sub in enumerate_subspaces(len(reps_), ed.p)]
 
 
-def subspace_extensions(eds, p):
+def subspace_extensions(eds, A):
     """Every tuple of F_p-subspaces of the Ext^1(Y', K_i): the reference
     enumeration of the candidates' extensions, an extensions argument of
     factor._candidates, which the build calls with one per End(K)-submodule."""

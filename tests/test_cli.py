@@ -7,7 +7,7 @@ import time
 import pytest
 
 import auskit
-from auskit import catalog, cli, factor, ffmat, lattice
+from auskit import catalog, cli, factor, ffmat, lattice, rep
 from auskit.errors import VerificationFailure
 from helpers import _counting
 
@@ -159,10 +159,33 @@ def test_max_dim_exit_code(monkeypatch, capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
-def test_out_of_memory_exit_code(capsys):
-    # a summand count too large to allocate ends like a cap, not in a traceback
-    assert cli.main(["hom", "--algebra", "kron2", "-c", "P(a)^99999999999", "-y", "S(a)"]) == 3
+def test_out_of_memory_exit_code(monkeypatch, capsys):
+    # an allocation that fails ends like a cap, not in a traceback
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(rep, "direct_sum", out_of_memory)
+    assert cli.main(["hom", "--algebra", "kron2", "-c", "P(a)^2", "-y", "S(a)"]) == 3
     assert "cap exceeded: out of memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c, total", [("P(a)^2000", 2000), ("P(a)^99999999999", 99999999999),
+                                      ("0^5000", 5000), ("P(b)^200 ++ P(b)^200", 1200)])
+def test_oversized_module_expression_is_refused_before_it_is_built(monkeypatch, capsys, c, total):
+    # P(a) and P(b) of kron2 have dimensions 1 and 3; a zero summand counts as one
+    direct_sum = rep.direct_sum
+    sums = []
+    monkeypatch.setattr(rep, "direct_sum", lambda A, parts: sums.append(len(parts)) or direct_sum(A, parts))
+    assert cli.main(["hom", "--algebra", "kron2", "-c", c, "-y", "S(a)"]) == 3
+    assert "cap exceeded: module of total dimension %d in %r is above the cap 1024" % (total, c) \
+        in capsys.readouterr().err
+    assert max(sums, default=0) <= 200  # only the parts below the cap were built
+
+
+def test_direct_sums_below_the_module_cap_answer(capsys):
+    for k in (20, 25):
+        assert cli.main(["hom", "--algebra", "kron2", "-c", "P(a)^%d" % k, "-y", "S(a)"]) == 0
+        assert "dim Hom(C,Y) = %d, dim End(C) = %d" % (k, k * k) in capsys.readouterr().out
 
 
 def test_oversized_hom_system_exit_code(capsys):

@@ -164,7 +164,7 @@ def test_eta_collisions_are_certified(monkeypatch):
     with monkeypatch.context() as mp:
         ext_submodules = factor._ext_submodules
         mp.setattr(factor, "_ext_submodules",
-                   lambda eds, p: (combo for combo in ext_submodules(eds, p) for _ in range(2)))
+                   lambda eds, A: (combo for combo in ext_submodules(eds, A) for _ in range(2)))
         fl = factor.FactorizationLattice.build(c, y, certify=False)
     assert len(compared) == len(fl) == 6
     del compared[:]

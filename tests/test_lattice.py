@@ -1,8 +1,8 @@
 import pytest
 
-from auskit import ar, catalog, determine, ffmat, kronecker, lattice, rep
+from auskit import algebra, ar, catalog, determine, ffmat, kronecker, lattice, rep
 from auskit.errors import CapExceeded, VerificationFailure
-from helpers import _counting
+from helpers import _counting, _twin, fresh_instance
 
 
 def _lam(algebra):
@@ -194,7 +194,7 @@ def _seed_line_count(gh):
 def test_gamma_search_closes_one_seed_per_line_of_a_class_idempotent():
     # the twelve pairwise non-isomorphic summands of criterion 5: 11 seed lines
     # instead of the 1,023 lines of Hom(C, Y)
-    _, c, y = catalog.resolve_instance("subspace3-ex21")
+    _, c, y = fresh_instance("subspace3-ex21")
     gh = determine.GammaHom(c, y)
     lat, closes = _build_counting_closes(gh)
     assert len(lat) == 30 and gh.n == 10
@@ -203,7 +203,7 @@ def test_gamma_search_closes_one_seed_per_line_of_a_class_idempotent():
 
 def test_gamma_seeds_do_not_grow_with_repeated_summands():
     # C + C has twice the Hom space of C but the same summand classes
-    A, c, y = catalog.resolve_instance("kron2-ex4")
+    A, c, y = fresh_instance("kron2-ex4")
     rows = []
     for x in (c, rep.direct_sum(A, [c, c])[0]):
         gh = determine.GammaHom(x, y)
@@ -214,10 +214,67 @@ def test_gamma_seeds_do_not_grow_with_repeated_summands():
     assert doubled == (6, nodes, 4, 4)
 
 
+def test_equal_content_gamma_hom_builds_from_the_memo():
+    A, c, y = fresh_instance("kron2-ex4")
+    lat, closes = _build_counting_closes(determine.GammaHom(c, y))
+    assert closes == 4
+    hits, misses = A.memo_stats()["lattice"]
+    again, closes = _build_counting_closes(determine.GammaHom(_twin(c), _twin(y)))
+    assert closes == 0
+    assert A.memo_stats()["lattice"] == (hits + 1, misses)
+    assert _lattice_facts(again) == _lattice_facts(lat)
+
+
+def test_memoized_lattices_are_read_only():
+    A, c, y = fresh_instance("kron2-ex4")
+    sizes = []
+    for _ in range(2):  # a cold search, then a memo hit
+        lat = lattice.SubmoduleLattice.build(determine.GammaHom(c, y))
+        with pytest.raises(ValueError):
+            lat.nodes[-1].B[0, 0] = 0
+        nodes, seeds = lattice.graded_submodules(A, y.dims, rep.total_arrows(y))
+        g, cg = seeds[0]
+        with pytest.raises(ValueError):
+            g[0] = 0
+        with pytest.raises(ValueError):
+            cg.B[0, 0] = 0
+        sizes.append(len(nodes))
+        nodes.clear()  # the caller's own list: the stored lattice keeps its nodes
+    assert sizes[0] == sizes[1] > 0
+    assert A.memo_stats()["lattice"] == (2, 2)
+
+
+@pytest.mark.parametrize("p, stats", [(2, (97, 14)), (3, (121, 17))])
+def test_table_memo_hits_equal_cold_searches(monkeypatch, p, stats):
+    # 111 and 138 rows, one lookup each, over 14 and 17 distinct (action,
+    # idempotent) contents; every row's lattice equals a search with the memo bypassed
+    algs, lats = [], []
+    make_algebra, build = kronecker.kronecker_algebra, lattice.SubmoduleLattice.build.__func__
+
+    def building(cls, gh):
+        lats.append(build(cls, gh))
+        return lats[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(kronecker, "kronecker_algebra", lambda *a: algs.append(make_algebra(*a)) or algs[-1])
+        mp.setattr(lattice.SubmoduleLattice, "build", classmethod(building))
+        rows, ok = kronecker.verify_table(p, 3, 3)
+    assert ok and len(rows) == len(lats) == sum(stats)
+    assert algs[0].memo_stats()["lattice"] == stats
+
+    memoized = algebra.Algebra.memoized
+    monkeypatch.setattr(algebra.Algebra, "memoized", lambda self, key, compute:
+                        compute() if key[0] == "lattice" else memoized(self, key, compute))
+    for lat in lats:
+        assert _lattice_facts(lattice.SubmoduleLattice.build(lat.gh)) == _lattice_facts(lat)
+    assert algs[0].memo_stats()["lattice"] == stats
+
+
 def test_gamma_seeds_wait_for_the_idempotent_certificate(monkeypatch):
     _, c, y = catalog.resolve_instance("kron2-ex4")
     gh = determine.GammaHom(c, y)
     real = rep.decompose
+    real(c)  # memoized first, so the inner decompositions below do not read the patch
     monkeypatch.setattr(rep, "decompose", lambda x: real(x)[:-1])  # lose a summand
     monkeypatch.setattr(determine.GammaHom, "close", lambda *args: pytest.fail("closure before the certificate"))
     with pytest.raises(VerificationFailure, match="do not sum to the identity"):

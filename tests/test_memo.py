@@ -6,12 +6,7 @@ import pytest
 
 from auskit import algebra, ar, catalog, factor, kronecker as kr, rep
 from auskit.errors import VerificationFailure
-from helpers import _counting
-
-
-def _twin(x):
-    """A distinct Rep with the same content as x."""
-    return rep.Rep(x.A, x.dims, x.mats)
+from helpers import _counting, _twin, fresh_instance
 
 
 def _kron2_f3():
@@ -204,9 +199,7 @@ def test_tau_is_memoized(monkeypatch):
 def test_rad_is_computed_once_per_module(monkeypatch):
     # the missing-projective filter asks for rad P of every candidate; on a
     # fresh algebra one build computes each radical once
-    inst = catalog.get_instance("subspace3-ex17")
-    A = catalog.load_catalog_algebra.__wrapped__(inst["algebra"])
-    c, y = (catalog.build_module(A, inst[k]) for k in ("c", "y"))
+    A, c, y = fresh_instance("subspace3-ex17")
     calls = []
     monkeypatch.setattr(rep, "_rad", _counting(rep._rad, calls))
     factor.FactorizationLattice.build(c, y)
