@@ -883,24 +883,6 @@ def is_split_mono(u):
     return left_leq(identity_morphism(u.src), u)[0]
 
 
-def pullback(f, g):
-    """(P, to_src_f, to_src_g) universal commutative square over f, g."""
-    algebra = f.src.A
-    d, incls, projs = direct_sum(algebra, [f.src, g.src])
-    h = f.compose(projs[0]).add(g.compose(projs[1]).scale(f.p - 1))
-    k, incl = kernel(h)
-    px = projs[0].compose(incl)
-    pz = projs[1].compose(incl)
-    if (f.compose(px).flat() != g.compose(pz).flat()).any():
-        raise VerificationFailure("pullback square does not commute")
-    return k, px, pz
-
-
-def meet_map(f, g):
-    k, px, pz = pullback(f, g)
-    return f.compose(px)
-
-
 def join_map(f, g):
     algebra = f.src.A
     d, incls, projs = direct_sum(algebra, [f.src, g.src])

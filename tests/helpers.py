@@ -342,12 +342,31 @@ def check_order_isomorphism_reference(fl):
                 raise VerificationFailure("factorization order differs from eta order")
 
 
+def pullback(f, g):
+    """(P, to_src_f, to_src_g) universal commutative square over f, g: the
+    kernel of (f, -g) on the direct sum of the sources."""
+    d, incls, projs = rep.direct_sum(f.src.A, [f.src, g.src])
+    h = f.compose(projs[0]).add(g.compose(projs[1]).scale(f.p - 1))
+    k, incl = rep.kernel(h)
+    px = projs[0].compose(incl)
+    pz = projs[1].compose(incl)
+    if (f.compose(px).flat() != g.compose(pz).flat()).any():
+        raise VerificationFailure("pullback square does not commute")
+    return k, px, pz
+
+
+def meet_map(f, g):
+    """The map of the pullback of f and g to their common target."""
+    k, px, pz = pullback(f, g)
+    return f.compose(px)
+
+
 def check_meets_reference(fl):
     """FactorizationLattice.check_meets with a pullback for every pair."""
     n = len(fl.classes)
     for i in range(n):
         for j in range(i):
-            m = rep.meet_map(fl.classes[i].f, fl.classes[j].f)
+            m = meet_map(fl.classes[i].f, fl.classes[j].f)
             expect = fl.lat.nodes[fl.lat.meet(i, j)]
             if fl.gh.eta(m).key() != expect.key():
                 raise VerificationFailure("meet of classes does not match eta meet")

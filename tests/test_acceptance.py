@@ -11,6 +11,7 @@ import itertools
 import time
 
 from auskit import ar, catalog, determine, factor, kronecker, lattice, rep
+from helpers import meet_map
 
 
 def _done(num, t0, budget, detail):
@@ -311,7 +312,7 @@ def test_criterion_8_structural_suite():
                        == fl.lat.nodes[jn].key(),
                        "eta(join_map) mismatch at (%d,%d) on %s" % (i, j, name))
                 _check(failures,
-                       fl.gh.eta(rep.meet_map(fi, fj)).key()
+                       fl.gh.eta(meet_map(fi, fj)).key()
                        == fl.lat.nodes[mt].key(),
                        "eta(meet_map) mismatch at (%d,%d) on %s" % (i, j, name))
                 _check(failures,

@@ -188,6 +188,15 @@ def test_subspace_candidates_lie_in_the_class_of_their_eta_key(name):
     assert count >= len(fl)
 
 
+def _kron2_pair(p, c_parts, y_parts):
+    """(C, Y) over the Kronecker algebra with two arrows over F_p, each a direct
+    sum of kP, kQ and kR modules given as (family, *arguments)."""
+    A = kr.kronecker_algebra(2, p)
+    build = {"P": kr.kP, "Q": kr.kQ, "R": kr.kR}
+    return [rep.direct_sum(A, [build[k](A, *args) for k, *args in parts])[0]
+            for parts in (c_parts, y_parts)]
+
+
 @pytest.mark.parametrize("c_parts, kernels, count", [
     ((("R", 0, 2), ("P", 1)), 1, 61),
     ((("R", 0, 2), ("R", 0, 1)), 2, 20),
@@ -196,10 +205,7 @@ def test_subspace_candidates_lie_in_the_class_of_their_eta_key(name):
 def test_class_facts_match_the_subspace_candidates_over_f3(c_parts, kernels, count):
     # the catalog is over F_2 only.  Y = Q_1 + R[0,1] over F_3; with two kernel
     # classes End(K) holds maps between them, so it mixes the Ext blocks
-    A = kr.kronecker_algebra(2, 3)
-    build = {"P": kr.kP, "Q": kr.kQ, "R": kr.kR}
-    c = rep.direct_sum(A, [build[k](A, *args) for k, *args in c_parts])[0]
-    y = rep.direct_sum(A, [kr.kQ(A, 1), kr.kR(A, 0, 1)])[0]
+    c, y = _kron2_pair(3, c_parts, [("Q", 1), ("R", 0, 1)])
     ks = [ar.tau(s) for s, _, _ in rep.decompose(c) if not ar.is_projective(s)]
     assert len(ks) == kernels
     assert kernels == 1 or any(len(rep.hom_space(a, b)) for a in ks for b in ks if a is not b)
@@ -211,7 +217,7 @@ def test_class_facts_match_the_subspace_candidates_over_f3(c_parts, kernels, cou
 
 @pytest.mark.parametrize("name", catalog.instance_names())
 def test_lattice_certificates_agree_with_all_pairs(name):
-    # the certificates on covers, join-irreducibles and incomparable pairs
+    # the certificates on covers, join-irreducibles and one eta read per class
     # pass exactly where the all-pairs oracles pass: on every catalog instance
     fl = catalog_lattice(name)
     fl.check_order_isomorphism()
@@ -255,15 +261,58 @@ def test_lattice_certificates_catch_a_swapped_class(name):
                 check_meets_reference(bad)
 
 
-def test_meet_certificate_names_its_pair(monkeypatch):
-    # a wrong lattice meet is caught on the first incomparable pair
-    fl = catalog_lattice("kron2-ex4")
-    leq = fl.lat.leq
-    i, j = next((i, j) for i in range(len(fl)) for j in range(i) if not (leq[i, j] or leq[j, i]))
-    monkeypatch.setattr(fl.lat, "meet", lambda a, b: fl.lat.full_i)
-    with pytest.raises(VerificationFailure,
-                       match="^meet of classes %d and %d does not match eta meet$" % (i, j)):
+@pytest.mark.parametrize("name", ["kron2-ex4", "subspace3-ex9", "uniserial-6"])
+def test_meet_certificate_names_a_swapped_class(name):
+    # class i's representative replaced by class j's: check_meets alone
+    # raises and names class i.  uniserial-6 is a chain, so it has no
+    # incomparable pair and a pullback per incomparable pair checked nothing
+    fl = catalog_lattice(name)
+    n, leq = len(fl), fl.lat.leq
+    if name == "uniserial-6":
+        assert (leq | leq.T).all()
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            classes = list(fl.classes)
+            classes[i] = fl.classes[j]
+            bad = factor.FactorizationLattice(fl.c, fl.y, fl.gh, fl.lat, classes)
+            with pytest.raises(VerificationFailure) as err:
+                bad.check_meets()
+            assert str(err.value) == "eta of the representative of class %d is not its node" % i
+            assert str(err.value).isascii()
+
+
+def test_meet_certificate_reads_eta_once_per_class(monkeypatch):
+    # one eta read per class and no pullback (no kernel): on kron3-ex10, and
+    # on a Kronecker pair over F_3 whose 350 classes have 53,907 incomparable
+    # pairs, one pullback each for the all-pairs check
+    etas, kernels = [], []
+    monkeypatch.setattr(determine.GammaHom, "eta", _counting(determine.GammaHom.eta, etas))
+    monkeypatch.setattr(rep, "kernel", _counting(rep.kernel, kernels))
+    big = factor.FactorizationLattice.build(
+        *_kron2_pair(3, [("R", 0, 2), ("P", 2)], [("Q", 1), ("R", 0, 1)]), certify=False)
+    leq = big.lat.leq
+    assert len(big) == 350 and int((~(leq | leq.T)).sum()) // 2 == 53907
+    for fl in (catalog_lattice("kron3-ex10"), big):
+        del etas[:], kernels[:]
         fl.check_meets()
+        assert len(etas) == len(fl) and kernels == []
+
+
+@pytest.mark.parametrize("p, c_parts, y_parts", [
+    (2, [("P", 2), ("R", 0, 1)], [("Q", 0)]),
+    (2, [("R", 0, 2), ("P", 1)], [("Q", 1), ("R", 0, 1)]),
+    (2, [("P", 2), ("P", 2)], [("Q", 1)]),
+    (3, [("R", 0, 1), ("P", 1)], [("Q", 1)]),
+    (3, [("R", "inf", 1), ("P", 1)], [("Q", 0), ("R", 0, 1)]),
+    (3, [("P", 2), ("P", 2)], [("Q", 0)]),
+], ids=["F2-P2+R01", "F2-R02+P1", "F2-P2^2", "F3-R01+P1", "F3-Rinf1+P1", "F3-P2^2"])
+def test_meet_certificate_agrees_with_all_pairs_beyond_the_catalog(p, c_parts, y_parts):
+    # the certified build (order, then one eta read per class) and a pullback
+    # for every pair both pass, also with a repeated summand of C
+    fl = factor.FactorizationLattice.build(*_kron2_pair(p, c_parts, y_parts))
+    check_meets_reference(fl)
 
 
 # The classes and the Gamma-lattice depend on C only through add C: repeating a

@@ -9,7 +9,8 @@ import pytest
 
 from auskit import algebra, ar, catalog, ffmat, kronecker as kr, rep
 from auskit.errors import VerificationFailure
-from helpers import BasisHom, _counting, catalog_lattice, charpoly_reference, decompose_reference, rebased, yoneda
+from helpers import (BasisHom, _counting, catalog_lattice, charpoly_reference, decompose_reference, meet_map, pullback,
+                     rebased, yoneda)
 
 
 def dv(m):
@@ -141,9 +142,9 @@ def test_right_leq_and_equivalence(a2):
 def test_pullback_meet(a2):
     qa = a2.inj("a")
     s, incl = rep.soc(qa)
-    pb, pX, pZ = rep.pullback(incl, incl)
+    pb, pX, pZ = pullback(incl, incl)
     assert dv(pb) == (1, 0)
-    m = rep.meet_map(incl, incl)
+    m = meet_map(incl, incl)
     assert dv(m.src) == (1, 0) and m.tgt is qa
     i, _, _ = rep.image(m)
     assert dv(i) == (1, 0)
