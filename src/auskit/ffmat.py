@@ -329,11 +329,16 @@ def polynomial_algebra(a, p):
     reads: an echelon basis stack of the span of 1, a, ..., a^(n-1)
     (Cayley-Hamilton) and the reader of coordinate rows over it."""
     n = a.shape[0]
-    powers = [identity(n)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] @ a % p)
-    span = Subspace(np.reshape(powers, (n, n * n)), n * n, p)
+    span = Subspace(_powers(a, p).reshape(n, n * n), n * n, p)
     return span.B.reshape(-1, n, n), lambda ms: span.coords(np.reshape(ms, (len(ms), -1)))
+
+
+def _powers(a, p):
+    """The (n, n, n) stack 1, a, ..., a^(n-1) of a square matrix a."""
+    powers = [identity(a.shape[0])]
+    for _ in range(a.shape[0] - 1):
+        powers.append(powers[-1] @ a % p)
+    return np.array(powers)
 
 
 def frobenius(basis, coords, p):
@@ -368,7 +373,9 @@ def poly_is_irreducible(c, p):
     if len(c) < 2:
         return False
     monic = c[::-1] * inv_mod(c[-1], p) % p
-    injective, fixed, _ = frobenius(*polynomial_algebra(companion(monic, p), p), p)
+    # the powers of the companion matrix a are a basis of F_p[a], and
+    # a^i e_1 = e_(i+1), so the coordinates of a member are its first column
+    injective, fixed, _ = frobenius(_powers(companion(monic, p), p), lambda ms: ms[:, :, 0], p)
     return injective and len(fixed) == 1
 
 

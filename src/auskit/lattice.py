@@ -265,10 +265,6 @@ class SubmoduleLattice:
             self._covers = [tuple(ij) for ij in np.argwhere(lower).tolist()]
         return self._covers
 
-    def join_irreducibles(self):
-        """The nodes with exactly one lower cover."""
-        return [k for k, below in enumerate(self._lower_covers) if below.bit_count() == 1]
-
     def cover_labels(self):
         if self._labels is None:
             self._labels = {

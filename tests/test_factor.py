@@ -1,6 +1,5 @@
 import functools
 import random
-import re
 
 import pytest
 
@@ -217,8 +216,8 @@ def test_class_facts_match_the_subspace_candidates_over_f3(c_parts, kernels, cou
 
 @pytest.mark.parametrize("name", catalog.instance_names())
 def test_lattice_certificates_agree_with_all_pairs(name):
-    # the certificates on covers, join-irreducibles and one eta read per class
-    # pass exactly where the all-pairs oracles pass: on every catalog instance
+    # the certificates on covers and one eta read per class pass exactly
+    # where the all-pairs oracles pass: on every catalog instance
     fl = catalog_lattice(name)
     fl.check_order_isomorphism()
     fl.check_meets()
@@ -226,46 +225,14 @@ def test_lattice_certificates_agree_with_all_pairs(name):
     check_meets_reference(fl)
 
 
-CERTIFICATE_FAILURE = re.compile(
-    r"factorization order differs from eta order: (cover (\d+)<(\d+) does not factor"
-    r"|join-irreducible (\d+) factors through (\d+) though \4 is not below \5)$")
-
-
 @pytest.mark.parametrize("name", ["kron3-ex10", "subspace3-ex9", "kron2-ex4",
                                   "onepoint-ext-ex19b", "uniserial-6"])
 def test_lattice_certificates_catch_a_swapped_class(name):
     # class i's representative replaced by class j's, for every ordered pair:
-    # both the lattice-sized certificates and the all-pairs oracles raise,
-    # and the failure names a cover or a join-irreducible pair that is one
-    fl = catalog_lattice(name)
-    n, leq = len(fl), fl.lat.leq
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            classes = list(fl.classes)
-            classes[i] = fl.classes[j]
-            bad = factor.FactorizationLattice(fl.c, fl.y, fl.gh, fl.lat, classes)
-            with pytest.raises(VerificationFailure) as err:
-                bad.check_order_isomorphism()
-                bad.check_meets()
-            m = CERTIFICATE_FAILURE.match(str(err.value))
-            assert m, str(err.value)
-            if m.group(2) is not None:
-                assert (int(m.group(2)), int(m.group(3))) in fl.lat.covers()
-            else:
-                k, t = int(m.group(4)), int(m.group(5))
-                assert k in fl.lat.join_irreducibles() and not leq[k, t]
-            with pytest.raises(VerificationFailure):
-                check_order_isomorphism_reference(bad)
-                check_meets_reference(bad)
-
-
-@pytest.mark.parametrize("name", ["kron2-ex4", "subspace3-ex9", "uniserial-6"])
-def test_meet_certificate_names_a_swapped_class(name):
-    # class i's representative replaced by class j's: check_meets alone
-    # raises and names class i.  uniserial-6 is a chain, so it has no
-    # incomparable pair and a pullback per incomparable pair checked nothing
+    # the eta reads, which both certificates run first, raise and name class
+    # i, and the all-pairs oracles raise too.  uniserial-6 is a chain, so it
+    # has no incomparable pair and a pullback per incomparable pair checked
+    # nothing
     fl = catalog_lattice(name)
     n, leq = len(fl), fl.lat.leq
     if name == "uniserial-6":
@@ -277,27 +244,49 @@ def test_meet_certificate_names_a_swapped_class(name):
             classes = list(fl.classes)
             classes[i] = fl.classes[j]
             bad = factor.FactorizationLattice(fl.c, fl.y, fl.gh, fl.lat, classes)
-            with pytest.raises(VerificationFailure) as err:
-                bad.check_meets()
-            assert str(err.value) == "eta of the representative of class %d is not its node" % i
-            assert str(err.value).isascii()
+            for check in (bad.check_order_isomorphism, bad.check_meets):
+                with pytest.raises(VerificationFailure) as err:
+                    check()
+                assert str(err.value) == "eta of the representative of class %d is not its node" % i
+            with pytest.raises(VerificationFailure):
+                check_order_isomorphism_reference(bad)
+                check_meets_reference(bad)
 
 
-def test_meet_certificate_reads_eta_once_per_class(monkeypatch):
+@pytest.fixture(scope="module")
+def kron2_f3_350():
+    # C = R[0,2] + P_2, Y = Q_1 + R[0,1] over F_3: 350 classes, built once
+    return factor.FactorizationLattice.build(
+        *_kron2_pair(3, [("R", 0, 2), ("P", 2)], [("Q", 1), ("R", 0, 1)]), certify=False)
+
+
+def test_meet_certificate_reads_eta_once_per_class(monkeypatch, kron2_f3_350):
     # one eta read per class and no pullback (no kernel): on kron3-ex10, and
     # on a Kronecker pair over F_3 whose 350 classes have 53,907 incomparable
     # pairs, one pullback each for the all-pairs check
     etas, kernels = [], []
     monkeypatch.setattr(determine.GammaHom, "eta", _counting(determine.GammaHom.eta, etas))
     monkeypatch.setattr(rep, "kernel", _counting(rep.kernel, kernels))
-    big = factor.FactorizationLattice.build(
-        *_kron2_pair(3, [("R", 0, 2), ("P", 2)], [("Q", 1), ("R", 0, 1)]), certify=False)
-    leq = big.lat.leq
-    assert len(big) == 350 and int((~(leq | leq.T)).sum()) // 2 == 53907
-    for fl in (catalog_lattice("kron3-ex10"), big):
+    leq = kron2_f3_350.lat.leq
+    assert len(kron2_f3_350) == 350 and int((~(leq | leq.T)).sum()) // 2 == 53907
+    for fl in (catalog_lattice("kron3-ex10"), kron2_f3_350):
         del etas[:], kernels[:]
         fl.check_meets()
         assert len(etas) == len(fl) and kernels == []
+
+
+def test_order_certificate_solves_only_the_covers(monkeypatch, kron2_f3_350):
+    # the negative half comes from the eta reads, one per class; the only
+    # solves are the 1,627 covers, in order
+    fl = kron2_f3_350
+    etas, solves = [], []
+    monkeypatch.setattr(determine.GammaHom, "eta", _counting(determine.GammaHom.eta, etas))
+    monkeypatch.setattr(rep, "right_leq", _counting(rep.right_leq, solves))
+    fl.check_order_isomorphism()
+    index = {id(rc.f): k for k, rc in enumerate(fl.classes)}
+    assert len(etas) == len(fl) == 350
+    assert [(index[id(f)], index[id(g)]) for f, g in solves] == fl.lat.covers()
+    assert len(solves) == 1627
 
 
 @pytest.mark.parametrize("p, c_parts, y_parts", [
@@ -309,9 +298,11 @@ def test_meet_certificate_reads_eta_once_per_class(monkeypatch):
     (3, [("P", 2), ("P", 2)], [("Q", 0)]),
 ], ids=["F2-P2+R01", "F2-R02+P1", "F2-P2^2", "F3-R01+P1", "F3-Rinf1+P1", "F3-P2^2"])
 def test_meet_certificate_agrees_with_all_pairs_beyond_the_catalog(p, c_parts, y_parts):
-    # the certified build (order, then one eta read per class) and a pullback
-    # for every pair both pass, also with a repeated summand of C
+    # the certified build (one eta read per class, then the covers) and the
+    # all-pairs oracles, a solve and a pullback for every pair, all pass,
+    # also with a repeated summand of C
     fl = factor.FactorizationLattice.build(*_kron2_pair(p, c_parts, y_parts))
+    check_order_isomorphism_reference(fl)
     check_meets_reference(fl)
 
 
