@@ -7,9 +7,11 @@ labelled by the isomorphism classes of indecomposable summands of C and
 counted through one primitive idempotent per class (Auslander-Reiten-Smalo,
 Representation Theory of Artin Algebras, 1995): the multiplicity of S_X in a
 Gamma-module M is dim M e_X / dim k(X), k(X) = End(X)/rad End(X).
-"""
 
-import random
+is_right_determined reads right C-determination off Auslander's criterion,
+C(f) in add C; definitional_check tests the definition itself, one kernel
+per probe source, and by default reaches the same decision.
+"""
 
 import numpy as np
 
@@ -188,41 +190,6 @@ def is_right_determined(f, c):
     return all(0 in cl for cl in rep.summand_classes([c, *minimal_determiner(f)]))
 
 
-def _probe_draws(f, c, count, seed):
-    """Deterministic probes into the target Y of f, as (source, flat) pairs:
-    basis maps of Hom(W, Y), W among f.src, C, the projectives and Y, or sums
-    of two with sources of equal content.  Draws work on flat rows and source
-    ids; a draw already kept is skipped."""
-    y = f.tgt
-    A = y.A
-    sources = [f.src, c] + [A.proj(v) for v in range(A.nv)] + [y]
-    group = {}
-    srcs, ids, flats = [], [], []
-    for w in sources:
-        hom = rep.hom_space(w, y)
-        gid = group.setdefault(w.key(), len(group))
-        srcs.extend([w] * len(hom))
-        ids.extend([gid] * len(hom))
-        flats.extend(hom.matrix)
-    rng = random.Random(seed)
-    out = []
-    seen = set()
-    for _ in range(20 * count):
-        if not flats or len(out) >= count:
-            break
-        i = rng.randrange(len(flats))
-        flat = flats[i]
-        if rng.random() < 0.5 and len(flats) > 1:
-            j = rng.randrange(len(flats))
-            if ids[i] == ids[j]:
-                flat = (flat + flats[j]) % y.p
-        key = (ids[i], flat.tobytes())
-        if key not in seen:
-            seen.add(key)
-            out.append((srcs[i], flat))
-    return out
-
-
 def _farkas(a, b, index, w, p):
     """Certify that no column b_j of b is a combination of the columns of a:
     a row y with y a = 0 and y b_j != 0 for each, read off kernel(a.T) and
@@ -239,13 +206,33 @@ def _farkas(a, b, index, w, p):
                                       % (k, w.dim_vector()))
 
 
-def definitional_check(f, c, probes=None, count=20, seed=0):
-    """Probe the defining property of right C-determination.
+def definitional_check(f, c, probes=None, count=None, seed=None):
+    """Test the definition of right C-determination: every g with
+    eta(g) <= eta(f) factors through f.
 
-    Returns the list of probe maps g with eta(g) <= eta(f) that do not factor
-    through f (empty when f is right C-determined, for any probe set), in
-    probe order: the caller's own maps, or new maps for the default probes
-    (_probe_draws with count and seed).
+    Returns the maps g with eta(g) <= eta(f) that do not factor through f, in
+    probe order: the caller's probes, or by default basis maps of the V_W
+    below.  count and seed are ignored, kept only for the call in
+    perfbench/workloads.py until the benchmark drops them (ROADMAP D1).
+
+    By default the list is empty exactly when f is right C-determined.  For
+    each source W, one per content among f.src, C, the P(v), Y and the
+    summands of the minimal determiner C(f), V_W = {g in Hom(W, Y) :
+    eta(g) <= eta(f)} is the kernel of the eta(f)-residues of the g o h, h
+    over the basis of Hom(C, W) (all of Hom(W, Y) when Hom(C, W) or Hom(C, Y)
+    is 0).  Its basis maps are the probes of W: some are flagged exactly
+    when V_W does not lie in f o Hom(W, f.src).
+
+    The determiner sources find a witness whenever there is one.  Let
+    g: W -> Y have eta(g) <= eta(f) and not factor through f.  f is right
+    C(f)-determined (Auslander; Auslander-Reiten-Smalo, Representation
+    Theory of Artin Algebras, 1995, Ch. XI; Ringel, The Auslander
+    bijections, arXiv:1301.1251), so some v: C(f) -> W has g o v outside
+    f o Hom(C(f), f.src), and then so does g o v o i for the inclusion i of
+    some summand Z of C(f).  eta is functorial, so eta(g o v o i) <= eta(g)
+    <= eta(f): g o v o i is a witness with source Z.  The decision rests on
+    two premises: C(f) is what minimal_determiner computes, and the computed
+    Hom bases are complete (ROADMAP D16 step 2).
 
     The probes run in one batch per source W.  Each probe g: W -> Y is a
     combination of the basis of Hom(W, Y), and composition is bilinear, so
@@ -259,7 +246,7 @@ def definitional_check(f, c, probes=None, count=20, seed=0):
       solvability column by column.  The solutions are certified by one
       product, and a probe that lands in the list by a Farkas row (_farkas).
     A probe that factors through f with larger eta image contradicts
-    functoriality of eta, and raises.
+    functoriality of eta, and raises; only given probes can do so.
     """
     y = f.tgt
     if c.A is not y.A:
@@ -268,7 +255,15 @@ def definitional_check(f, c, probes=None, count=20, seed=0):
     hom_cy = rep.hom_space(c, y)
     ef = rep.factor_subspace(f, c, hom_cy)
     if probes is None:
-        draws = _probe_draws(f, c, count, seed)
+        sources = {}
+        for w in [f.src, c, *map(y.A.proj, range(y.A.nv)), y, *minimal_determiner(f)]:
+            sources.setdefault(w.key(), w)
+        draws = []
+        for w in sources.values():
+            hom_cw, hom_wy = rep.hom_space(c, w), rep.hom_space(w, y)
+            res = ef.residues(hom_cy.coords(rep._compose_rows(hom_cw, hom_wy, True)))
+            v_w = kernel(res.reshape(len(hom_wy), len(hom_cw) * len(hom_cy)).T, p)
+            draws.extend((w, flat) for flat in v_w @ hom_wy.matrix % p)
     else:
         if any(g.tgt.key() != y.key() for g in probes):
             raise VerificationFailure("eta needs a map ending in Y")

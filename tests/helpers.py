@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import random
 
 import numpy as np
 
@@ -250,6 +251,15 @@ def catalog_lattice(name):
     return factor.FactorizationLattice.build(c, y, certify=False)
 
 
+def _kron2_pair(p, c_parts, y_parts):
+    """(C, Y) over the Kronecker algebra with two arrows over F_p, each a direct
+    sum of kP, kQ and kR modules given as (family, *arguments)."""
+    A = kronecker.kronecker_algebra(2, p)
+    build = {"P": kronecker.kP, "Q": kronecker.kQ, "R": kronecker.kR}
+    return [rep.direct_sum(A, [build[k](A, *args) for k, *args in parts])[0]
+            for parts in (c_parts, y_parts)]
+
+
 # --- decomposition by a walk over single splits: a reference oracle ----------
 
 
@@ -305,15 +315,38 @@ def decompose_reference(x):
 
 
 def default_probes(f, c, count=20, seed=0):
-    """The default probes of determine.definitional_check as maps: one
-    Morphism per draw of determine._probe_draws, in draw order."""
-    return [rep.morphism_from_flat(w, f.tgt, flat) for w, flat in determine._probe_draws(f, c, count, seed)]
+    """A seeded reference probe list for the definitional check: count
+    distinct draws, each a basis map of Hom(W, Y), W among f.src, C, the
+    projectives and Y, or the sum of two with the same source."""
+    y = f.tgt
+    A = y.A
+    sources = [f.src, c] + [A.proj(v) for v in range(A.nv)] + [y]
+    probes = []
+    for w in sources:
+        probes.extend(rep.hom_space(w, y))
+    rng = random.Random(seed)
+    out = []
+    seen = set()
+    for _ in range(20 * count):
+        if not probes or len(out) >= count:
+            break
+        g = probes[rng.randrange(len(probes))]
+        if rng.random() < 0.5 and len(probes) > 1:
+            h = probes[rng.randrange(len(probes))]
+            if g.src.key() == h.src.key():
+                g = g.add(h)
+        key = (g.src.key(), g.flat().tobytes())
+        if key not in seen:
+            seen.add(key)
+            out.append(g)
+    return out
 
 
 def definitional_check_reference(f, c, probes=None, count=20, seed=0):
-    """determine.definitional_check one probe at a time: eta(g) as a
-    Subspace of the GammaHom of (C, Y), compared by leq with eta(f), and
-    right_leq(g, f) solved per probe."""
+    """determine.definitional_check on given probes, one probe at a time:
+    eta(g) as a Subspace of the GammaHom of (C, Y), compared by leq with
+    eta(f), and right_leq(g, f) solved per probe.  With no probes it reads
+    the seeded draws of default_probes, a sample, not the exact check."""
     gh = determine.GammaHom(c, f.tgt)
     ef = gh.eta(f)
     if probes is None:

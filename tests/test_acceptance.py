@@ -156,7 +156,7 @@ def test_criterion_6_determiner_properties():
     # For every enumerated class f of every catalog instance: (a) f is right
     # C-determined, (b) every summand of the minimal determiner C(f) admits a
     # nonzero map to Y, (c) removing any C(f)-summand type from C destroys
-    # determination, (d) a 20-probe definitional check finds no violation.
+    # determination, (d) the exact definitional check finds no violation.
     # Then two negative controls: a map invisible to a too-small C, and a
     # right minimal map not determined by the algebra itself.
     t0 = time.monotonic()
@@ -187,8 +187,8 @@ def test_criterion_6_determiner_properties():
                        "%s class %d still determined without summand %s"
                        % (name, i, d.dim_vector()))
             _check(failures,
-                   determine.definitional_check(fcls, c, count=20) == [],
-                   "%s class %d fails the 20-probe check" % (name, i))
+                   determine.definitional_check(fcls, c) == [],
+                   "%s class %d fails the exact definitional check" % (name, i))
     assert failures == [], "\n".join(failures)
 
     a3 = catalog.load_catalog_algebra("a3-linear")
@@ -218,11 +218,11 @@ def test_criterion_6_determiner_properties():
     assert determine.is_right_determined(f, qb)
     assert not determine.is_right_determined(f, sc)
 
-    # probe checks: 20 random probes find nothing when C is large enough,
-    # and the known witness f' is flagged when it is not
-    assert determine.definitional_check(h, c1, count=20) == []
-    assert determine.definitional_check(fp, c1, count=20) == []
-    assert determine.definitional_check(f, c2, count=20) == []
+    # definitional checks: the exact check finds nothing when C is large
+    # enough, and the known witness f' is flagged when it is not
+    assert determine.definitional_check(h, c1) == []
+    assert determine.definitional_check(fp, c1) == []
+    assert determine.definitional_check(f, c2) == []
     bad = determine.definitional_check(f, c1, probes=[fp])
     assert len(bad) == 1 and bad[0].key() == fp.key()
 
@@ -246,7 +246,7 @@ def test_criterion_6_determiner_properties():
     assert not determine.is_right_determined(g, lam)
     _, incl, _ = rep.image(g)
     assert len(determine.definitional_check(g, lam, probes=[incl])) == 1
-    assert determine.definitional_check(f1, lam, count=20) == []
+    assert determine.definitional_check(f1, lam) == []
     _done(6, t0, 120,
           "%d classes swept (a)-(d) with zero failures, plus both witnesses"
           % n_classes)

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from auskit import ar, catalog, determine, factor, ffmat, rep
 from auskit.algebra import parse_algebra_file, parse_module_expr
 from auskit.errors import VerificationFailure
-from helpers import (_counting, catalog_lattice, default_probes, definitional_check_reference,
+from helpers import (_counting, _kron2_pair, catalog_lattice, default_probes, definitional_check_reference,
                      is_submodule)
 
 
@@ -248,48 +249,7 @@ def test_factoring_probe_raises_nothing(a2):
     y = a2.proj(1)
     f = rep.identity_morphism(y)
     c = a2.simple(1)
-    assert determine.definitional_check(f, c, count=10) == []
-
-
-def _probes_by_morphisms(f, c, count, seed):
-    """default_probes as it was first written: a Morphism for every draw."""
-    import random
-
-    y = f.tgt
-    A = y.A
-    sources = [f.src, c] + [A.proj(v) for v in range(A.nv)] + [y]
-    probes = []
-    for w in sources:
-        probes.extend(rep.hom_space(w, y))
-    rng = random.Random(seed)
-    out = []
-    seen = set()
-    for _ in range(20 * count):
-        if not probes or len(out) >= count:
-            break
-        g = probes[rng.randrange(len(probes))]
-        if rng.random() < 0.5 and len(probes) > 1:
-            h = probes[rng.randrange(len(probes))]
-            if g.src.key() == h.src.key():
-                g = g.add(h)
-        key = (g.src.key(), g.flat().tobytes())
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
-    return out
-
-
-@pytest.mark.parametrize("name", ["kron2-ex14", "loop-b-ex8", "subspace3-ex9"])
-def test_default_probes_match_the_morphism_loop(name):
-    _, c, y = catalog.resolve_instance(name)
-    fl = factor.FactorizationLattice.build(c, y, certify=False)
-    for rc in fl.classes:
-        for count, seed in ((20, 0), (7, 3)):
-            got = default_probes(rc.f, c, count, seed)
-            want = _probes_by_morphisms(rc.f, c, count, seed)
-            assert [(g.src.key(), g.flat().tobytes()) for g in got] == \
-                [(g.src.key(), g.flat().tobytes()) for g in want]
-            assert all(g.tgt is y and g.check() for g in got)
+    assert determine.definitional_check(f, c) == []
 
 
 def _outcome(check, f, c, **kw):
@@ -303,8 +263,8 @@ def _outcome(check, f, c, **kw):
 def test_definitional_check_matches_the_per_probe_reference():
     # every class of every catalog instance but subspace3-ex21, against C and
     # against C without its first summand (where probes do land in the list):
-    # the default probes at two (count, seed), and a list that adds the basis
-    # maps of Hom(X_j, Y) for every class source X_j
+    # the seeded reference probes, and a list that adds the basis maps of
+    # Hom(X_j, Y) for every class source X_j
     flagged = 0
     for name in catalog.instance_names():
         if name == "subspace3-ex21":
@@ -316,8 +276,8 @@ def test_definitional_check_matches_the_per_probe_reference():
         basis = [g for rc in fl.classes for g in rep.hom_space(rc.source, y)]
         for rc in fl.classes:
             for cc in (c, smaller):
-                for kw in (dict(count=20, seed=0), dict(count=7, seed=3),
-                           dict(probes=default_probes(rc.f, c, 20, 0) + basis)):
+                for kw in (dict(probes=default_probes(rc.f, cc, 7, 3)),
+                           dict(probes=default_probes(rc.f, c) + basis)):
                     got = _outcome(determine.definitional_check, rc.f, cc, **kw)
                     assert got == _outcome(definitional_check_reference, rc.f, cc, **kw), (name, kw)
                     flagged += bool(got)
@@ -336,37 +296,113 @@ def test_definitional_check_matches_the_reference_on_the_witnesses(a3lin, sub3):
     # the second list interleaves three sources: the flagged probes keep probe order
     mixed = [fp, f, fp.scale(0), rep.identity_morphism(f.tgt), fp]
     cases = [(f, c1, dict(probes=[fp])), (f, c1, dict(probes=mixed)),
-             (g, lam, dict(probes=[incl])), (g, lam, dict(count=20)),
+             (g, lam, dict(probes=[incl])), (g, lam, dict(probes=default_probes(g, lam))),
              # a probe that does not end in Y, and C over another algebra
-             (f, c1, dict(probes=[fp, h])), (f, lam, dict(count=5))]
+             (f, c1, dict(probes=[fp, h])), (f, lam, dict())]
     outcomes = [_outcome(determine.definitional_check, m, c, **kw) for m, c, kw in cases]
     assert outcomes == [_outcome(definitional_check_reference, m, c, **kw) for m, c, kw in cases]
     assert outcomes[0] == [fp.key()] and outcomes[2] == [incl.key()]
     assert outcomes[1] == [fp.key(), fp.key()]
     assert outcomes[4] == "eta needs a map ending in Y"
     assert outcomes[5] == "C and Y are modules over different algebras"
+    # the default probes are basis maps of the V_W, each flagged on its own
+    bad = determine.definitional_check(g, lam)
+    assert bad and _outcome(definitional_check_reference, g, lam, probes=bad) == [b.key() for b in bad]
+
+
+def _removal_cases(alg, c, classes):
+    """(f, C') for every class f, C' = C and C with each summand removed."""
+    summands = [s for s, _, _ in rep.decompose(c)]
+    rests = [summands[:i] + summands[i + 1:] for i in range(len(summands))]
+    cs = [c] + [rep.direct_sum(alg, rest)[0] if rest else rep.zero_rep(alg) for rest in rests]
+    return [(rc.f, cc) for rc in classes for cc in cs]
+
+
+def _catalog_removal_cases():
+    """_removal_cases over every catalog instance but subspace3-ex21."""
+    cases = []
+    for name in catalog.instance_names():
+        if name != "subspace3-ex21":
+            alg, c, _ = catalog.resolve_instance(name)
+            cases += _removal_cases(alg, c, catalog_lattice(name).classes)
+    return cases
+
+
+def test_definitional_check_agrees_with_is_right_determined():
+    # the default check flags nothing exactly when f is right C'-determined,
+    # and each map it flags is flagged on its own by the per-probe reference
+    cases = _catalog_removal_cases()
+    flagged = 0
+    for f, cc in cases:
+        bad = determine.definitional_check(f, cc)
+        assert (bad == []) == determine.is_right_determined(f, cc)
+        assert _outcome(definitional_check_reference, f, cc, probes=bad) == [g.key() for g in bad]
+        flagged += bool(bad)
+    assert (len(cases), flagged) == (224, 81)
+
+
+def _all_maps(w, y, cap):
+    """Every map of Hom(W, Y), or None when there are more than cap."""
+    hom = rep.hom_space(w, y)
+    if y.p ** len(hom) > cap:
+        return None
+    return [hom.element(v) for v in itertools.product(range(y.p), repeat=len(hom))]
+
+
+def _check_against_every_map(cases, cap):
+    """Per case, each source W of the default check (f.src, C', the P(v), Y
+    and the summands of C(f)) with at most cap maps into Y holds a flagged
+    map exactly when one of its maps is a witness for the per-probe
+    reference; the flags do not move with count and seed.  Returns the
+    number of sources skipped for size."""
+    skipped = 0
+    for f, cc in cases:
+        y = f.tgt
+        bad = determine.definitional_check(f, cc)
+        assert [g.key() for g in determine.definitional_check(f, cc, count=7, seed=3)] == [g.key() for g in bad]
+        flagged = {g.src.key() for g in bad}
+        sources = {}
+        for w in [f.src, cc, *map(y.A.proj, range(y.A.nv)), y, *determine.minimal_determiner(f)]:
+            sources.setdefault(w.key(), w)
+        for key, w in sources.items():
+            maps = _all_maps(w, y, cap)
+            if maps is None:
+                skipped += 1
+            else:
+                assert (key in flagged) == bool(definitional_check_reference(f, cc, probes=maps))
+    return skipped
+
+
+def test_definitional_check_against_every_map_over_f2():
+    # every source of every catalog case has at most 2^8 maps into Y, so a
+    # map is flagged exactly when some map out of a source is a witness
+    assert _check_against_every_map(_catalog_removal_cases(), 2 ** 8) == 0
+
+
+def test_definitional_check_against_every_map_over_f3():
+    # C = R[0,2] + R[0,1], Y = Q_1 + R[0,1] over F_3: 20 classes, 60 cases;
+    # the sources with more than 3^4 maps into Y are left out
+    c, y = _kron2_pair(3, [("R", 0, 2), ("R", 0, 1)], [("Q", 1), ("R", 0, 1)])
+    fl = factor.FactorizationLattice.build(c, y, certify=False)
+    assert _check_against_every_map(_removal_cases(c.A, c, fl.classes), 3 ** 4) == 65
 
 
 def test_definitional_check_is_one_batch_per_source(monkeypatch):
-    # class 3 of kron2-ex14 draws from the same 3 sources at count 5 and 20
-    # (5 and 8 probes): with the memo warmed, one RREF for eta(f) and one
-    # elimination per source, whatever the count.  The per-probe loop made 11
-    # and 17 rref calls, 5 and 8 right_leq solves, one GammaHom and one
-    # end_algebra read.
+    # class 3 of kron2-ex14 has 4 sources of distinct content (f.src, C,
+    # P(b), Y) and a zero Hom(P(a), Y).  With the memo warmed: one RREF for
+    # eta(f), one kernel per source for V_W and one elimination per source
+    # with V_W nonzero, 1 + 4 + 3.  The per-probe loop made one right_leq
+    # solve per probe, one GammaHom and one end_algebra read.
     _, c, _ = catalog.resolve_instance("kron2-ex14")
     f = catalog_lattice("kron2-ex14").classes[3].f
-    for count in (5, 20):
-        assert determine.definitional_check(f, c, count=count) == []
+    assert determine.definitional_check(f, c) == []
     for name in ("right_leq", "end_algebra"):
         monkeypatch.setattr(rep, name, None)
     monkeypatch.setattr(determine, "GammaHom", None)
-    calls, counts = [], []
+    calls = []
     monkeypatch.setattr(ffmat, "rref", _counting(ffmat.rref, calls))
-    for count in (5, 20):
-        del calls[:]
-        assert determine.definitional_check(f, c, count=count) == []
-        counts.append(len(calls))
-    assert counts == [4, 4]
+    assert determine.definitional_check(f, c) == []
+    assert len(calls) == 8
 
 
 def _kron2_identity(kron2):
@@ -376,11 +412,12 @@ def _kron2_identity(kron2):
 
 def test_factoring_probe_with_larger_eta_raises(kron2, monkeypatch):
     # eta(f) read as zero: every probe factors through the identity, and one
-    # with a nonzero eta image contradicts functoriality
+    # with a nonzero eta image contradicts functoriality.  Only given probes
+    # can: the default ones lie in the V_W, where eta(g) <= eta(f)
     f, c = _kron2_identity(kron2)
     monkeypatch.setattr(rep, "factor_subspace", lambda f, w, hom: ffmat.Subspace.zero(len(hom), f.p))
     with pytest.raises(VerificationFailure, match="factoring map with larger eta image"):
-        determine.definitional_check(f, c, count=10)
+        determine.definitional_check(f, c, probes=list(rep.hom_space(f.tgt, f.tgt)))
 
 
 def test_factoring_witness_product_is_checked(kron2, monkeypatch):
@@ -389,7 +426,7 @@ def test_factoring_witness_product_is_checked(kron2, monkeypatch):
     monkeypatch.setattr(determine, "solve_columns",
                         lambda a, b, p: (np.zeros((a.shape[1], b.shape[1]), dtype=int), np.ones(b.shape[1], bool)))
     with pytest.raises(VerificationFailure, match="factoring witness does not compose to the probe"):
-        determine.definitional_check(f, c, count=10)
+        determine.definitional_check(f, c)
 
 
 def test_farkas_row_is_required(a3lin, monkeypatch):
@@ -406,14 +443,17 @@ def test_farkas_row_is_required(a3lin, monkeypatch):
 def test_corrupted_farkas_row_is_caught(monkeypatch):
     # uniserial-4, C = 0: every probe that does not factor lands in the list,
     # and there a is nonzero; a unit vector e_i with row i of a nonzero,
-    # added to every kernel row, makes every y a nonzero
+    # added to every kernel row, makes every y a nonzero.  The maps it
+    # flags go back in as given probes, so that only the Farkas rows read
+    # the corrupted kernel
     alg, _, _ = catalog.resolve_instance("uniserial-4")
     f = catalog_lattice("uniserial-4").classes[1].f
-    assert determine.definitional_check(f, rep.zero_rep(alg))
+    bad = determine.definitional_check(f, rep.zero_rep(alg))
+    assert bad
 
     def corrupted(m, p):
         return (ffmat.kernel(m, p) + np.eye(m.shape[1], dtype=int)[np.flatnonzero(m.any(axis=0))[0]]) % p
 
     monkeypatch.setattr(determine, "kernel", corrupted)
     with pytest.raises(VerificationFailure, match=r"no Farkas row separates probe \d+ \(source"):
-        determine.definitional_check(f, rep.zero_rep(alg))
+        determine.definitional_check(f, rep.zero_rep(alg), probes=bad)

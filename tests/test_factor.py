@@ -4,10 +4,9 @@ import random
 import pytest
 
 from auskit import ar, catalog, determine, factor, lattice, rep
-from auskit import kronecker as kr
 from auskit.errors import VerificationFailure
-from helpers import (_counting, catalog_lattice, check_meets_reference, check_order_isomorphism_reference,
-                     class_facts, rebased, subspace_classes, subspace_extensions)
+from helpers import (_counting, _kron2_pair, catalog_lattice, check_meets_reference,
+                     check_order_isomorphism_reference, class_facts, rebased, subspace_classes, subspace_extensions)
 
 
 def _lam(A):
@@ -185,15 +184,6 @@ def test_subspace_candidates_lie_in_the_class_of_their_eta_key(name):
         assert rep.right_equivalent(f, fl.classes[fl.lat.index_of(fl.gh.eta(f))].f)
         count += 1
     assert count >= len(fl)
-
-
-def _kron2_pair(p, c_parts, y_parts):
-    """(C, Y) over the Kronecker algebra with two arrows over F_p, each a direct
-    sum of kP, kQ and kR modules given as (family, *arguments)."""
-    A = kr.kronecker_algebra(2, p)
-    build = {"P": kr.kP, "Q": kr.kQ, "R": kr.kR}
-    return [rep.direct_sum(A, [build[k](A, *args) for k, *args in parts])[0]
-            for parts in (c_parts, y_parts)]
 
 
 @pytest.mark.parametrize("c_parts, kernels, count", [
