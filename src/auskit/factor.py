@@ -18,11 +18,18 @@ generators, not a basis, which keeps the sources small (_ext_submodules).
 The bijection with the submodule lattice of Hom(C, Y) is certified during the
 build: every submodule must be reached (surjectivity), and candidates landing
 on the same submodule must be right equivalent (injectivity).  A candidate is
-filtered and keyed by eta of the map as assembled, and only the first one
-reaching a submodule is right minimalized (ibid., ch. XI): f = f_min o s with s
-a split epi, so Hom(X, s) is onto for every X.  Hence eta(f) = eta(f_min),
-the missing-projective filter, which reads only the images of Hom(P, f) and
-Hom(rad P, f), gives the same verdict on both, and [f> = [f_min>.
+keyed by eta of the map as assembled, and only the first one reaching a
+submodule is right minimalized (ibid., ch. XI): f = f_min o s with s a split
+epi, so Hom(X, s) is onto for every X.  Hence eta(f) = eta(f_min) and
+[f> = [f_min>.  The missing-projective filter drops f when its minimal
+determiner holds a P(v) outside add C, that is when some map P(v) -> Y
+factors through f on rad P(v) but not itself
+(determine.almost_factors_strictly).  It reads Y and Im f, and only where
+rad P(v) is not projective also the images of Hom(P(v), f) and
+Hom(rad P(v), f), so it gives the same verdict on f and f_min.  Every
+candidate over Y' has image Y', and where rad P(v) is projective Im f alone
+decides: those vertices are settled once per Y' on its inclusion, and a
+rejected Y' is skipped before its Ext groups are built (_candidates).
 
 Optionally the order and the meets are certified from two facts, each checked
 at lattice cost rather than on all n^2 pairs: eta(f_k) is node k for every
@@ -120,7 +127,12 @@ def _ext_submodules(eds, A):
 def _candidates(gh, y, extensions):
     """(f, extended) for each candidate that passes the missing-projective
     filter: the inclusion of a submodule Y' of Y after the extension of each
-    cocycle list of extensions(eds, A), extended if it has a cocycle."""
+    cocycle list of extensions(eds, A), extended if it has a cocycle.
+
+    Every candidate over Y' has image Y', so the missing projectives P(v)
+    whose rad P(v) is projective, which almost_factors_strictly decides from
+    the image alone, are settled once per Y' on its inclusion: a rejecting
+    one skips Y' before any ExtData, and the others are not asked again."""
     A = y.A
     reps = [cl[0] for cl in gh.simple_data()[0]]  # one summand of C per iso class
     # the kernel candidates: tau is injective on non-projective indecomposable classes
@@ -128,9 +140,13 @@ def _candidates(gh, y, extensions):
     # classes come in order of first appearance: one led by a P(v) holds no summand of C
     projs = [A.proj(v) for v in range(A.nv)]
     missing_proj = [cl[0] - len(reps) for cl in rep.iso_classes(reps + projs) if cl[0] >= len(reps)]
+    settled = [v for v in missing_proj if determine._rad_is_projective(A, v)]
+    rest = [v for v in missing_proj if v not in settled]
     n_cand = 0
     for vt in lattice.rep_submodule_lattice(y):
         yprime, incl = lattice.sub_rep_of(y, vt)
+        if any(determine.almost_factors_strictly(incl, v) for v in settled):
+            continue
         eds = [ar.ExtData(yprime, k) for k in kclasses]
         eds = [ed for ed in eds if ed.dim > 0]
         for combo in extensions(eds, A):
@@ -138,7 +154,7 @@ def _candidates(gh, y, extensions):
             if n_cand > CAND_CAP:
                 raise CapExceeded("too many factorization candidates")
             f = _assemble(A, incl, eds, combo)
-            if not any(determine.almost_factors_strictly(f, A.proj(v)) for v in missing_proj):
+            if not any(determine.almost_factors_strictly(f, v) for v in rest):
                 yield f, any(combo)
 
 

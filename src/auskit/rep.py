@@ -188,7 +188,9 @@ def morphism_from_flat(x, y, flat):
 # Math. 2003): the generators g_i at vertices v_i span a complement of rad X,
 # the columns X_s g_i over the basis paths s of P(v_i) span X, and images y_i
 # in Y_{v_i} extend to a map exactly when every linear relation among those
-# columns holds among the Y_s y_i.  Every coordinate read and every
+# columns holds among the Y_s y_i.  Out of a projective P(v) there is one
+# generator, e_v, and no relation, so Hom(P(v), Y) is read off the path
+# matrices of Y with no system (Yoneda).  Every coordinate read and every
 # composition over a basis works on the canonical rows that hom_space keeps.
 
 
@@ -287,16 +289,22 @@ def generators(x):
     return x.A.memoized(("gens", x.key()), lambda: _generators(x))
 
 
-def _hom_rows(x, y):
-    """The basis of Hom(X, Y) as flattened rows, in the smallest dtype holding
-    p - 1: the identity on its free columns, the last nonzero entry of each
-    row (the free-column kernel basis of the intertwiner equations).
+def _proj_vertex(x):
+    """The vertex v with X = P(v) by content, or None; P(v) is looked up only
+    when X has its dimension vector."""
+    A = x.A
+    return next((v for v in range(A.nv)
+                 if x.dims == [len(ps) for ps in A.proj_paths(v)] and x.key() == A.proj(v).key()), None)
+
+
+def _intertwiner_maps(x, y):
+    """Flattened rows spanning Hom(X, Y), from the intertwiner system.
 
     Solves for the images y_i of the generators with sum_c omega_c Y_s y_i = 0
-    for every relation omega (c = (i, s)), reads the maps through the
-    section, and certifies that they are independent and intertwine.  A
-    system of more than MAX_HOM_UNKNOWNS unknowns (the sum of dim Y_v over
-    the generators at v) is refused with CapExceeded before it is built.
+    for every relation omega (c = (i, s)) and reads the maps through the
+    section.  A system of more than MAX_HOM_UNKNOWNS unknowns (the sum of
+    dim Y_v over the generators at v) is refused with CapExceeded before it
+    is built.
     """
     p = x.p
     verts, _, _, rels = generators(x)
@@ -314,17 +322,46 @@ def _hom_rows(x, y):
         (om @ t.reshape(len(t), t.shape[1] * starts[-1])).reshape(len(om) * t.shape[1], starts[-1])
         for (om, _, _), t in zip(rels, maps)])
     sol = ffmat.kernel(eqs, p)
-    f = _flatten([(t[piv] @ sol.T % p).transpose(2, 1, 0) @ sec
-                  for (_, piv, sec), t in zip(rels, maps)], len(sol))
+    return _flatten([(t[piv] @ sol.T % p).transpose(2, 1, 0) @ sec
+                     for (_, piv, sec), t in zip(rels, maps)], len(sol))
+
+
+def _yoneda_maps(v, y):
+    """Flattened rows spanning Hom(P(v), Y), by Yoneda: row j is the map
+    sending e_v to the j-th unit vector of Y_v, so a basis path s of P(v) to
+    column j of Y_s, read off the path stacks of Y.  g -> g(e_v) is one-to-one
+    on Hom(P(v), Y), as e_v generates P(v), so dim Hom(P(v), Y) = dim Y_v
+    once the images of e_v (the trivial path) are checked to span Y_v."""
+    f = _flatten([y.path_stack(v, w).transpose(2, 1, 0) for w in range(len(y.dims))], y.dims[v])
+    t = y.A.proj_paths(v)[v].index((v, ()))
+    if ffmat.rank(_vertex_blocks(y.A.proj(v), y, f)[v][:, :, t], y.p) != y.dims[v]:
+        raise VerificationFailure("Yoneda read of Hom(P(%d), Y): the images of e_%d do not span Y_%d"
+                                  % (v, v, v))
+    return f
+
+
+def _hom_rows(x, y):
+    """The basis of Hom(X, Y) as flattened rows, in the smallest dtype holding
+    p - 1: the identity on its free columns, the last nonzero entry of each
+    row (the free-column kernel basis of the intertwiner equations).
+
+    The spanning maps come from the Yoneda read when X is a P(v) by content,
+    else from the intertwiner system; either way one RREF makes them the
+    canonical rows, which are certified to be independent and to intertwine.
+    """
+    p = x.p
+    v = _proj_vertex(x)
+    f = _intertwiner_maps(x, y) if v is None else _yoneda_maps(v, y)
+    where = "" if v is None else " (Yoneda read of Hom(P(%d), Y))" % v
     # the free-column kernel basis: rref of the reversed columns, reversed back
     r, piv = ffmat.rref(f[:, ::-1], p)
     if len(piv) != len(f):
-        raise VerificationFailure("generator images do not give independent maps")
+        raise VerificationFailure("generator images do not give independent maps" + where)
     rows = r[::-1, ::-1]
     blocks = _vertex_blocks(x, y, rows)
-    for ai, (_, u, v) in enumerate(x.A.quiver.arrows):
-        if ((y.mats[ai] @ blocks[u] - blocks[v] @ x.mats[ai]) % p).any():
-            raise VerificationFailure("a Hom basis map is not a morphism")
+    for ai, (_, u, w) in enumerate(x.A.quiver.arrows):
+        if ((y.mats[ai] @ blocks[u] - blocks[w] @ x.mats[ai]) % p).any():
+            raise VerificationFailure("a Hom basis map is not a morphism" + where)
     return rows.astype(np.min_scalar_type(p - 1))
 
 

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 
-from auskit import catalog, determine, factor, ffmat, kronecker, rep
+from auskit import ar, catalog, determine, factor, ffmat, kronecker, lattice, rep
 from auskit.errors import CapExceeded, VerificationFailure
 from auskit.ffmat import (INT, Subspace, amod, gaussian_binomial, identity, inv, inv_mod, kernel,
                           kernel_from_rref, rank, rref, zeros)
@@ -360,6 +360,41 @@ def definitional_check_reference(f, c, probes=None, count=20, seed=0):
         if lhs and not rhs:
             bad.append(g)
     return bad
+
+
+# --- the missing-projective filter from Hom spaces: a reference oracle --------
+
+
+def almost_factors_strictly_reference(f, pr):
+    """True if some map P -> Y factors through f on rad P but not itself."""
+    y = f.tgt
+    hom_py = rep.hom_space(pr, y)
+    if not hom_py:
+        return False
+    fp = rep.factor_subspace(f, pr, hom_py)
+    r, iota = rep.rad(pr)
+    homry = rep.hom_space(r, y)
+    if not homry:
+        # everything restricts to zero on rad P; W is all of Hom(P,Y)
+        return fp.dim < len(hom_py)
+    fr = rep.factor_subspace(f, r, homry)
+    rmat = rep.hom_matrix_precompose(hom_py, iota, homry)
+    # W: the maps whose restriction to rad P lies in fr, which the annihilator of fr kills
+    w = kernel((fr.annihilator() @ rmat) % f.p, f.p)
+    return not Subspace(w, len(hom_py), f.p).leq(fp)
+
+
+def all_candidates(gh, y):
+    """Every candidate map of factor._candidates over gh and Y, with no
+    missing-projective filter and no Y' skipped: the submodule inclusions
+    after one extension per End(K)-submodule of each Ext^1(Y', K)."""
+    A = y.A
+    kclasses = [ar.tau(cl[0]) for cl in gh.simple_data()[0] if not ar.is_projective(cl[0])]
+    for vt in lattice.rep_submodule_lattice(y):
+        yprime, incl = lattice.sub_rep_of(y, vt)
+        eds = [ed for ed in (ar.ExtData(yprime, k) for k in kclasses) if ed.dim > 0]
+        for combo in factor._ext_submodules(eds, A):
+            yield factor._assemble(A, incl, eds, combo)
 
 
 # --- the factorization certificates on all pairs: reference oracles ----------

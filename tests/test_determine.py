@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from auskit import ar, catalog, determine, factor, ffmat, rep
 from auskit.algebra import parse_algebra_file, parse_module_expr
 from auskit.errors import VerificationFailure
-from helpers import (_counting, _kron2_pair, catalog_lattice, default_probes, definitional_check_reference,
-                     is_submodule)
+from helpers import (_counting, _kron2_pair, all_candidates, almost_factors_strictly_reference, catalog_lattice,
+                     default_probes, definitional_check_reference, is_submodule)
 
 
 def _find_epi(x, y):
@@ -178,6 +179,82 @@ def test_minimal_determiner_is_memoized(monkeypatch):
     assert len(calls) == 1
     assert isinstance(det, tuple) and len(det) == 1 and rep.is_isomorphic(det[0], qb)
     assert a3.memo_stats()["determiner"] == (1, 1)
+
+
+# --- the missing-projective filter against its Hom-space reference ----------
+
+
+def _filter_verdicts(maps):
+    """(verdict, socle test passed, rad P(v) projective) per map f and vertex
+    v, each verdict equal to that of almost_factors_strictly_reference; a
+    failed socle test must meet a False reference."""
+    out = []
+    for f in maps:
+        A = f.tgt.A
+        for v in range(A.nv):
+            want = almost_factors_strictly_reference(f, A.proj(v))
+            room = determine._socle_witness(f, v) is not None
+            assert room or not want
+            assert determine.almost_factors_strictly(f, v) == want
+            out.append((want, room, determine._rad_is_projective(A, v)))
+    return out
+
+
+def test_filter_agrees_with_the_reference_on_every_catalog_candidate():
+    # every candidate of the catalog but subspace3-ex21, with those over the
+    # submodules Y' that the build skips, at every vertex.  Passing the socle
+    # test decides True where rad P(v) is projective; elsewhere the Hom-based
+    # test still says False on some
+    verdicts = []
+    for name in catalog.instance_names():
+        if name != "subspace3-ex21":
+            _, c, y = catalog.resolve_instance(name)
+            verdicts += _filter_verdicts(all_candidates(determine.GammaHom(c, y), y))
+    assert len(verdicts) == 400
+    assert set(verdicts) == {(False, False, True), (True, True, True), (False, False, False),
+                             (True, True, False), (False, True, False)}
+
+
+@pytest.mark.parametrize("c_parts", [[("R", 0, 2), ("P", 1)], [("R", 0, 2), ("Q", 2)]], ids=["R02+P1", "R02+Q2"])
+def test_filter_agrees_with_the_reference_over_f3(c_parts):
+    # Y = Q_1 + R[0,1] over F_3; kron2 is hereditary, so every rad P(v) is
+    # projective and the socle test alone decides
+    c, y = _kron2_pair(3, c_parts, [("Q", 1), ("R", 0, 1)])
+    verdicts = _filter_verdicts(all_candidates(determine.GammaHom(c, y), y))
+    assert set(verdicts) == {(False, False, True), (True, True, True)}
+
+
+def test_filter_agrees_with_the_reference_on_random_maps():
+    # seeded random maps between projectives, injectives, simples, their
+    # radicals and the catalog modules of four algebras with relations
+    verdicts = set()
+    for alg in ("loop-b", "a3-radsq", "onepoint-ext", "uniserial-4"):
+        A = catalog.load_catalog_algebra(alg)
+        pool = [m for v in range(A.nv)
+                for m in (A.proj(v), A.inj(v), A.simple(v), rep.rad(A.proj(v))[0], rep.rad(A.inj(v))[0])]
+        for name in catalog.instance_names():
+            if catalog.get_instance(name)["algebra"] == alg:
+                pool += catalog.resolve_instance(name)[1:]
+        rng = random.Random(29)
+        maps = []
+        while len(maps) < 40:
+            hom = rep.hom_space(rng.choice(pool), rng.choice(pool))
+            if len(hom):
+                maps.append(hom.element([rng.randrange(A.p) for _ in range(len(hom))]))
+        verdicts |= set(_filter_verdicts(maps))
+    assert {(True, True, False), (False, True, False), (True, True, True)} <= verdicts
+
+
+def test_socle_witness_is_checked(kron2, monkeypatch):
+    # Y = P(b) + S(b) and f = 0: the socle of Y at b is the S(b) line, and a
+    # witness moved off it leaves Im f on an arrow, which raises naming b
+    y = rep.direct_sum(kron2, [kron2.proj("b"), kron2.simple("b")])[0]
+    f = rep.zero_morphism(kron2.simple("a"), y)
+    assert determine._rad_is_projective(kron2, 1) and determine.almost_factors_strictly(f, 1)
+    real = determine._socle_witness
+    monkeypatch.setattr(determine, "_socle_witness", lambda f, v: (lambda w, res: (w + 1, res))(*real(f, v)))
+    with pytest.raises(VerificationFailure, match="socle witness at vertex 1 leaves Im f"):
+        determine.almost_factors_strictly(f, 1)
 
 
 def test_example5_determination_matrix(a3lin):

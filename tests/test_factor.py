@@ -5,8 +5,9 @@ import pytest
 
 from auskit import ar, catalog, determine, factor, lattice, rep
 from auskit.errors import VerificationFailure
-from helpers import (_counting, _kron2_pair, catalog_lattice, check_meets_reference,
-                     check_order_isomorphism_reference, class_facts, rebased, subspace_classes, subspace_extensions)
+from helpers import (_counting, _kron2_pair, all_candidates, almost_factors_strictly_reference, catalog_lattice,
+                     check_meets_reference, check_order_isomorphism_reference, class_facts, rebased, subspace_classes,
+                     subspace_extensions)
 
 
 def _lam(A):
@@ -133,6 +134,31 @@ def test_one_right_minimalization_per_class(monkeypatch):
     monkeypatch.setattr(rep, "right_minimalize", _counting(rep.right_minimalize, calls))
     fl = factor.FactorizationLattice.build(c, y, certify=False)
     assert 1 <= len(calls) <= len(fl) == 5
+
+
+def test_candidates_are_those_the_reference_filter_keeps(monkeypatch):
+    # skipping each Y' that a vertex with projective rad P(v) rejects, and
+    # filtering the other candidates at the remaining vertices, keeps exactly
+    # the candidates that the Hom-based reference keeps, in order; the
+    # skipped Y' build no Ext groups
+    exts = []
+    monkeypatch.setattr(ar, "ExtData", _counting(ar.ExtData, exts))
+    built = every = 0
+    for name in catalog.instance_names():
+        if name == "subspace3-ex21":
+            continue
+        _, c, y = catalog.resolve_instance(name)
+        A, gh = y.A, determine.GammaHom(c, y)
+        missing = [v for v in range(A.nv) if not any(rep.is_isomorphic(s, A.proj(v)) for s, _, _ in rep.decompose(c))]
+        del exts[:]
+        got = [f.key() for f, _ in factor._candidates(gh, y, factor._ext_submodules)]
+        built += len(exts)
+        del exts[:]
+        want = [f.key() for f in all_candidates(gh, y)
+                if not any(almost_factors_strictly_reference(f, A.proj(v)) for v in missing)]
+        every += len(exts)
+        assert got == want, name
+    assert (built, every) == (36, 79)
 
 
 def test_one_candidate_per_ext_submodule(monkeypatch):

@@ -14,10 +14,10 @@ import random
 import numpy as np
 import pytest
 
-from auskit import algebra, ar, ffmat, rep
+from auskit import algebra, ar, catalog, ffmat, rep
 from auskit import kronecker as kr
 from auskit.errors import VerificationFailure
-from helpers import BasisHom, rand_mat
+from helpers import BasisHom, _counting, rand_mat
 
 UNI3_F3 = "field 3\nvertices a\narrow x a a\nrelation x*x*x\n"
 KRON2_F2 = "field 2\nvertices a b\narrow x b a\narrow y b a\n"
@@ -391,5 +391,105 @@ def test_basis_map_that_does_not_intertwine_raises(monkeypatch):
     x, y = A.simple("b"), A.proj("b")
     monkeypatch.setattr(ffmat, "kernel", lambda a, p: np.eye(np.shape(a)[1], dtype=np.int64))
     with pytest.raises(VerificationFailure, match="not a morphism"):
+        rep.hom_space(x, y)
+    assert ("hom", x.key(), y.key()) not in A._memo
+
+
+def test_generator_columns_of_a_non_projective_short_of_rank_raise(monkeypatch):
+    # P(b) is read by Yoneda, whose witness catches the zeroed columns above;
+    # P(b) + S(b) has two generators, and its generator check catches them
+    A = _fresh_kron2()
+    x, y = rep.direct_sum(A, [A.proj("b"), A.simple("b")])[0], A.inj("a")
+    assert rep._proj_vertex(x) is None
+    real = rep.Rep.path_stack
+    monkeypatch.setattr(rep.Rep, "path_stack", lambda self, v, w: 0 * real(self, v, w))
+    with pytest.raises(VerificationFailure, match="^generator columns do not span the module$"):
+        rep.hom_space(x, y)
+    assert not [k for k in A._memo if k[0] in ("gens", "hom")]
+
+
+# --- Hom(P(v), X) by Yoneda ----------------------------------------------------
+
+
+def _yoneda_targets():
+    """(A, modules) per catalog algebra over F_2 and for kron2 over F_3: the
+    projectives, injectives and simples, the C and Y of each catalog instance
+    on the algebra and their summands, and over F_3 a few Kronecker modules."""
+    out = []
+    for name in catalog.algebra_names():
+        A = catalog.load_catalog_algebra(name)
+        mods = [m for v in range(A.nv) for m in (A.proj(v), A.inj(v), A.simple(v))]
+        for inst in catalog.instance_names():
+            if catalog.get_instance(inst)["algebra"] == name:
+                for m in catalog.resolve_instance(inst)[1:]:
+                    mods += [m] + [s for s, _, _ in rep.decompose(m)]
+        out.append((A, mods))
+    k3 = kr.kronecker_algebra(2, 3)
+    out.append((k3, [kr.kP(k3, 1), kr.kP(k3, 2), kr.kQ(k3, 1), kr.kQ(k3, 2), kr.kR(k3, 0, 2), kr.kR(k3, 1, 1),
+                     kr.kR(k3, 2, 1), rep.direct_sum(k3, [kr.kQ(k3, 1), kr.kR(k3, 0, 1)])[0]]))
+    return out
+
+
+def test_yoneda_rows_equal_the_intertwiner_rows():
+    # for every catalog algebra, vertex v and test module X, the rows read by
+    # Yoneda are the canonical rows of the generator system and of the full
+    # intertwiner system, dim X_v of them
+    count = 0
+    for A, mods in _yoneda_targets():
+        for v in range(A.nv):
+            pv = A.proj(v)
+            assert rep._proj_vertex(pv) == rep._proj_vertex(rep.Rep(A, pv.dims, pv.mats)) == v
+            for x in mods:
+                got = rep._hom_rows(pv, x)
+                system = rep._intertwiner_maps(pv, x)
+                r, piv = ffmat.rref(system[:, ::-1], A.p)
+                assert len(piv) == len(got) == x.dims[v]
+                assert got.tobytes() == r[::-1, ::-1].astype(got.dtype).tobytes() == _intertwiner_rows(pv, x).tobytes()
+                count += 1
+    assert count > 400
+
+
+def test_hom_out_of_a_projective_solves_no_system(monkeypatch):
+    # hom_space(P(v), X) builds no generator data and no intertwiner system
+    A = _fresh_kron2()
+    calls = []
+    monkeypatch.setattr(rep, "_intertwiner_maps", _counting(rep._intertwiner_maps, calls))
+    for v in range(A.nv):
+        assert len(rep.hom_space(A.proj(v), A.inj(0))) == A.inj(0).dims[v]
+    assert calls == [] and not [k for k in A._memo if k[0] == "gens"]
+
+
+def test_corrupted_yoneda_reads_raise_naming_the_vertex(monkeypatch):
+    # Hom(P(b), I(a)) over kron2: two rows, each fixed by the image of e_b
+    def fresh():
+        A = _fresh_kron2()
+        return A, A.proj("b"), A.inj("a")
+
+    A, x, y = fresh()
+    assert len(rep.hom_space(x, y)) == 2
+
+    def flip(rows):  # one entry of the block at a: the row stops intertwining
+        rows[0, 0] = (rows[0, 0] + 1) % 2
+        return rows
+
+    def repeat(rows):  # two equal rows: not independent
+        rows[1] = rows[0]
+        return rows
+
+    for change, message in ((flip, r"a Hom basis map is not a morphism \(Yoneda read of Hom\(P\(1\), Y\)\)"),
+                            (repeat, r"do not give independent maps \(Yoneda read of Hom\(P\(1\), Y\)\)")):
+        A, x, y = fresh()
+        with monkeypatch.context() as mp:
+            mp.setattr(rep, "_yoneda_maps", lambda v, y, read=rep._yoneda_maps: change(read(v, y).copy()))
+            with pytest.raises(VerificationFailure, match=message):
+                rep.hom_space(x, y)
+        assert ("hom", x.key(), y.key()) not in A._memo
+
+    # the witness: with the matrix of the trivial path of P(b) (its one path
+    # from b to b) zeroed, the images of e_b do not span Y_b
+    A, x, y = fresh()
+    real = rep.Rep.path_stack
+    monkeypatch.setattr(rep.Rep, "path_stack", lambda self, v, w: real(self, v, w) * (0 if v == w == 1 else 1))
+    with pytest.raises(VerificationFailure, match=r"^Yoneda read of Hom\(P\(1\), Y\): the images of e_1 do not span Y_1$"):
         rep.hom_space(x, y)
     assert ("hom", x.key(), y.key()) not in A._memo

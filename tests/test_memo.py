@@ -197,9 +197,11 @@ def test_tau_is_memoized(monkeypatch):
 
 
 def test_rad_is_computed_once_per_module(monkeypatch):
-    # the missing-projective filter asks for rad P of every candidate; on a
-    # fresh algebra one build computes each radical once
-    A, c, y = fresh_instance("subspace3-ex17")
+    # the missing-projective filter reads rad P(v) for each candidate that
+    # passes the socle test at a vertex v whose rad P(v) is not projective
+    # (onepoint-ext-ex19; a hereditary build reads no radical); on a fresh
+    # algebra one build computes each radical once
+    A, c, y = fresh_instance("onepoint-ext-ex19")
     calls = []
     monkeypatch.setattr(rep, "_rad", _counting(rep._rad, calls))
     factor.FactorizationLattice.build(c, y)
