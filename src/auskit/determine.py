@@ -69,27 +69,14 @@ class GammaHom:
         decompose certified; rad_mats act by incl o psi o proj, psi in it.
         The Gamma-lattice search seeds from the M e_i, and the factorization
         build reads its summand classes of C from classes, so both rest on
-        the certificate here that the summand idempotents sum to 1.
+        the certificate that the summand idempotents sum to 1 (_c_side, run
+        once per content of C); only the product with the action reads Y.
         """
         if self._simple is not None:
             return self._simple
-        trips = rep.decompose(self.c)
-        total = rep.zero_morphism(self.c, self.c)
-        for _, incl, proj in trips:
-            total = total.add(incl.compose(proj))
-        if (total.flat() != rep.identity_morphism(self.c).flat()).any():
-            raise VerificationFailure("summand idempotents do not sum to the identity")
-        classes = rep.iso_classes([s for s, _, _ in trips])
-        eps, rads, residue = [], [], []
-        for cl in classes:
-            x, incl, proj = trips[cl[0]]
-            ed, rad = rep.end_radical(x)
-            residue.append(ed.dim - rad.dim)
-            eps.append(incl.compose(proj).flat())
-            rads.extend(incl.compose(ed.basis.element(r)).compose(proj).flat() for r in rad.B)
-        mats = list(np.tensordot(self.end.coords(eps + rads), self.act, 1) % self.p)
-        self._simple = ([[trips[k][0] for k in cl] for cl in classes], mats[:len(eps)], mats[len(eps):],
-                        residue)
+        classes, residue, coords = self.c.A.memoized(("simple", self.c.key()), lambda: _c_side(self.c, self.end))
+        mats = list(np.tensordot(coords, self.act, 1) % self.p)
+        self._simple = [list(cl) for cl in classes], mats[:len(classes)], mats[len(classes):], list(residue)
         return self._simple
 
     def labels(self):
@@ -138,6 +125,32 @@ class GammaHom:
         return next(iter(jh))
 
 
+def _c_side(c, end):
+    """(classes, residue_dims, coords) of GammaHom.simple_data that read only
+    C, memoized per algebra under kind "simple" by the content of C: the
+    summand classes, dim k(X_i) per class, and the End(C) coordinates (over
+    the basis end) of the e_i and then of the incl o psi o proj, psi in
+    rad End(X_i).  Every certificate runs before the answer is stored; the
+    answer is tuples and a read-only array, so no caller can change it."""
+    trips = rep.decompose(c)
+    total = rep.zero_morphism(c, c)
+    for _, incl, proj in trips:
+        total = total.add(incl.compose(proj))
+    if (total.flat() != rep.identity_morphism(c).flat()).any():
+        raise VerificationFailure("summand idempotents do not sum to the identity")
+    classes = rep.iso_classes([s for s, _, _ in trips])
+    eps, rads, residue = [], [], []
+    for cl in classes:
+        x, incl, proj = trips[cl[0]]
+        ed, rad = rep.end_radical(x)
+        residue.append(ed.dim - rad.dim)
+        eps.append(incl.compose(proj).flat())
+        rads.extend(incl.compose(ed.basis.element(r)).compose(proj).flat() for r in rad.B)
+    coords = np.array(end.coords(eps + rads))
+    coords.flags.writeable = False
+    return tuple(tuple(trips[k][0] for k in cl) for cl in classes), tuple(residue), coords
+
+
 # -- right determination -------------------------------------------------------
 
 
@@ -182,17 +195,24 @@ def almost_factors_strictly(f, v):
     to a witness y restricts on rad P(v) to a map through f, and does not
     factor itself.  The witness is checked by one product.  Otherwise
     restricting into Im f need not mean factoring on rad P(v), and the
-    verdict is read off Hom(P(v), Y) and Hom(rad P(v), Y).
+    verdict is read off Hom(P(v), Y) and Hom(rad P(v), Y) (_strict_by_hom).
     """
     found = _socle_witness(f, v)
     if found is None:
         return False
-    y = f.tgt
-    if _rad_is_projective(y.A, v):
+    if _rad_is_projective(f.tgt.A, v):
         witness, res = found
         if (res @ witness % f.p).any():
             raise VerificationFailure("socle witness at vertex %d leaves Im f on an arrow" % v)
         return True
+    return _strict_by_hom(f, v)
+
+
+def _strict_by_hom(f, v):
+    """almost_factors_strictly(f, v) read off Hom(P(v), Y) and
+    Hom(rad P(v), Y), with no socle test: right for every v, and asked only
+    where that test passed."""
+    y = f.tgt
     pr = y.A.proj(v)
     hom_py = rep.hom_space(pr, y)
     if not hom_py:

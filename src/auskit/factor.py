@@ -29,7 +29,9 @@ rad P(v) is not projective also the images of Hom(P(v), f) and
 Hom(rad P(v), f), so it gives the same verdict on f and f_min.  Every
 candidate over Y' has image Y', and where rad P(v) is projective Im f alone
 decides: those vertices are settled once per Y' on its inclusion, and a
-rejected Y' is skipped before its Ext groups are built (_candidates).
+rejected Y' is skipped before its Ext groups are built (_candidates).  At
+the other vertices the socle test also runs once per Y', and only the
+Hom-based test once per candidate.
 
 Optionally the order and the meets are certified from two facts, each checked
 at lattice cost rather than on all n^2 pairs: eta(f_k) is node k for every
@@ -132,7 +134,10 @@ def _candidates(gh, y, extensions):
     Every candidate over Y' has image Y', so the missing projectives P(v)
     whose rad P(v) is projective, which almost_factors_strictly decides from
     the image alone, are settled once per Y' on its inclusion: a rejecting
-    one skips Y' before any ExtData, and the others are not asked again."""
+    one skips Y' before any ExtData, and the others are not asked again.  At
+    the other missing vertices the socle test, which also reads only the
+    image, runs once per Y' on its inclusion, and each candidate is asked
+    the Hom-based test only at the vertices that passed it."""
     A = y.A
     reps = [cl[0] for cl in gh.simple_data()[0]]  # one summand of C per iso class
     # the kernel candidates: tau is injective on non-projective indecomposable classes
@@ -147,6 +152,7 @@ def _candidates(gh, y, extensions):
         yprime, incl = lattice.sub_rep_of(y, vt)
         if any(determine.almost_factors_strictly(incl, v) for v in settled):
             continue
+        live = [v for v in rest if determine._socle_witness(incl, v) is not None]
         eds = [ar.ExtData(yprime, k) for k in kclasses]
         eds = [ed for ed in eds if ed.dim > 0]
         for combo in extensions(eds, A):
@@ -154,7 +160,7 @@ def _candidates(gh, y, extensions):
             if n_cand > CAND_CAP:
                 raise CapExceeded("too many factorization candidates")
             f = _assemble(A, incl, eds, combo)
-            if not any(determine.almost_factors_strictly(f, v) for v in rest):
+            if not any(determine._strict_by_hom(f, v) for v in live):
                 yield f, any(combo)
 
 

@@ -68,30 +68,33 @@ def kR(A, label, t=1):
     for the tube at infinity, or a highest-first tuple of coefficients in
     0..p-1 of a monic irreducible polynomial of degree at least 2.  Every tube
     is the block Jordan matrix of its polynomial, x - lam for lam, and x with
-    the two arrows swapped at infinity.
+    the two arrows swapped at infinity.  The module is memoized per algebra
+    under kind "kR" by (label, t), an integer label of any type read as int
+    and a coefficient list as a tuple; an invalid label raises on every call.
     """
     if len(A.quiver.arrows) != 2:
         raise ValueError("regular tubes are classified only for two arrows")
     p = A.p
-    at_inf = label == "inf"
+    at_inf = isinstance(label, str) and label == "inf"
     if at_inf:
-        coeffs = (1, 0)
+        key, coeffs = label, (1, 0)
     elif isinstance(label, (int, np.integer)):
         if label not in range(p):
             raise ParseError("tube label %d is not an element of F_%d" % (label, p))
-        coeffs = (1, -int(label) % p)
+        key, coeffs = int(label), (1, -int(label) % p)
     else:
-        coeffs = tuple(label) if isinstance(label, (tuple, list)) else ()
-        if not (
-            len(coeffs) >= 3
-            and coeffs[0] == 1
-            and all(c in range(p) for c in coeffs)
-            and ffmat.poly_is_irreducible(coeffs[::-1], p)
-        ):
+        key = coeffs = tuple(label) if isinstance(label, (tuple, list)) else ()
+        if not (len(key) >= 3 and key[0] == 1 and all(c in range(p) for c in key)):
+            key = None  # refused by build, before any irreducibility test
+
+    def build():
+        if key is None or len(coeffs) > 2 and not ffmat.poly_is_irreducible(coeffs[::-1], p):
             raise ParseError("tube label %r is not a monic irreducible of degree >= 2 over F_%d" % (label, p))
-    d = len(coeffs) - 1
-    jm, one = _poly_jordan(coeffs, t, p), identity(t * d)
-    return rep.Rep(A, [t * d, t * d], {0: jm, 1: one} if at_inf else {0: one, 1: jm})
+        d = len(coeffs) - 1
+        jm, one = _poly_jordan(coeffs, t, p), identity(t * d)
+        return rep.Rep(A, [t * d, t * d], {0: jm, 1: one} if at_inf else {0: one, 1: jm})
+
+    return A.memoized(("kR", key, t), build)
 
 
 def defect(m):
@@ -188,7 +191,9 @@ def verify_table(p, max_sum=3, max_t=3):
         return kR(A, lab, t), "R[%s,%d]" % (lab, t)
 
     def family_pairs():
-        """(C, Y, want_dim, want_shape), each pair built just before its row."""
+        """(C, Y, want_dim, want_shape), each pair asked for just before its
+        row; kP, kQ and kR read the algebra's memo, so a module that many rows
+        share is built once, and so is the C side of its simple_data."""
         yield from ((P(i), P(j), j - i + 1, ("G", j - i + 1, p)) for i, j in pairs if i <= j)
         yield from ((P(i), R(lab, t), d, ("G", d, p)) for i in range(2) for lab, t, d in regs)
         yield from ((P(i), Q(j), i + j, ("G", i + j, p)) for i, j in pairs)

@@ -238,7 +238,7 @@ class SubmoduleLattice:
                 "Hom space dimension %d over F_%d exceeds the enumeration cap"
                 % (gh.n, gh.p)
             )
-        # the certificate that the summand idempotents sum to 1 runs here, before any closure
+        # simple_data certifies that the summand idempotents sum to 1 (once per content of C) before any closure
         eps_mats = gh.simple_data()[1]
         return cls(gh, *_search(gh.c.A, (gh.n,), gh.act, eps_mats, gh.close)[:3])
 

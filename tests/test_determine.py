@@ -96,9 +96,12 @@ def test_gamma_semisimple(sub3):
     assert sorted(labels) == sorted([n.dim_vector() for n in ns])
 
 
-def test_class_sizes_certify_the_factor_count(a2, monkeypatch):
+def test_class_sizes_certify_the_factor_count(monkeypatch):
     # P(a) and P(b) forced into one class: their Hom spaces into S(a) have
-    # dimensions 1 and 0, so 2 dim Hom(X, S(a)) misses dim Hom(C, S(a)) = 1
+    # dimensions 1 and 0, so 2 dim Hom(X, S(a)) misses dim Hom(C, S(a)) = 1.
+    # The forced classes pass every certificate of the C side and are
+    # memoized, so they go into a freshly parsed a2, not the shared one
+    a2 = parse_algebra_file("field 2\nvertices a b\narrow alpha b a\n", name="a2")
     c = rep.direct_sum(a2, [a2.proj("a"), a2.proj("b")])[0]
     calls = []
     monkeypatch.setattr(rep, "iso_classes", _counting(lambda reps: [list(range(len(reps)))], calls))

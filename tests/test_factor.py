@@ -161,6 +161,23 @@ def test_candidates_are_those_the_reference_filter_keeps(monkeypatch):
     assert (built, every) == (36, 79)
 
 
+@pytest.mark.parametrize("name", ["a3-radsq-ex6", "onepoint-ext-ex19", "uniserial-6", "uniserial-3-ex23"])
+def test_socle_test_runs_once_per_submodule_and_vertex(monkeypatch, name):
+    # the socle test reads only Im f = Y', so _candidates asks it on the
+    # inclusion of each Y', at most once per missing vertex, and never on an
+    # assembled candidate (each of these instances has one whose image
+    # passed it at a vertex with rad P(v) not projective)
+    _, c, y = catalog.resolve_instance(name)
+    gh = determine.GammaHom(c, y)
+    socle, hom = [], []
+    monkeypatch.setattr(determine, "_socle_witness", _counting(determine._socle_witness, socle))
+    monkeypatch.setattr(determine, "_strict_by_hom", _counting(determine._strict_by_hom, hom))
+    n = sum(1 for _ in factor._candidates(gh, y, factor._ext_submodules))
+    asked = [(f.key(), v) for f, v in socle]
+    assert n and hom and all(f.is_mono() for f, _ in socle)
+    assert len(asked) == len(set(asked))
+
+
 def test_one_candidate_per_ext_submodule(monkeypatch):
     # uniserial-8 has 15 End(K)-submodules of its Ext groups (the tuples of
     # F_p-subspaces were 91 candidates), and no catalog build meets an eta

@@ -3,7 +3,7 @@ import pytest
 from auskit import factor, ffmat, kronecker as kr, lattice, rep
 from auskit.errors import ParseError, VerificationFailure
 from auskit.ffmat import identity, mat_key
-from helpers import verify_table_reference
+from helpers import _counting, verify_table_reference
 
 
 def test_preprojective_preinjective_dims(kron2):
@@ -140,6 +140,16 @@ def test_shape_table(kron2):
     assert by_pair[("Q2", "Q0")]["shape"] == ("G", 3, 2)
     # a pair from different tubes
     assert by_pair[("R[0,1]", "R[1,1]")]["hom_dim"] == 0
+
+
+def test_shape_table_tests_irreducibility_three_times(monkeypatch):
+    # over F_3 the draw of the quadratic tube label tests x^2 and x^2 + 1, and
+    # its tube modules test x^2 + 1 once, as the first kR(x^2 + 1, 1) is
+    # memoized; building every tube module per row tested it 10 times in all
+    calls = []
+    monkeypatch.setattr(ffmat, "poly_is_irreducible", _counting(ffmat.poly_is_irreducible, calls))
+    assert kr.verify_table(3)[1]
+    assert [tuple(c) for c, _ in calls] == [(0, 0, 1), (1, 0, 1), (1, 0, 1)]  # ascending: x^2, x^2 + 1
 
 
 def test_shape_table_matches_the_loop_nests(monkeypatch):

@@ -4,8 +4,9 @@ caller's modules, nothing stored from a failed computation."""
 import numpy as np
 import pytest
 
-from auskit import algebra, ar, catalog, factor, kronecker as kr, rep
-from auskit.errors import VerificationFailure
+from auskit import algebra, ar, catalog, determine, factor, ffmat, kronecker as kr, rep
+from auskit.errors import ParseError, VerificationFailure
+from auskit.ffmat import mat_key
 from helpers import _counting, _twin, fresh_instance
 
 
@@ -225,3 +226,104 @@ def test_second_identical_check_instance_misses_nothing():
     for kind, (hits, misses) in after.items():
         assert misses == before[kind][1], kind
     assert sum(h for h, _ in after.values()) > sum(h for h, _ in before.values())
+
+
+def _simple_facts(gh):
+    classes, eps, rads, residue = gh.simple_data()
+    return ([[s.key() for s in cl] for cl in classes], [mat_key(m) for m in eps], [mat_key(m) for m in rads],
+            residue)
+
+
+def _simple_pair(A):
+    """C with a repeated summand whose radical is nonzero (End R[0,2] =
+    F_3[t]/t^2), and two targets with different actions of End(C)."""
+    c = rep.direct_sum(A, [kr.kP(A, 1), kr.kR(A, 0, 2), kr.kR(A, 0, 2)])[0]
+    return c, [kr.kQ(A, 1), kr.kR(A, 0, 1)]
+
+
+def test_twin_module_hits_the_c_side_of_simple_data():
+    A = _kron2_f3()
+    c, ys = _simple_pair(A)
+    determine.GammaHom(c, ys[0]).simple_data()
+    assert A.memo_stats()["simple"] == (0, 1)
+    for k, y in enumerate(ys):
+        gh = determine.GammaHom(_twin(c), _twin(y))
+        got = _simple_facts(gh)
+        assert A.memo_stats()["simple"] == (k + 1, 1)
+        cold = _kron2_f3()
+        c2, ys2 = _simple_pair(cold)
+        want = _simple_facts(determine.GammaHom(c2, ys2[k]))
+        assert cold.memo_stats()["simple"] == (0, 1)
+        assert got == want
+        assert [len(cl) for cl in got[0]] == [1, 2] and got[3] == [1, 1] and len(got[2]) == 1
+    # a caller's lists are its own
+    gh.simple_data()[0].clear()
+    assert len(determine.GammaHom(c, ys[0]).simple_data()[0]) == 2
+
+
+def test_failed_simple_data_leaves_nothing_behind(monkeypatch):
+    A = _kron2_f3()
+    c, ys = _simple_pair(A)
+    gh = determine.GammaHom(c, ys[0])
+    calls = []
+
+    def fail(x):
+        raise VerificationFailure("injected")
+
+    monkeypatch.setattr(rep, "end_radical", _counting(fail, calls))
+    with pytest.raises(VerificationFailure, match="injected"):
+        gh.simple_data()
+    assert len(calls) == 1
+    assert not [k for k in A._memo if k[0] == "simple"]
+    monkeypatch.undo()
+    assert len(gh.simple_data()[0]) == 2
+    assert A.memo_stats()["simple"] == (0, 2)
+    stored = A._memo[("simple", c.key())]
+    assert isinstance(stored, tuple) and all(isinstance(cl, tuple) for cl in stored[0])
+    assert not stored[2].flags.writeable and stored[2].base is None
+
+
+def test_kr_is_one_module_per_label_and_length():
+    A = _kron2_f3()
+    forms = [(1, np.int64(1), np.int8(1)), ("inf",), ((1, 0, 1), [1, 0, 1], (np.int64(1), 0, 1))]
+    for same in forms:
+        for t in (1, 2):
+            first = kr.kR(A, same[0], t)
+            assert all(kr.kR(A, lab, t) is first for lab in same)
+            assert all(kr.kR(A, lab, np.int64(t)) is first for lab in same)
+    assert A.memo_stats()["kR"][1] == len(forms) * 2
+    assert kr.kR(A, 1, 1) is not kr.kR(A, 2, 1) and kr.kR(A, 0, 1) is not kr.kR(A, "inf", 1)
+
+
+def test_invalid_kr_label_raises_on_every_call(monkeypatch):
+    A = _kron2_f3()
+    calls = []
+    monkeypatch.setattr(ffmat, "poly_is_irreducible", _counting(ffmat.poly_is_irreducible, calls))
+    for k in range(1, 3):
+        for bad in ((1, 0, 2), [1, 0, 2]):  # x^2 + 2 = (x - 1)(x + 1) over F_3
+            with pytest.raises(ParseError, match="not a monic irreducible"):
+                kr.kR(A, bad, 1)
+        assert len(calls) == 2 * k
+    for bad in (3, -1, "x", (1, 3, 1), (1, 1), ([1], 0, 1)):  # no irreducibility test needed
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                kr.kR(A, bad, 1)
+    assert len(calls) == 4
+    assert not [key for key in A._memo if key[0] == "kR"]
+    assert A.memo_stats()["kR"] == (0, 4 + 2 * 4)  # the integers outside F_3 never reach the memo
+
+
+def test_shape_table_builds_each_c_side_and_tube_module_once(monkeypatch):
+    # 111 + 138 rows over 18 + 21 modules C, and 10 + 13 tube modules
+    for p, n_c, n_r in ((2, 18, 10), (3, 21, 13)):
+        algs, make_algebra = [], kr.kronecker_algebra
+        monkeypatch.setattr(kr, "kronecker_algebra", lambda *a: algs.append(make_algebra(*a)) or algs[-1])
+        rows, ok = kr.verify_table(p, 3, 3)
+        monkeypatch.undo()
+        assert ok
+        names = {r["c"] for r in rows}
+        tubes = {n for r in rows for n in (r["c"], r["y"]) if n.startswith("R[")}
+        stats = algs[0].memo_stats()
+        assert (len(names), len(tubes)) == (n_c, n_r)
+        assert stats["simple"] == (len(rows) - n_c, n_c)
+        assert stats["kR"][1] == n_r
