@@ -283,7 +283,7 @@ def definitional_check(f, c, probes=None, count=None, seed=None):
     Returns the maps g with eta(g) <= eta(f) that do not factor through f, in
     probe order: the caller's probes, or by default basis maps of the V_W
     below.  count and seed are ignored, kept only for the call in
-    perfbench/workloads.py until the benchmark drops them (ROADMAP D1).
+    perfbench/workloads.py until the benchmark drops them (ROADMAP D1b).
 
     By default the list is empty exactly when f is right C-determined.  For
     each source W, one per content among f.src, C, the P(v), Y and the
@@ -302,7 +302,7 @@ def definitional_check(f, c, probes=None, count=None, seed=None):
     some summand Z of C(f).  eta is functorial, so eta(g o v o i) <= eta(g)
     <= eta(f): g o v o i is a witness with source Z.  The decision rests on
     two premises: C(f) is what minimal_determiner computes, and the computed
-    Hom bases are complete (ROADMAP D16 step 2).
+    Hom bases are complete (ROADMAP D19 step 1).
 
     The probes run in one batch per source W.  Each probe g: W -> Y is a
     combination of the basis of Hom(W, Y), and composition is bilinear, so

@@ -11,8 +11,8 @@ recomputes both from scratch.
 import numpy as np
 
 from . import ar, determine, factor, ffmat, lattice, rep
-from .algebra import parse_algebra_file
-from .errors import ParseError, VerificationFailure
+from .algebra import MAX_MODULE_DIM, parse_algebra_file
+from .errors import CapExceeded, ParseError, VerificationFailure
 from .ffmat import identity, zeros
 
 ARROW_NAMES = ["x", "y", "z"]
@@ -29,10 +29,22 @@ def kronecker_algebra(n, p, name=None):
     return parse_algebra_file(text, name=name or ("kron%d" % n))
 
 
+def _check_size(A, name, k):
+    """Refuse P_k = (s_{k+1}, s_k) or Q_k = (s_k, s_{k+1}) above MAX_MODULE_DIM
+    before any tau step: s_0 = 0, s_1 = 1, s_{j+1} = n s_j - s_{j-1} for n
+    arrows, nondecreasing for n >= 2, so the first total above the cap stops it."""
+    n, s, t = len(A.quiver.arrows), 0, 1
+    for _ in range(k):
+        s, t = t, n * t - s
+        if s + t > MAX_MODULE_DIM:
+            raise CapExceeded("%s(%d) has total dimension above the cap %d" % (name, k, MAX_MODULE_DIM))
+
+
 def kP(A, i):
     """Preprojective P_i (P_0 = S(a), P_1 = P(b), tau^- shifts by two)."""
     if i < 0:
         raise ParseError("preprojective index must be nonnegative")
+    _check_size(A, "kP", i)
     m = A.proj(0) if i % 2 == 0 else A.proj(1)
     for _ in range(i // 2):
         m = ar.tau_minus(m)
@@ -43,6 +55,7 @@ def kQ(A, j):
     """Preinjective Q_j (Q_0 = S(b), Q_1 = Q(a), tau shifts by two)."""
     if j < 0:
         raise ParseError("preinjective index must be nonnegative")
+    _check_size(A, "kQ", j)
     m = A.inj(1) if j % 2 == 0 else A.inj(0)
     for _ in range(j // 2):
         m = ar.tau(m)

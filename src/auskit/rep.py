@@ -158,11 +158,8 @@ class Morphism:
         )
 
     def check(self):
-        for ai, (_, u, v) in enumerate(self.src.A.quiver.arrows):
-            lhs = (self.tgt.mats[ai] @ self.blocks[u]) % self.p
-            rhs = (self.blocks[v] @ self.src.mats[ai]) % self.p
-            if (lhs != rhs).any():
-                raise VerificationFailure("not a morphism")
+        if not _intertwine(self.src, self.tgt, self.blocks):
+            raise VerificationFailure("not a morphism")
         return self
 
     def __repr__(self):
@@ -188,10 +185,10 @@ def morphism_from_flat(x, y, flat):
 # Math. 2003): the generators g_i at vertices v_i span a complement of rad X,
 # the columns X_s g_i over the basis paths s of P(v_i) span X, and images y_i
 # in Y_{v_i} extend to a map exactly when every linear relation among those
-# columns holds among the Y_s y_i.  Out of a projective P(v) there is one
-# generator, e_v, and no relation, so Hom(P(v), Y) is read off the path
-# matrices of Y with no system (Yoneda).  Every coordinate read and every
-# composition over a basis works on the canonical rows that hom_space keeps.
+# columns holds among the Y_s y_i.  That one system gives the Hom bases (its
+# kernel) and the factorizations of right_leq and left_leq (one solve each, no
+# basis).  Every coordinate read and every composition over a basis works on
+# the canonical rows that hom_space keeps.
 
 
 MAX_HOM_UNKNOWNS = 1024  # most generator images a Hom system solves for; the catalog needs at most 118
@@ -289,55 +286,41 @@ def generators(x):
     return x.A.memoized(("gens", x.key()), lambda: _generators(x))
 
 
-def _proj_vertex(x):
-    """The vertex v with X = P(v) by content, or None; P(v) is looked up only
-    when X has its dimension vector."""
-    A = x.A
-    return next((v for v in range(A.nv)
-                 if x.dims == [len(ps) for ps in A.proj_paths(v)] and x.key() == A.proj(v).key()), None)
+def _generator_system(x, z):
+    """(eqs, reads): the maps X -> Z as a linear system on the images z_i in
+    Z_{v_i} of the generators of X (the unknowns, in generator order).
 
-
-def _intertwiner_maps(x, y):
-    """Flattened rows spanning Hom(X, Y), from the intertwiner system.
-
-    Solves for the images y_i of the generators with sum_c omega_c Y_s y_i = 0
-    for every relation omega (c = (i, s)) and reads the maps through the
-    section.  A system of more than MAX_HOM_UNKNOWNS unknowns (the sum of
-    dim Y_v over the generators at v) is refused with CapExceeded before it
-    is built.
+    Images extend to a map exactly when eqs kills them: sum_c omega_c Z_s z_i
+    = 0 for every relation omega (c = (i, s)).  Row u of reads is the map
+    that unit vector u gives through the sections, flattened, so a solution z
+    is the map z @ reads.  Out of P(v) there is one generator, e_v, and no
+    relation.  More than MAX_HOM_UNKNOWNS unknowns (the sum of dim Z_v over
+    the generators at v) are refused with CapExceeded before the build.
     """
     p = x.p
     verts, _, _, rels = generators(x)
-    starts = list(itertools.accumulate([0] + [y.dims[v] for v in verts]))
+    starts = list(itertools.accumulate([0] + [z.dims[v] for v in verts]))
     if starts[-1] > MAX_HOM_UNKNOWNS:
         raise CapExceeded("Hom system of %d unknowns exceeds the cap %d" % (starts[-1], MAX_HOM_UNKNOWNS))
-    maps = []  # per w, (columns, dims_Y[w], unknowns): the unknowns to Y_s y_i
-    for w, dw in enumerate(y.dims):
-        stacks = [y.path_stack(v, w) for v in verts]
+    maps = []  # per w, (columns, dims_Z[w], unknowns): the unknowns to Z_s z_i
+    for w, dw in enumerate(z.dims):
+        stacks = [z.path_stack(v, w) for v in verts]
         cuts = list(itertools.accumulate([0] + [len(s) for s in stacks]))
         maps.append(np.zeros((cuts[-1], dw, starts[-1]), dtype=INT))
         for i, s in enumerate(stacks):
             maps[-1][cuts[i] : cuts[i + 1], :, starts[i] : starts[i + 1]] = s
     eqs = np.concatenate([zeros(0, starts[-1])] + [
         (om @ t.reshape(len(t), t.shape[1] * starts[-1])).reshape(len(om) * t.shape[1], starts[-1])
-        for (om, _, _), t in zip(rels, maps)])
-    sol = ffmat.kernel(eqs, p)
-    return _flatten([(t[piv] @ sol.T % p).transpose(2, 1, 0) @ sec
-                     for (_, piv, sec), t in zip(rels, maps)], len(sol))
+        for (om, _, _), t in zip(rels, maps) if len(om)]) % p
+    reads = _flatten([t[piv].transpose(2, 1, 0) @ sec for (_, piv, sec), t in zip(rels, maps)], starts[-1])
+    return eqs, reads % p
 
 
-def _yoneda_maps(v, y):
-    """Flattened rows spanning Hom(P(v), Y), by Yoneda: row j is the map
-    sending e_v to the j-th unit vector of Y_v, so a basis path s of P(v) to
-    column j of Y_s, read off the path stacks of Y.  g -> g(e_v) is one-to-one
-    on Hom(P(v), Y), as e_v generates P(v), so dim Hom(P(v), Y) = dim Y_v
-    once the images of e_v (the trivial path) are checked to span Y_v."""
-    f = _flatten([y.path_stack(v, w).transpose(2, 1, 0) for w in range(len(y.dims))], y.dims[v])
-    t = y.A.proj_paths(v)[v].index((v, ()))
-    if ffmat.rank(_vertex_blocks(y.A.proj(v), y, f)[v][:, :, t], y.p) != y.dims[v]:
-        raise VerificationFailure("Yoneda read of Hom(P(%d), Y): the images of e_%d do not span Y_%d"
-                                  % (v, v, v))
-    return f
+def _intertwine(x, y, blocks):
+    """Whether the vertex blocks, of one map X -> Y or of stacks of maps (as
+    _vertex_blocks gives them), intertwine the arrow actions."""
+    return not any(((y.mats[ai] @ blocks[u] - blocks[w] @ x.mats[ai]) % x.p).any()
+                   for ai, (_, u, w) in enumerate(x.A.quiver.arrows))
 
 
 def _hom_rows(x, y):
@@ -345,23 +328,21 @@ def _hom_rows(x, y):
     p - 1: the identity on its free columns, the last nonzero entry of each
     row (the free-column kernel basis of the intertwiner equations).
 
-    The spanning maps come from the Yoneda read when X is a P(v) by content,
-    else from the intertwiner system; either way one RREF makes them the
-    canonical rows, which are certified to be independent and to intertwine.
+    The spanning maps are kernel(eqs) @ reads of the generator system, or
+    reads itself when there is no equation (out of P(v), say); one RREF makes
+    them the canonical rows, which are certified to be independent and to
+    intertwine.
     """
     p = x.p
-    v = _proj_vertex(x)
-    f = _intertwiner_maps(x, y) if v is None else _yoneda_maps(v, y)
-    where = "" if v is None else " (Yoneda read of Hom(P(%d), Y))" % v
+    eqs, reads = _generator_system(x, y)
+    f = (ffmat.kernel(eqs, p) @ reads) % p if len(eqs) else reads
     # the free-column kernel basis: rref of the reversed columns, reversed back
     r, piv = ffmat.rref(f[:, ::-1], p)
     if len(piv) != len(f):
-        raise VerificationFailure("generator images do not give independent maps" + where)
+        raise VerificationFailure("generator images do not give independent maps")
     rows = r[::-1, ::-1]
-    blocks = _vertex_blocks(x, y, rows)
-    for ai, (_, u, w) in enumerate(x.A.quiver.arrows):
-        if ((y.mats[ai] @ blocks[u] - blocks[w] @ x.mats[ai]) % p).any():
-            raise VerificationFailure("a Hom basis map is not a morphism" + where)
+    if not _intertwine(x, y, _vertex_blocks(x, y, rows)):
+        raise VerificationFailure("a Hom basis map is not a morphism")
     return rows.astype(np.min_scalar_type(p - 1))
 
 
@@ -386,21 +367,22 @@ def morphism_coords(f, basis):
 
 
 def _compose_rows(hom, g, after):
-    """Flattened rows of g o h (after) or of h o g over the basis h of hom; g
-    is a map, a HomSpace or a triple (X, Y, flats) of a stack of flattened
-    maps X -> Y, whose maps run g-major over the rows."""
+    """Flattened rows of g o h (after) or of h o g over the rows h of hom; hom
+    is a HomSpace or a triple (X, Y, flats) of a stack of flattened maps X -> Y,
+    g a map or either of those, whose maps run g-major over the rows."""
+    hx, hy, hflats = (hom.x, hom.y, hom.matrix) if isinstance(hom, HomSpace) else hom
     if isinstance(g, Morphism):
         gx, gy, gs = g.src, g.tgt, [b[None] for b in g.blocks]
     else:
         gx, gy, flats = (g.x, g.y, g.matrix) if isinstance(g, HomSpace) else g
         gs = _vertex_blocks(gx, gy, flats)
-    a, b = (hom.y, gx) if after else (gy, hom.x)
+    a, b = (hy, gx) if after else (gy, hx)
     if a is not b and a.key() != b.key():
         raise VerificationFailure("composition: target of the first map is not the source of the second")
-    k = len(gs[0]) * len(hom)
-    hs = _vertex_blocks(hom.x, hom.y, hom.matrix)
+    k = len(gs[0]) * len(hflats)
+    hs = _vertex_blocks(hx, hy, hflats)
     prods = [gv[:, None] @ hv[None] if after else hv[None] @ gv[:, None] for gv, hv in zip(gs, hs)]
-    return _flatten([m.reshape(k, m.shape[2], m.shape[3]) for m in prods], k) % hom.x.p
+    return _flatten([m.reshape(k, m.shape[2], m.shape[3]) for m in prods], k) % hx.p
 
 
 def hom_matrix_precompose(homxy, g, homzy):
@@ -885,31 +867,38 @@ def right_minimalize(f):
     return cur, split_acc
 
 
-def _solve_on(hom, g, f, after):
-    """(True, h) for the canonical h in hom (free coordinates 0) with
-    f = g o h (after) or f = h o g, or (False, None)."""
-    c = ffmat.solve(_compose_rows(hom, g, after).T, f.flat(), f.p)
-    return (False, None) if c is None else (True, hom.element(c).check())
+def _factor(x, z, g, f, after):
+    """(True, h) for a map h: X -> Z with f = g o h (after) or f = h o g, or
+    (False, None), from one solve of [eqs; (g o reads)^T] u = [0; f] on the
+    generator system of (X, Z): a solution u is the map u @ reads.  The
+    witness is certified to be a morphism that composes back to f."""
+    p = f.p
+    eqs, reads = _generator_system(x, z)
+    comp = _compose_rows((x, z, reads), g, after)
+    u = ffmat.solve(np.concatenate([eqs, comp.T]), np.concatenate([np.zeros(len(eqs), dtype=INT), f.flat()]), p)
+    if u is None:
+        return False, None
+    h = morphism_from_flat(x, z, u @ reads % p)
+    if not _intertwine(x, z, h.blocks) or ((g.compose(h) if after else h.compose(g)).flat() != f.flat()).any():
+        raise VerificationFailure("%s(f, g): the solved h is not a morphism with f = %s, for f = %r and g = %r"
+                                  % ("right_leq" if after else "left_leq", "g o h" if after else "h o g", f, g))
+    return True, h
 
 
 def right_leq(f, g):
-    """(exists h with f = g o h, h or None), solved on hom_space(f.src, g.src);
-    the witness is canonical in its coordinates."""
-    return _solve_on(hom_space(f.src, g.src), g, f, True)
+    """(exists h with f = g o h, h or None), from one solve on the generator
+    system of (f.src, g.src); no Hom basis is built."""
+    return _factor(f.src, g.src, g, f, True)
 
 
 def right_equivalent(f, g):
-    a, _ = right_leq(f, g)
-    if not a:
-        return False
-    b, _ = right_leq(g, f)
-    return b
+    return right_leq(f, g)[0] and right_leq(g, f)[0]
 
 
 def left_leq(f, g):
-    """(exists h with f = h o g, h or None), f: A->B, g: A->C, solved on
-    hom_space(g.tgt, f.tgt); the witness is canonical in its coordinates."""
-    return _solve_on(hom_space(g.tgt, f.tgt), g, f, False)
+    """(exists h with f = h o g, h or None), f: A->B, g: A->C, from one solve
+    on the generator system of (g.tgt, f.tgt); no Hom basis is built."""
+    return _factor(g.tgt, f.tgt, g, f, False)
 
 
 def is_split_epi(g):

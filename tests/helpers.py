@@ -66,6 +66,23 @@ class BasisHom:
         return rep.morphism_from_flat(self.x, self.y, (np.asarray(coords, dtype=INT) @ self.matrix) % self.x.p)
 
 
+def all_maps(x, y):
+    """(flats, ok): every vertexwise linear map X -> Y, flattened as in
+    Morphism.flat, and whether it intertwines the arrow actions."""
+    p, nv = x.p, len(x.dims)
+    sizes = [y.dims[v] * x.dims[v] for v in range(nv)]
+    n = sum(sizes)
+    flats = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64).reshape(p ** n, n)
+    parts = np.split(flats, np.cumsum(sizes)[:-1], axis=1)
+    blocks = [b.reshape(len(flats), y.dims[v], x.dims[v]) for v, b in enumerate(parts)]
+    ok = np.ones(len(flats), dtype=bool)
+    for ai, (_, u, v) in enumerate(x.A.quiver.arrows):
+        lhs = np.einsum("ij,njk->nik", y.mats[ai], blocks[u]) % p
+        rhs = np.einsum("nij,jk->nik", blocks[v], x.mats[ai]) % p
+        ok &= (lhs == rhs).reshape(len(flats), -1).all(axis=1)
+    return flats, ok
+
+
 def _counting(fn, calls):
     """fn, recording its calls: proves that a monkeypatched function was reached
     and not bypassed by a memoized answer."""

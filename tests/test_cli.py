@@ -182,6 +182,16 @@ def test_oversized_module_expression_is_refused_before_it_is_built(monkeypatch, 
     assert max(sums, default=0) <= 200  # only the parts below the cap were built
 
 
+@pytest.mark.parametrize("c", ["kP(99999)", "kQ(99999)"])
+def test_oversized_kronecker_index_exit_code(capsys, c):
+    # P_i and Q_i of kron2 have total dimension 2i + 1, read off before the
+    # i // 2 tau steps that would build them
+    t0 = time.perf_counter()
+    assert cli.main(["hom", "--algebra", "kron2", "-c", c, "-y", "P(a)"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "cap exceeded: %s has total dimension above the cap 1024" % c in capsys.readouterr().err
+
+
 def test_direct_sums_below_the_module_cap_answer(capsys):
     for k in (20, 25):
         assert cli.main(["hom", "--algebra", "kron2", "-c", "P(a)^%d" % k, "-y", "S(a)"]) == 0

@@ -1,11 +1,11 @@
 """The Hom layer against brute force on tiny representations over F_2 and F_3.
 
 Every vertexwise linear map X -> Y is enumerated and tested for the
-intertwining property with plain matrix products, independently of how
-hom_space finds its basis (from the images of generators of X) and of how
-right_leq and left_leq solve on it.  The rows hom_space stores are also
-compared byte for byte with the free-column kernel basis of the full
-intertwiner system, built here.
+intertwining property with plain matrix products, independently of the
+generator system (the images of generators of X) that hom_space takes the
+kernel of and that right_leq and left_leq solve once per question.  The
+rows hom_space stores are also compared byte for byte with the free-column
+kernel basis of the full intertwiner system, built here.
 """
 
 import itertools
@@ -17,7 +17,7 @@ import pytest
 from auskit import algebra, ar, catalog, ffmat, rep
 from auskit import kronecker as kr
 from auskit.errors import VerificationFailure
-from helpers import BasisHom, _counting, rand_mat
+from helpers import BasisHom, all_maps, rand_mat
 
 UNI3_F3 = "field 3\nvertices a\narrow x a a\nrelation x*x*x\n"
 KRON2_F2 = "field 2\nvertices a b\narrow x b a\narrow y b a\n"
@@ -45,25 +45,8 @@ def _pools(kron2, loopb):
     }
 
 
-def _all_maps(x, y):
-    """(flats, ok): every vertexwise linear map X -> Y, flattened as in
-    Morphism.flat, and whether it intertwines the arrow actions."""
-    p, nv = x.p, len(x.dims)
-    sizes = [y.dims[v] * x.dims[v] for v in range(nv)]
-    n = sum(sizes)
-    flats = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64).reshape(p ** n, n)
-    parts = np.split(flats, np.cumsum(sizes)[:-1], axis=1)
-    blocks = [b.reshape(len(flats), y.dims[v], x.dims[v]) for v, b in enumerate(parts)]
-    ok = np.ones(len(flats), dtype=bool)
-    for ai, (_, u, v) in enumerate(x.A.quiver.arrows):
-        lhs = np.einsum("ij,njk->nik", y.mats[ai], blocks[u]) % p
-        rhs = np.einsum("nij,jk->nik", blocks[v], x.mats[ai]) % p
-        ok &= (lhs == rhs).reshape(len(flats), -1).all(axis=1)
-    return flats, ok
-
-
 def _morphisms(x, y):
-    flats, ok = _all_maps(x, y)
+    flats, ok = all_maps(x, y)
     return [rep.morphism_from_flat(x, y, f) for f in flats[ok]]
 
 
@@ -87,7 +70,7 @@ def _same(f, g):
 def test_hom_dimension_matches_enumeration(kron2, loopb):
     for name, x, y in _pairs(_pools(kron2, loopb)):
         hom = rep.hom_space(x, y)
-        flats, ok = _all_maps(x, y)
+        flats, ok = all_maps(x, y)
         assert int(ok.sum()) == x.p ** len(hom), (name, x, y)
         for f in hom:
             f.check()
@@ -105,7 +88,7 @@ def test_coords_round_trip_every_combination(kron2, loopb):
 def test_coords_reject_maps_that_do_not_intertwine(kron2, loopb):
     rejected = 0
     for name, x, y in _pairs(_pools(kron2, loopb)):
-        flats, ok = _all_maps(x, y)
+        flats, ok = all_maps(x, y)
         hom = rep.hom_space(x, y)
         for flat in flats[~ok][:3]:
             f = rep.morphism_from_flat(x, y, flat)  # not checked on purpose
@@ -329,7 +312,7 @@ def test_generator_rows_equal_the_intertwiner_kernel(kron2, loopb, sub3):
         got, want = rep._hom_rows(x, y), _intertwiner_rows(x, y)
         assert got.dtype == want.dtype and got.shape == want.shape, (name, x, y)
         assert got.tobytes() == want.tobytes(), (name, x, y)
-        flats, ok = _all_maps(x, y)
+        flats, ok = all_maps(x, y)
         assert int(ok.sum()) == x.p ** len(got), (name, x, y)
 
 
@@ -396,11 +379,10 @@ def test_basis_map_that_does_not_intertwine_raises(monkeypatch):
 
 
 def test_generator_columns_of_a_non_projective_short_of_rank_raise(monkeypatch):
-    # P(b) is read by Yoneda, whose witness catches the zeroed columns above;
-    # P(b) + S(b) has two generators, and its generator check catches them
+    # P(b) + S(b) has two generators at b, and the generator check catches
+    # the zeroed columns as it does for P(b) above
     A = _fresh_kron2()
     x, y = rep.direct_sum(A, [A.proj("b"), A.simple("b")])[0], A.inj("a")
-    assert rep._proj_vertex(x) is None
     real = rep.Rep.path_stack
     monkeypatch.setattr(rep.Rep, "path_stack", lambda self, v, w: 0 * real(self, v, w))
     with pytest.raises(VerificationFailure, match="^generator columns do not span the module$"):
@@ -408,7 +390,7 @@ def test_generator_columns_of_a_non_projective_short_of_rank_raise(monkeypatch):
     assert not [k for k in A._memo if k[0] in ("gens", "hom")]
 
 
-# --- Hom(P(v), X) by Yoneda ----------------------------------------------------
+# --- Hom out of P(v): one generator and no relation (Yoneda) ----------------------
 
 
 def _yoneda_targets():
@@ -431,35 +413,38 @@ def _yoneda_targets():
 
 
 def test_yoneda_rows_equal_the_intertwiner_rows():
-    # for every catalog algebra, vertex v and test module X, the rows read by
-    # Yoneda are the canonical rows of the generator system and of the full
-    # intertwiner system, dim X_v of them
+    # for every catalog algebra, vertex v and test module X, Hom(P(v), X) has
+    # dim X_v canonical rows, and they are those of the full intertwiner
+    # system
     count = 0
     for A, mods in _yoneda_targets():
         for v in range(A.nv):
             pv = A.proj(v)
-            assert rep._proj_vertex(pv) == rep._proj_vertex(rep.Rep(A, pv.dims, pv.mats)) == v
             for x in mods:
                 got = rep._hom_rows(pv, x)
-                system = rep._intertwiner_maps(pv, x)
-                r, piv = ffmat.rref(system[:, ::-1], A.p)
-                assert len(piv) == len(got) == x.dims[v]
-                assert got.tobytes() == r[::-1, ::-1].astype(got.dtype).tobytes() == _intertwiner_rows(pv, x).tobytes()
+                assert len(got) == x.dims[v]
+                assert got.tobytes() == _intertwiner_rows(pv, x).tobytes()
                 count += 1
     assert count > 400
 
 
-def test_hom_out_of_a_projective_solves_no_system(monkeypatch):
-    # hom_space(P(v), X) builds no generator data and no intertwiner system
-    A = _fresh_kron2()
-    calls = []
-    monkeypatch.setattr(rep, "_intertwiner_maps", _counting(rep._intertwiner_maps, calls))
-    for v in range(A.nv):
-        assert len(rep.hom_space(A.proj(v), A.inj(0))) == A.inj(0).dims[v]
-    assert calls == [] and not [k for k in A._memo if k[0] == "gens"]
+def test_a_projective_has_one_generator_and_no_equations():
+    # the generator system out of P(v) is Yoneda's: one generator, e_v, at v,
+    # zero equation rows, and dim X_v unknowns that read the maps directly
+    count = 0
+    for A, mods in _yoneda_targets():
+        for v in range(A.nv):
+            pv = A.proj(v)
+            verts, lifts, _, _ = rep.generators(pv)
+            assert verts == [v] and len(lifts) == 1
+            for x in mods:
+                eqs, reads = rep._generator_system(pv, x)
+                assert eqs.shape == (0, x.dims[v]) and len(reads) == x.dims[v]
+                count += 1
+    assert count > 400
 
 
-def test_corrupted_yoneda_reads_raise_naming_the_vertex(monkeypatch):
+def test_corrupted_reads_out_of_a_projective_raise(monkeypatch):
     # Hom(P(b), I(a)) over kron2: two rows, each fixed by the image of e_b
     def fresh():
         A = _fresh_kron2()
@@ -468,28 +453,90 @@ def test_corrupted_yoneda_reads_raise_naming_the_vertex(monkeypatch):
     A, x, y = fresh()
     assert len(rep.hom_space(x, y)) == 2
 
-    def flip(rows):  # one entry of the block at a: the row stops intertwining
-        rows[0, 0] = (rows[0, 0] + 1) % 2
-        return rows
+    def flip(reads):  # one entry of the block at a: the row stops intertwining
+        reads[0, 0] = (reads[0, 0] + 1) % 2
+        return reads
 
-    def repeat(rows):  # two equal rows: not independent
-        rows[1] = rows[0]
-        return rows
+    def repeat(reads):  # two equal rows: not independent
+        reads[1] = reads[0]
+        return reads
 
-    for change, message in ((flip, r"a Hom basis map is not a morphism \(Yoneda read of Hom\(P\(1\), Y\)\)"),
-                            (repeat, r"do not give independent maps \(Yoneda read of Hom\(P\(1\), Y\)\)")):
+    for change, message in ((flip, "^a Hom basis map is not a morphism$"),
+                            (repeat, "^generator images do not give independent maps$")):
         A, x, y = fresh()
         with monkeypatch.context() as mp:
-            mp.setattr(rep, "_yoneda_maps", lambda v, y, read=rep._yoneda_maps: change(read(v, y).copy()))
+            mp.setattr(rep, "_generator_system",
+                       lambda x, z, real=rep._generator_system: (lambda e, r: (e, change(r.copy())))(*real(x, z)))
             with pytest.raises(VerificationFailure, match=message):
                 rep.hom_space(x, y)
         assert ("hom", x.key(), y.key()) not in A._memo
 
-    # the witness: with the matrix of the trivial path of P(b) (its one path
-    # from b to b) zeroed, the images of e_b do not span Y_b
+    # with the matrix of the trivial path of P(b) (its one path from b to b)
+    # zeroed, the image of e_b does not span P(b)_b
     A, x, y = fresh()
     real = rep.Rep.path_stack
     monkeypatch.setattr(rep.Rep, "path_stack", lambda self, v, w: real(self, v, w) * (0 if v == w == 1 else 1))
-    with pytest.raises(VerificationFailure, match=r"^Yoneda read of Hom\(P\(1\), Y\): the images of e_1 do not span Y_1$"):
+    with pytest.raises(VerificationFailure, match="^generator columns do not span the module$"):
         rep.hom_space(x, y)
     assert ("hom", x.key(), y.key()) not in A._memo
+
+
+# --- right_leq and left_leq: one solve on the generator system, no Hom basis ------
+
+
+def _order_cases(A, rng):
+    """(f, g, u, right, left): over the tiny modules of A, f = g o h for a
+    random h and f random, u a random map out of f.src, and whether f = g o h
+    and f = h o u for some h, by enumeration."""
+    mods = [A.proj(0), A.proj(1), A.inj(0), A.inj(1), A.simple(0), A.simple(1),
+            rep.direct_sum(A, [A.simple(0), A.simple(1)])[0]]
+    out = []
+    for x, z, y in itertools.product(mods, repeat=3):
+        g = _random_map(rep.hom_space(z, y), rng)
+        hs = _morphisms(x, z)
+        u = _random_map(rep.hom_space(x, z), rng)
+        for f in (g.compose(rng.choice(hs)), _random_map(rep.hom_space(x, y), rng)):
+            right = any(_same(g.compose(h), f) for h in hs)
+            left = any(_same(h.compose(u), f) for h in _morphisms(z, y))
+            out.append((f, g, u, right, left))
+    return out
+
+
+def test_order_solves_build_no_hom_basis(monkeypatch):
+    A = _fresh_kron2()
+    cases = _order_cases(A, random.Random(17))
+    memo = set(A._memo)
+
+    def refuse(*args):
+        raise AssertionError("a Hom basis was built")
+
+    monkeypatch.setattr(rep, "hom_space", refuse)
+    monkeypatch.setattr(rep, "_hom_rows", refuse)
+    seen = {True: 0, False: 0}
+    for f, g, u, right, left in cases:
+        ok, h = rep.right_leq(f, g)
+        assert ok == right and (h is None) == (not ok)
+        if ok:
+            assert _same(g.compose(h.check()), f)
+        ok, h = rep.left_leq(f, u)
+        assert ok == left and (h is None) == (not ok)
+        if ok:
+            assert _same(h.check().compose(u), f)
+        seen[right] += 1
+        seen[left] += 1
+    assert min(seen.values()) > 50
+    assert not [k for k in set(A._memo) - memo if k[0] == "hom"]
+
+
+def test_a_wrong_solve_raises_naming_the_pair(monkeypatch):
+    # f = g o 1 for g = the inclusion rad P(b) -> P(b); a solve that adds 1
+    # to every unknown gives no morphism h with f = g o h
+    A = _fresh_kron2()
+    r, g = rep.rad(A.proj("b"))
+    real = ffmat.solve
+    monkeypatch.setattr(ffmat, "solve", lambda a, b, p: (lambda u: None if u is None else (u + 1) % p)(real(a, b, p)))
+    with pytest.raises(VerificationFailure, match=r"^right_leq\(f, g\): the solved h is not a morphism with "
+                       r"f = g o h, for f = Morphism\(\(2, 0\) -> \(2, 1\)\) and g = Morphism\(\(2, 0\) -> \(2, 1\)\)$"):
+        rep.right_leq(g, g)
+    with pytest.raises(VerificationFailure, match=r"^left_leq\(f, g\): the solved h is not a morphism with f = h o g"):
+        rep.left_leq(g, g)

@@ -1,7 +1,7 @@
 import pytest
 
 from auskit import factor, ffmat, kronecker as kr, lattice, rep
-from auskit.errors import ParseError, VerificationFailure
+from auskit.errors import CapExceeded, ParseError, VerificationFailure
 from auskit.ffmat import identity, mat_key
 from helpers import _counting, verify_table_reference
 
@@ -21,6 +21,34 @@ def test_three_arrow_preprojectives(kron3):
     assert tuple(kr.kP(kron3, 1).dim_vector()) == (3, 1)
     assert tuple(kr.kP(kron3, 2).dim_vector()) == (8, 3)
     assert tuple(kr.kQ(kron3, 2).dim_vector()) == (3, 8)
+
+
+def _recurrence(n, k):
+    """s_0..s_k of s_0 = 0, s_1 = 1, s_{j+1} = n s_j - s_{j-1}."""
+    s = [0, 1]
+    while len(s) <= k:
+        s.append(n * s[-1] - s[-2])
+    return s
+
+
+def test_size_cap_reads_the_recurrence(monkeypatch, kron2, kron3):
+    # the dimension vectors the cap reads, (s_{i+1}, s_i) for P_i and
+    # (s_j, s_{j+1}) for Q_j, are those of the built modules
+    for A, n in ((kron2, 2), (kron3, 3)):
+        s = _recurrence(n, 5)
+        for i in range(4):
+            assert tuple(kr.kP(A, i).dim_vector()) == (s[i + 1], s[i])
+            assert tuple(kr.kQ(A, i).dim_vector()) == (s[i], s[i + 1])
+    # P_511 of kron2 is (512, 511), at the cap 1024; P_6 of kron3 is (377, 144)
+    # and P_7 (987, 377); the refusal comes before any tau step
+    monkeypatch.setattr(kr.ar, "tau", lambda m: pytest.fail("tau step"))
+    monkeypatch.setattr(kr.ar, "tau_minus", lambda m: pytest.fail("tau step"))
+    for A, fits in ((kron2, 511), (kron3, 6)):
+        for name in ("kP", "kQ"):
+            kr._check_size(A, name, fits)
+            with pytest.raises(CapExceeded, match=r"^%s\(%d\) has total dimension above the cap 1024$"
+                               % (name, fits + 1)):
+                getattr(kr, name)(A, fits + 1)
 
 
 def test_defects(kron2):
