@@ -7,7 +7,8 @@ individual extensions can be realized as honest short exact sequences.
 
 Generators are chosen only by rep.generators (memoized as "gens"): the cover
 P0 -> M is built from its blocks, and P1 -> P0 sends the generators of P1 to
-those of Omega M = Ker(P0 -> M).
+those of Omega M = Ker(P0 -> M).  The transpose reads Hom(P0, P(v)) ->
+Hom(P1, P(v)) off the generator system of (P0, P(v)), as rep does every Hom.
 """
 
 import numpy as np
@@ -44,38 +45,23 @@ def _hom_proj_rep(A, verts):
 
 
 def transpose(m):
-    """Tr M over the opposite algebra, from a minimal presentation."""
-    A = m.A
+    """Tr M over the opposite algebra: the cokernel of Hom(d, A) for a minimal
+    presentation P1 -d-> P0 -> M.  The generators of P0 are the e_u in v0
+    order, so the unknowns z of the generator system of (P0, P(v)) are the
+    coordinates of _hom_proj_rep(A, v0) at v; block j of Hom(d, P(v)) is the
+    map z @ reads at w = v1[j], applied to the j-th generator of Omega M."""
+    A, p = m.A, m.p
     p0, cover, v0 = proj_cover(m)
     om, incl = rep.kernel(cover)
     v1, lifts, _, _ = rep.generators(om)
-    t0 = _hom_proj_rep(A, v0)
-    t1 = _hom_proj_rep(A, v1)
-
-    # delta[j][i]: the image of the j-th generator of Omega M (at v1[j]) in
-    # P(v0[i]), i.e. the column of d = incl o cover_1 at that generator
-    p = A.p
-    delta = []
-    for w, g in zip(v1, lifts):
-        cuts = np.cumsum([A.proj(u).dims[w] for u in v0])[:-1]
-        delta.append(np.split((incl.blocks[w] @ g) % p, cuts))
-
+    gens = [(incl.blocks[w] @ g) % p for w, g in zip(v1, lifts)]
     blocks = []
     for v in range(A.nv):
         pv = A.proj(v)
-        mt = zeros(t1.dims[v], t0.dims[v])
-        ro = 0
-        for j, w in enumerate(v1):
-            hj = pv.dims[w]
-            co = 0
-            for i, u in enumerate(v0):
-                wi = pv.dims[u]
-                if hj and wi:
-                    mt[ro : ro + hj, co : co + wi] = np.tensordot(delta[j][i], pv.path_stack(u, w), 1) % p
-                co += wi
-            ro += hj
-        blocks.append(mt)
-    tmap = rep.Morphism(t0, t1, blocks).check()
+        reads = rep._generator_system(p0, pv)[1]
+        stacks = rep._vertex_blocks(p0, pv, reads)
+        blocks.append(np.concatenate([zeros(0, len(reads))] + [(stacks[w] @ g).T for w, g in zip(v1, gens)]))
+    tmap = rep.Morphism(_hom_proj_rep(A, v0), _hom_proj_rep(A, v1), blocks).check()
     return rep.cokernel(tmap)[0]
 
 

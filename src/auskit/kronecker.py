@@ -147,6 +147,8 @@ def enumerate_strongly_regular(A, total_dim):
     Returns (module, labels) pairs where labels lists the (tube, quasi-length)
     pairs; each pair has 2 * t * deg(tube) dimensions.
     """
+    if total_dim < 0:
+        raise ParseError("total dimension must be nonnegative")
     labels = tube_labels(A.p, max(1, total_dim // 2))
     out = []
 
@@ -186,6 +188,8 @@ def _shape_row(A, c, y, cdesc, ydesc, want_dim, want_shape):
 
 def verify_table(p, max_sum=3, max_t=3):
     """Recompute the whole (C, Y) shape table; returns (rows, all_ok)."""
+    if max_sum < 0 or max_t < 0:
+        raise ParseError("table sizes must be nonnegative")
     A = kronecker_algebra(2, p)
     tubes = [*range(p), "inf", next(ffmat.iter_monic_irreducibles(p, 2))]
     # (label, t, t * deg label) for the regular members of quasi-length cap max_t

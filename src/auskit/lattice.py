@@ -12,11 +12,12 @@ are vertex-graded; factor's are the End(K)-submodules of Ext^1(Y', K).
 All sides seed the search by one rule (the local submodules of Lux, Mueller
 and Ringe, Peakword condensation and submodule lattices, J. Symbolic Comput.
 17, 1994): one vector per line of M e, for e in a complete set of orthogonal
-idempotents up to conjugacy.  On the graded sides e runs over the block
-idempotents, and M e is a block of coordinates (graded_submodules).  On the Gamma
-side e runs over the class idempotents e_i = incl o proj of
-GammaHom.simple_data, one per isomorphism class of summands of C, and M e_i
-is the row space of the transposed action of e_i.
+idempotents up to conjugacy.  Every caller hands _search its spans M e,
+the one seed path.  On the graded sides e runs over the block idempotents,
+and M e is a block of coordinates (graded_submodules).  On the Gamma side e
+runs over the class idempotents e_i = incl o proj of GammaHom.simple_data,
+one per isomorphism class of summands of C, and M e_i is the row space of
+the transposed action of e_i.
 
 Why one idempotent per class suffices: take u in a submodule U.  The summand
 idempotents e_j of C sum to 1 (simple_data certifies it), so u = sum_j u e_j.
@@ -29,9 +30,11 @@ positive verdicts of rep.iso_classes, each witnessed by an invertible
 composite; a missed isomorphism only adds seeds.
 
 The lattice depends only on the module, given by the grading, the action
-stack and the seed idempotents, so each search is memoized in the algebra
-under exactly that input (_search): on the Kronecker shape table, every
-Hom(C, Y) with End(C) = F_p of one dimension is the same search.
+stack and the seed spans, so each search is memoized in the algebra under
+exactly that input (_search): on the Kronecker shape table, every Hom(C, Y)
+with End(C) = F_p of one dimension is the same search.  Every maximal chain
+of submodules is a composition series, so by Jordan-Hoelder the height is
+the composition length of the module.
 
 Shape certificates:
   ("G", d, q)  -- the full subspace lattice of a d-dimensional space over F_q,
@@ -160,12 +163,12 @@ def _seed_lines(spans, p, close):
     return [(g, close([g])) for g in ((c @ b) % p for b in spans for c in projective_points(len(b), p))]
 
 
-def _search(A, dims, mats, idems, close):
+def _search(A, dims, mats, spans, close):
     """(nodes, below, lower_covers, seeds) of _cyclic_search on F_p^n,
-    n = sum(dims), for the (k, n, n) action stack mats, memoized per algebra
-    A under kind "lattice" by the search's whole input: the grading dims,
-    mats, and the seed spans, M e for e in the (n, n) matrices idems on the
-    Gamma side (dims = (n,)) or the unit blocks of dims when idems is None.
+    n = sum(dims), for the (k, n, n) action stack mats, seeded by one vector
+    per line of each span M e (rows in the coordinates of M), memoized per
+    algebra A under kind "lattice" by the search's whole input: the grading
+    dims, mats and the spans.
 
     Nodes are ordered by dimension and then the RREF of their block parts
     (for dims = (n,), by dimension and then key).  The stored arrays are
@@ -181,18 +184,13 @@ def _search(A, dims, mats, idems, close):
         return s.dim, tuple(mat_key(s.B[cuts[v] : cuts[v + 1], off[v] : off[v + 1]]) for v in range(len(dims)))
 
     def search():
-        if idems is None:
-            unit = np.eye(n, dtype=INT)
-            spans = [unit[off[v] : off[v + 1]] for v in range(len(dims))]
-        else:
-            spans = [Subspace(m.T, n, p).B for m in idems]
         seeds = _seed_lines(spans, p, close)
         nodes, below, lower_covers = _cyclic_search(Subspace.zero(n, p), seeds, order)
         for a in [s.B for s in nodes] + [a for g, cg in seeds for a in (g, cg.B)]:
             a.flags.writeable = False
         return tuple(nodes), tuple(below), tuple(lower_covers), tuple(seeds)
 
-    key = ("lattice", tuple(dims), mat_key(mats), None if idems is None else tuple(map(mat_key, idems)))
+    key = ("lattice", tuple(dims), mat_key(mats), tuple(map(mat_key, spans)))
     nodes, below, lower_covers, seeds = A.memoized(key, search)
     if len(nodes) > NODE_CAP:
         raise CapExceeded("submodule lattice exceeds the node cap")
@@ -205,9 +203,10 @@ def graded_submodules(A, dims, mats):
     their block parts, and the seeds with their cyclic submodules, memoized
     in the algebra A (see _search).  They must be graded by the unit blocks
     of dims (the vertices; the Ext^1(Y', K_i)), so that every member is a
-    sum of multiples of seeds inside it."""
+    sum of multiples of seeds inside it; those blocks are the seed spans."""
     n = sum(dims)
-    nodes, _, _, seeds = _search(A, dims, mats, None, lambda rows: closure(rows, mats, n, A.p))
+    spans = np.split(np.eye(n, dtype=INT), np.cumsum(dims)[:-1])
+    nodes, _, _, seeds = _search(A, dims, mats, spans, lambda rows: closure(rows, mats, n, A.p))
     return nodes, seeds
 
 
@@ -239,8 +238,8 @@ class SubmoduleLattice:
                 % (gh.n, gh.p)
             )
         # simple_data certifies that the summand idempotents sum to 1 (once per content of C) before any closure
-        eps_mats = gh.simple_data()[1]
-        return cls(gh, *_search(gh.c.A, (gh.n,), gh.act, eps_mats, gh.close)[:3])
+        spans = [Subspace(m.T, gh.n, gh.p).B for m in gh.simple_data()[1]]
+        return cls(gh, *_search(gh.c.A, (gh.n,), gh.act, spans, gh.close)[:3])
 
     def __len__(self):
         return len(self.nodes)
@@ -281,17 +280,9 @@ class SubmoduleLattice:
         return self.index_of(self.nodes[i].sum(self.nodes[j]))
 
     def height(self):
-        """Longest cover chain from bottom to top."""
-        n = len(self.nodes)
-        order = sorted(range(n), key=lambda i: self.nodes[i].dim)
-        best = {i: 0 for i in range(n)}
-        ups = {}
-        for i, j in self.covers():
-            ups.setdefault(i, []).append(j)
-        for i in order:
-            for j in ups.get(i, ()):
-                best[j] = max(best[j], best[i] + 1)
-        return best[self.full_i]
+        """The length of every maximal chain from bottom to top: by
+        Jordan-Hoelder, the composition length of Hom(C, Y)."""
+        return self.gh.length_between(self.gh.zero_sub(), self.gh.full_sub())
 
     def counts_by_dim(self):
         out = {}

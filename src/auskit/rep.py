@@ -548,9 +548,10 @@ def structure(x):
 # unit nor nilpotent gives X = Im b^N + Ker b^N.  Every "indecomposable"
 # verdict comes with a verified nilpotent ideal J of End(X) such that End/J is
 # a field (Lux-Szoke, Computing decompositions of modules over
-# finite-dimensional algebras, Exp. Math. 2007).  The verdict, e or J, is
-# memoized by content, and every split of X along an idempotent e into the
-# images of e and 1 - e, in decompose and right_minimalize, is one _split.
+# finite-dimensional algebras, Exp. Math. 2007).  Each verdict is computed
+# once per content, by decompose, whose memo record keeps J beside the
+# summands of an indecomposable X; every split of X along an idempotent e into
+# the images of e and 1 - e, in decompose and right_minimalize, is one _split.
 
 SPLIT_CANDIDATES = 64  # seeded random a whose F_p[a] is split when End/J is not commutative
 
@@ -726,11 +727,6 @@ def _split_or_certify(ed):
     )
 
 
-def _split_verdict(ed):
-    """_split_or_certify(ed), memoized per algebra by the content of ed.x."""
-    return ed.x.A.memoized(("split", ed.x.key()), lambda: _split_or_certify(ed))
-
-
 def _split(ed, e):
     """(em, (I, incl, onto), (I', incl', onto')): the total-matrix idempotent e
     of End(X) as a morphism, checked idempotent, and the images of e and 1 - e,
@@ -752,10 +748,10 @@ def _split(ed, e):
 
 def end_radical(x):
     """(EndData, J) for an indecomposable X, J = rad End(X) as decompose certified it."""
-    if len(decompose(x)) != 1:
+    _, rad = x.A.memoized(("decompose", x.key()), lambda: _decompose(x))
+    if rad is None:
         raise VerificationFailure("End(X) is only certified local for indecomposable X")
-    ed = EndData(x)
-    return ed, _split_verdict(ed)[1]
+    return EndData(x), rad
 
 
 def decompose(x):
@@ -767,20 +763,21 @@ def decompose(x):
     content of x; the summands are shared, and the inclusions and
     projections are re-based onto x.
     """
-    out = x.A.memoized(("decompose", x.key()), lambda: _decompose(x))
+    out, _ = x.A.memoized(("decompose", x.key()), lambda: _decompose(x))
     if not out or out[0][1].tgt is x:
         return out
     return tuple((s, Morphism(s, x, u.blocks), Morphism(x, s, r.blocks)) for s, u, r in out)
 
 
 def _decompose(x):
-    """Split x once along its memoized verdict and decompose both images."""
+    """(summands, J): split x once along its verdict and decompose both
+    images; J is the certified rad End(X) when x is indecomposable, else None."""
     if x.total_dim == 0:
-        return ()
+        return (), None
     ed = EndData(x)
-    e, _ = _split_verdict(ed)
+    e, rad = _split_or_certify(ed)
     if e is None:
-        return ((x, identity_morphism(x), identity_morphism(x)),)
+        return ((x, identity_morphism(x), identity_morphism(x)),), rad
     _, *parts = _split(ed, e)
     if any(i.total_dim == 0 for i, _, _ in parts):
         raise VerificationFailure("trivial split from claimed nontrivial idempotent")
@@ -788,7 +785,7 @@ def _decompose(x):
     # certificate: the idempotents incl o proj sum to the identity
     if (sum(u.compose(r).flat() for _, u, r in out) % x.p != identity_morphism(x).flat()).any():
         raise VerificationFailure("summand idempotents do not sum to identity")
-    return out
+    return out, None
 
 
 def is_isomorphic(x, y):

@@ -132,6 +132,41 @@ def yoneda(A, v, module, vec):
     return rep.Morphism(A.proj(v), module, [(module.path_stack(v, w) @ vec).T for w in range(A.nv)])
 
 
+def transpose_reference(m):
+    """Tr M with Hom(P0, P(v)) -> Hom(P1, P(v)) assembled by hand, a
+    reference oracle for ar.transpose: block (j, i) sends the image of e_u,
+    u = v0[i], to the image of the j-th generator of Omega M, whose component
+    in P(u) at w = v1[j] is a combination of the basis paths s of P(u) ending
+    at w, acting on P(v) through P(v)_s."""
+    A, p = m.A, m.p
+    p0, cover, v0 = ar.proj_cover(m)
+    om, incl = rep.kernel(cover)
+    v1, lifts, _, _ = rep.generators(om)
+    t0 = ar._hom_proj_rep(A, v0)
+    t1 = ar._hom_proj_rep(A, v1)
+    # delta[j][i]: the image of the j-th generator of Omega M in P(v0[i])
+    delta = []
+    for w, g in zip(v1, lifts):
+        cuts = np.cumsum([A.proj(u).dims[w] for u in v0])[:-1]
+        delta.append(np.split((incl.blocks[w] @ g) % p, cuts))
+    blocks = []
+    for v in range(A.nv):
+        pv = A.proj(v)
+        mt = zeros(t1.dims[v], t0.dims[v])
+        ro = 0
+        for j, w in enumerate(v1):
+            hj = pv.dims[w]
+            co = 0
+            for i, u in enumerate(v0):
+                wi = pv.dims[u]
+                if hj and wi:
+                    mt[ro : ro + hj, co : co + wi] = np.tensordot(delta[j][i], pv.path_stack(u, w), 1) % p
+                co += wi
+            ro += hj
+        blocks.append(mt)
+    return rep.cokernel(rep.Morphism(t0, t1, blocks).check())[0]
+
+
 def poly_eval_mat(c, a, p):
     """The polynomial with ascending coefficients c at the square matrix a (Horner)."""
     n = a.shape[0]

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from auskit import ar, rep
+from auskit import ar, catalog, rep
+from auskit import kronecker as kr
 from auskit.errors import VerificationFailure
+from helpers import transpose_reference
 
 
 def dv(m):
@@ -68,6 +70,30 @@ def test_tau_subspace3(sub3):
 def test_transpose_involution(kron2):
     r = rep.Rep(kron2, [1, 1], {0: [[1]], 1: [[1]]})
     assert rep.is_isomorphic(ar.transpose(ar.transpose(r)), r)
+
+
+def _assert_transpose_matches_reference(mods):
+    for name, m in mods:
+        for x in (m, ar.dual(m)):  # tau = D Tr and tau^- = Tr D
+            assert ar.transpose(x).key() == transpose_reference(x).key(), name
+
+
+def test_transpose_matches_reference_on_catalog_summands():
+    # the random-basis digest pins Tr only on kron2, loop-b and k[x]/x^3
+    mods = []
+    for name in catalog.instance_names():
+        _, c, y = catalog.resolve_instance(name)
+        mods += [("%s %s %s" % (name, side, s), s)
+                 for side, m in (("C", c), ("Y", y)) for s, _, _ in rep.decompose(m)]
+    assert len(mods) == 56
+    _assert_transpose_matches_reference(mods)
+
+
+def test_transpose_matches_reference_on_kron2_over_f3():
+    A = kr.kronecker_algebra(2, 3)
+    mods = [("P%d" % i, kr.kP(A, i)) for i in range(6)] + [("Q%d" % j, kr.kQ(A, j)) for j in range(6)]
+    mods += [("R[%s,%d]" % (lab, t), kr.kR(A, lab, t)) for lab in (0, 1, 2, "inf", (1, 0, 1)) for t in (1, 2)]
+    _assert_transpose_matches_reference(mods)
 
 
 def test_dual_swaps_proj_inj(a3rad):

@@ -7,7 +7,7 @@ import time
 import pytest
 
 import auskit
-from auskit import catalog, cli, factor, ffmat, lattice, rep
+from auskit import catalog, cli, factor, ffmat, kronecker, lattice, rep
 from auskit.errors import VerificationFailure
 from helpers import _counting
 
@@ -235,6 +235,18 @@ def test_kronecker_table_small(capsys):
     assert cli.main(["kronecker", "table", "-p", "2", "--max-sum", "1",
                      "--max-t", "1"]) == 0
     assert "table verified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args,first", [(["table", "-p", "2", "--max-sum", "-1"], "kronecker_algebra"),
+                                        (["table", "-p", "2", "--max-t", "-2"], "kronecker_algebra"),
+                                        (["strongreg", "-p", "2", "--", "-4"], "tube_labels")],
+                         ids=["max-sum", "max-t", "strongreg"])
+def test_kronecker_negative_size_exit_code(monkeypatch, capsys, args, first):
+    # refused before any work: the first step of the computation is never reached
+    monkeypatch.setattr(kronecker, first, lambda *a: pytest.fail("work started"))
+    assert cli.main(["kronecker"] + args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "nonnegative" in err
 
 
 def test_kronecker_table_over_a_large_field(monkeypatch, capsys):

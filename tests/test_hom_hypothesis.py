@@ -1,6 +1,8 @@
 """Hom dimensions and the order solves against brute force on random tiny
 representations drawn by hypothesis: kron2 and loop-b over F_2 and F_3, at
 most 2 at each vertex.  derandomize=True draws the same cases on every run.
+On the same modules, the translates and the transpose invert each other away
+from the projective summands.
 
 For modules X, Z, Y every vertexwise linear map is enumerated and kept when
 it intertwines; right_leq(f, g) for f: X -> Y, g: Z -> Y and left_leq(f, u)
@@ -10,7 +12,7 @@ for u: X -> Z are then decided by trying every h.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from auskit import algebra, rep
+from auskit import algebra, ar, rep
 from helpers import all_maps
 
 KRON2 = "field %d\nvertices a b\narrow x b a\narrow y b a\n"
@@ -92,3 +94,13 @@ def test_hom_and_order_solves_match_brute_force(mods, data):
     assert (h is None) == (not ok)
     if ok:
         assert (h.check().compose(um).flat() == f).all()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(range(len(ALGEBRAS))).flatmap(lambda k: _modules(ALGEBRAS[k], count=1)))
+def test_tau_and_transpose_invert_away_from_projectives(mods):
+    m, = mods
+    if any(ar.is_projective(s) for s, _, _ in rep.decompose(m)):
+        return
+    assert rep.is_isomorphic(ar.tau_minus(ar.tau(m)), m)
+    assert rep.is_isomorphic(ar.transpose(ar.transpose(m)), m)

@@ -182,7 +182,8 @@ def test_shape_table_tests_irreducibility_three_times(monkeypatch):
 
 def test_shape_table_matches_the_loop_nests(monkeypatch):
     """The family-pair table asks for the same rows, in the same order, on the
-    same modules, as one loop nest per family; edge caps included."""
+    same modules, as one loop nest per family; edge caps included, and a
+    negative cap is malformed input, refused before any row."""
     calls = []
 
     def recording(A, c, y, cdesc, ydesc, want_dim, want_shape):
@@ -193,6 +194,11 @@ def test_shape_table_matches_the_loop_nests(monkeypatch):
     for p in (2, 3, 5):
         for max_sum in (-1, 0, 1, 2, 4):
             for max_t in (-1, 0, 1, 2, 4):
+                if max_sum < 0 or max_t < 0:
+                    with pytest.raises(ParseError, match="nonnegative"):
+                        kr.verify_table(p, max_sum, max_t)
+                    assert calls == []
+                    continue
                 got = kr.verify_table(p, max_sum, max_t)
                 got_calls, calls[:] = calls[:], []
                 want = verify_table_reference(p, max_sum, max_t)

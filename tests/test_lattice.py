@@ -39,6 +39,31 @@ def test_kron2_injective_lattice(kron2):
     assert sorted(t.dim for t in nodes) == sorted(s.dim for s in lat.nodes)
 
 
+def _longest_cover_chain(lat):
+    """The longest chain of covers from bottom to top, by a walk in order of
+    dimension: the reference for SubmoduleLattice.height."""
+    best, ups = [0] * len(lat), {}
+    for i, j in lat.covers():
+        ups.setdefault(i, []).append(j)
+    for i in sorted(range(len(lat)), key=lambda i: lat.nodes[i].dim):
+        for j in ups.get(i, ()):
+            best[j] = max(best[j], best[i] + 1)
+    return best[lat.full_i]
+
+
+def test_height_is_the_composition_length(kron2):
+    # simple factors of dimension 2: End = F_4 on the tube of x^2 + x + 1,
+    # and M_2(F_2) on the maps out of X + X
+    x, z, q = kronecker.kP(kron2, 0), kronecker.kP(kron2, 1), kronecker.kR(kron2, (1, 1, 1), 1)
+    xx, xz, qz = (rep.direct_sum(kron2, ms)[0] for ms in ([x, x], [x, z], [q, z]))
+    cases = [(q, q, 2, 1), (xx, x, 2, 1), (rep.direct_sum(kron2, [x, x, z])[0], xz, 7, 4), (qz, qz, 5, 4),
+             (xx, _lam(kron2), 6, 3)]
+    for c, y, n, height in cases:
+        lat = lattice.SubmoduleLattice.build(determine.GammaHom(c, y))
+        assert (lat.gh.n, lat.height()) == (n, height)
+        assert _longest_cover_chain(lat) == height
+
+
 def test_meet_join(kron2):
     gh = determine.GammaHom(_lam(kron2), kron2.inj(0))
     lat = lattice.SubmoduleLattice.build(gh)

@@ -153,7 +153,8 @@ def test_failed_decomposition_leaves_nothing_behind(monkeypatch):
 def test_split_verdict_runs_once_per_content(monkeypatch):
     # the walk this replaced asked for a verdict at every node of every split
     # tree, and end_radical re-based a verdict kept on the module: 8 calls on
-    # 5 contents here, where the memo by content makes 5
+    # 5 contents here, where one verdict per decompose record makes 5; the
+    # record of an indecomposable keeps J, so end_radical asks for no verdict
     A = _kron2_f3()
     x, y = kr.kR(A, 0, 2), kr.kP(A, 1)
     calls = []
@@ -162,11 +163,15 @@ def test_split_verdict_runs_once_per_content(monkeypatch):
     xx = rep.direct_sum(A, [x, x])[0]
     rep.decompose(m)
     rep.decompose(_twin(m))
+    rep.decompose(xx)
+    decomposed = len(calls)
     for mod in (m, xx):
         for s, _, _ in rep.decompose(mod):
             rep.end_radical(s)
+    assert len(calls) == decomposed
     keys = [ed.x.key() for (ed,) in calls]
     assert len(keys) == len(set(keys)) == 5
+    assert "split" not in A.memo_stats()
 
 
 def test_failed_tau_minus_leaves_nothing_behind(monkeypatch):
