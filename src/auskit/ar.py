@@ -1,14 +1,17 @@
-"""Projective presentations, transpose duality and extension groups.
+"""Projective presentations, transpose duality, extension groups, almost split maps.
 
-tau and tau_minus are computed from minimal projective presentations via the
-transpose (an op-algebra representation), and Ext^1(Y, K) as the cokernel of
-Hom(P0, K) -> Hom(Omega Y, K).  ExtData keeps the cocycle coordinates so
-individual extensions can be realized as honest short exact sequences.
+tau and tau_minus come from minimal projective presentations via the
+transpose (an op-algebra representation), and Ext^1(Y, K) is the cokernel of
+Hom(P0, K) -> Hom(Omega Y, K); ExtData keeps the cocycle coordinates so that
+extensions can be realized as honest short exact sequences.
 
 Generators are chosen only by rep.generators (memoized as "gens"): the cover
 P0 -> M is built from its blocks, and P1 -> P0 sends the generators of P1 to
-those of Omega M = Ker(P0 -> M).  The transpose reads Hom(P0, P(v)) ->
-Hom(P1, P(v)) off the generator system of (P0, P(v)), as rep does every Hom.
+those of Omega M.  The transpose reads Hom(P0, P(v)) summand by summand, off
+the generator systems of the (P(u), P(v)), so nothing of P0 is memoized and
+the Hom cap bounds only dim P(v)_u.  End(K) acts on Ext^1(Y, K) by pushout
+(pushout_action); for K = tau Y the nonzero classes in its socle are the
+almost split sequences ending at Y (Auslander-Reiten-Smalo, ch. V).
 """
 
 import numpy as np
@@ -47,9 +50,10 @@ def _hom_proj_rep(A, verts):
 def transpose(m):
     """Tr M over the opposite algebra: the cokernel of Hom(d, A) for a minimal
     presentation P1 -d-> P0 -> M.  The generators of P0 are the e_u in v0
-    order, so the unknowns z of the generator system of (P0, P(v)) are the
-    coordinates of _hom_proj_rep(A, v0) at v; block j of Hom(d, P(v)) is the
-    map z @ reads at w = v1[j], applied to the j-th generator of Omega M."""
+    order, so the coordinates of _hom_proj_rep(A, v0) at v are the unknowns
+    of the systems of the (P(u), P(v)), whose reads at w, placed
+    block-diagonally, act on P0_w; block j of Hom(d, P(v)) is that stack at
+    w = v1[j] applied to the j-th generator of Omega M."""
     A, p = m.A, m.p
     p0, cover, v0 = proj_cover(m)
     om, incl = rep.kernel(cover)
@@ -58,9 +62,15 @@ def transpose(m):
     blocks = []
     for v in range(A.nv):
         pv = A.proj(v)
-        reads = rep._generator_system(p0, pv)[1]
-        stacks = rep._vertex_blocks(p0, pv, reads)
-        blocks.append(np.concatenate([zeros(0, len(reads))] + [(stacks[w] @ g).T for w, g in zip(v1, gens)]))
+        reads = {u: rep._vertex_blocks(A.proj(u), pv, rep._generator_system(A.proj(u), pv)[1]) for u in set(v0)}
+        cols = np.cumsum([0] + [pv.dims[u] for u in v0])
+        stacks = []
+        for w in range(A.nv):
+            cuts = np.cumsum([0] + [A.proj(u).dims[w] for u in v0])
+            stacks.append(np.zeros((cols[-1], pv.dims[w], cuts[-1]), dtype=INT))
+            for i, u in enumerate(v0):
+                stacks[w][cols[i] : cols[i + 1], :, cuts[i] : cuts[i + 1]] = reads[u][w]
+        blocks.append(np.concatenate([zeros(0, cols[-1])] + [(stacks[w] @ g).T for w, g in zip(v1, gens)]))
     tmap = rep.Morphism(_hom_proj_rep(A, v0), _hom_proj_rep(A, v1), blocks).check()
     return rep.cokernel(tmap)[0]
 
@@ -120,6 +130,26 @@ class ExtData:
         return x, u, g
 
 
+def pushout_action(eds):
+    """End(K) on Ext^1(Y, K) = ⊕ Ext^1(Y, K_i), K = ⊕ K_i (the ExtData eds of
+    one Y), in class coordinates (the free columns of the coboundaries),
+    applied to column vectors: psi: K_i -> K_j of the Hom basis sends xi to
+    psi o xi, the class of the pushout along psi, a (j, i) block;
+    cocycles.coords certifies the cocycle."""
+    off = np.cumsum([0] + [ed.dim for ed in eds])
+    mats = [np.zeros((0, off[-1], off[-1]), dtype=INT)]
+    for i, edi in enumerate(eds):
+        for j, edj in enumerate(eds):
+            hom = rep.hom_space(edi.k, edj.k)
+            rows = edj.cocycles.coords(rep._compose_rows(edi.cocycles, hom, True))
+            cls = edj.coboundaries.residues(rows)[:, edj.coboundaries.free()]
+            block = np.zeros((len(hom), off[-1], off[-1]), dtype=INT)
+            block[:, off[j] : off[j + 1], off[i] : off[i + 1]] = cls.reshape(
+                len(hom), len(edi.cocycles), edj.dim)[:, edi.coboundaries.free()].transpose(0, 2, 1)
+            mats.append(block)
+    return np.concatenate(mats)
+
+
 def _descend(h, proj):
     """Factor h through the projection of rep.quotient_by_subspaces: the unique
     hbar with hbar o proj = h is h read at the columns where proj is the
@@ -163,23 +193,13 @@ def is_injective(m):
     return is_projective(dual(m))
 
 
-def _omega_endo(ed, phi):
-    """Restriction to Omega Y of a lift of phi in End(Y) along the cover."""
-    ok, lift = rep.right_leq(phi.compose(ed.cover), ed.cover)
-    if not ok:
-        raise VerificationFailure("endomorphism does not lift to the cover")
-    ok, om = rep.right_leq(lift.compose(ed.incl), ed.incl)
-    if not ok:
-        raise VerificationFailure("lift does not restrict to the syzygy")
-    return om
-
-
 def min_right_almost_split(y):
     """g: E -> Y minimal right almost split, Y indecomposable.
 
-    For projective Y this is rad Y -> Y; otherwise the almost split sequence
-    ending at Y is found as a nonzero Ext class killed by rad End(Y), and the
-    factorization property is verified against every radical endomorphism.
+    For projective Y this is rad Y -> Y; otherwise the extension of the first
+    basis class of the socle of Ext^1(Y, tau Y) over End(tau Y), the kernel
+    of the pushout action of rad End(tau Y).  It is checked not to split,
+    and every radical endomorphism of Y to factor through it.
     """
     if len(rep.decompose(y)) != 1:
         raise VerificationFailure("minimal right almost split maps need an indecomposable target")
@@ -190,19 +210,15 @@ def min_right_almost_split(y):
     ed = ExtData(y, ty)
     if ed.dim == 0:
         raise VerificationFailure("no extensions of a non-projective by its translate")
+    jac = rep.end_radical(ty)[1]
+    killed = np.tensordot(jac.B, pushout_action([ed]), 1).reshape(-1, ed.dim) % y.p
+    socle = ffmat.kernel(killed, y.p)
+    if not len(socle):
+        raise VerificationFailure("Ext^1(Y, tau Y) has no socle over End(tau Y)")
+    x, u, g = ed.realize(ed.cocycle((socle[0] @ np.array(ed.class_reps(), dtype=INT)) % y.p))
+    if rep.is_split_epi(g):
+        raise VerificationFailure("candidate almost split sequence splits")
     end, rad = rep.end_radical(y)
-    radb = [end.basis.element(row) for row in rad.B]
-    # (- o om) on cocycle coordinates, for the restrictions om of radical endomorphisms
-    acts = [rep.hom_matrix_precompose(ed.cocycles, _omega_endo(ed, phi), ed.cocycles) for phi in radb]
-    reps_ = np.array(ed.class_reps(), dtype=INT).reshape(-1, len(ed.cocycles))
-    for v in ffmat.projective_points(len(reps_), y.p):  # one representative per scalar line
-        coords = (v @ reps_) % y.p
-        if ed.coboundaries.residues(np.array([a @ coords for a in acts]).reshape(-1, len(coords))).any():
-            continue
-        xi = ed.cocycle(coords)
-        x, u, g = ed.realize(xi)
-        if rep.is_split_epi(g):
-            raise VerificationFailure("candidate almost split sequence splits")
-        if all(rep.right_leq(phi, g)[0] for phi in radb):
-            return g, (x, u)
-    raise VerificationFailure("no almost split sequence found")
+    if not all(rep.right_leq(end.basis.element(row), g)[0] for row in rad.B):
+        raise VerificationFailure("a radical endomorphism does not factor through the almost split map")
+    return g, (x, u)

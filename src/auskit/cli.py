@@ -222,14 +222,13 @@ def cmd_examples(args):
     return 0
 
 
-def _add_module_args(sp, with_format=True):
+def _add_module_args(sp):
     sp.add_argument("--algebra", required=True, help="catalog name or .alg file path")
     sp.add_argument("-c", "--C", dest="c", required=True,
                     help="module expression for C")
     sp.add_argument("-y", "--Y", dest="y", required=True,
                     help="module expression for Y")
-    if with_format:
-        sp.add_argument("--format", choices=("text", "json"), default="text")
+    sp.add_argument("--format", choices=("text", "json"), default="text")
 
 
 def build_parser():

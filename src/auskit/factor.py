@@ -85,24 +85,6 @@ class RightClass:
         )
 
 
-def _pushout_action(eds):
-    """End(K) on Ext^1(Y', K) in class coordinates (the free columns of the
-    coboundaries), applied to column vectors: psi: K_i -> K_j of the Hom basis
-    sends xi to psi o xi, a (j, i) block; cocycles.coords certifies the cocycle."""
-    off = np.cumsum([0] + [ed.dim for ed in eds])
-    mats = [np.zeros((0, off[-1], off[-1]), dtype=INT)]
-    for i, edi in enumerate(eds):
-        for j, edj in enumerate(eds):
-            hom = rep.hom_space(edi.k, edj.k)
-            rows = edj.cocycles.coords(rep._compose_rows(edi.cocycles, hom, True))
-            cls = edj.coboundaries.residues(rows)[:, edj.coboundaries.free()]
-            block = np.zeros((len(hom), off[-1], off[-1]), dtype=INT)
-            block[:, off[j] : off[j + 1], off[i] : off[i + 1]] = cls.reshape(
-                len(hom), len(edi.cocycles), edj.dim)[:, edi.coboundaries.free()].transpose(0, 2, 1)
-            mats.append(block)
-    return np.concatenate(mats)
-
-
 def _ext_submodules(eds, A):
     """For each End(K)-submodule U of Ext^1(Y', K), a list per kernel class of
     the cocycle rows of generators of U: the seeds g in U (each in one block)
@@ -112,7 +94,7 @@ def _ext_submodules(eds, A):
     The search is memoized in the algebra A."""
     off = np.cumsum([0] + [ed.dim for ed in eds])
     lifts = [np.array(ed.class_reps(), dtype=INT) for ed in eds]
-    nodes, seeds = lattice.graded_submodules(A, [ed.dim for ed in eds], _pushout_action(eds))
+    nodes, seeds = lattice.graded_submodules(A, [ed.dim for ed in eds], ar.pushout_action(eds))
     gens = sorted((-cg.dim, int(np.flatnonzero(g)[0]), g.tolist(), cg) for g, cg in seeds)
     rows = np.array([t[2] for t in gens], dtype=INT).reshape(len(gens), off[-1])
     for u in nodes:
@@ -272,21 +254,14 @@ class FactorizationLattice:
 
 
 def _assemble(A, incl, eds, combo):
-    """Compose the submodule inclusion with the extension given by the cocycles."""
-    parts = []
-    morphs = []
-    for ed, rows in zip(eds, combo):
-        for coords in rows:
-            parts.append(ed.k)
-            morphs.append(ed.cocycle(coords))
-    if not parts:
+    """Compose the submodule inclusion with the extension given by the
+    cocycles: xi: Omega -> K_1 ⊕ ... ⊕ K_m stacks their vertex blocks."""
+    xis = [ed.cocycle(coords) for ed, rows in zip(eds, combo) for coords in rows]
+    if not xis:
         return incl
-    ktotal, kincls, _ = rep.direct_sum(A, parts)
-    xi = rep.zero_morphism(eds[0].omega, ktotal)
-    for ki, m in zip(kincls, morphs):
-        xi = xi.add(ki.compose(m))
-    x, u, g = eds[0].realize(xi)
-    return incl.compose(g)
+    ktotal = rep.direct_sum(A, [c.tgt for c in xis])[0]
+    xi = rep.Morphism(eds[0].omega, ktotal, [np.concatenate(bs) for bs in zip(*(c.blocks for c in xis))])
+    return incl.compose(eds[0].realize(xi)[2])
 
 
 # -- forks, coforks, and the kernel comparison sequence ------------------------

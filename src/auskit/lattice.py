@@ -72,16 +72,16 @@ def dim_cap(p):
     """Largest coordinate dimension we will enumerate over F_p.
 
     Overridable through AUSKIT_CAPS, either a single integer or a
-    comma-separated list like "2:12,3:8".
+    comma-separated list like "2:12,3:8"; a negative cap is malformed.
     """
     env = os.environ.get("AUSKIT_CAPS", "").strip()
     if env:
         try:
-            if ":" not in env:
-                return int(env)
-            caps = dict(map(int, part.split(":")) for part in env.split(","))
+            caps = dict(map(int, part.split(":")) for part in env.split(",")) if ":" in env else {p: int(env)}
         except ValueError:
             raise ParseError("malformed AUSKIT_CAPS %r: want 12 or a list like 2:12,3:8" % env)
+        if min(caps.values()) < 0:
+            raise ParseError("malformed AUSKIT_CAPS %r: a cap cannot be negative" % env)
         if p in caps:
             return caps[p]
     if p in DEFAULT_DIM_CAPS:

@@ -167,6 +167,43 @@ def transpose_reference(m):
     return rep.cokernel(rep.Morphism(t0, t1, blocks).check())[0]
 
 
+def _omega_endo(ed, phi):
+    """Restriction to Omega Y of a lift of phi in End(Y) along the cover."""
+    ok, lift = rep.right_leq(phi.compose(ed.cover), ed.cover)
+    if not ok:
+        raise VerificationFailure("endomorphism does not lift to the cover")
+    ok, om = rep.right_leq(lift.compose(ed.incl), ed.incl)
+    if not ok:
+        raise VerificationFailure("lift does not restrict to the syzygy")
+    return om
+
+
+def almost_split_reference(y):
+    """g: E -> Y minimal right almost split, by search: a reference oracle for
+    ar.min_right_almost_split.  For projective Y this is rad Y -> Y;
+    otherwise each radical endomorphism of Y acts on Ext^1(Y, tau Y) through
+    its restriction to Omega Y, and the first line of Ext^1 that they all
+    kill, whose extension does not split and lets every radical endomorphism
+    factor, gives the almost split sequence."""
+    if len(rep.decompose(y)) != 1:
+        raise VerificationFailure("minimal right almost split maps need an indecomposable target")
+    if ar.is_projective(y):
+        return rep.rad(y)[1], None
+    ed = ar.ExtData(y, ar.tau(y))
+    end, rad = rep.end_radical(y)
+    radb = [end.basis.element(row) for row in rad.B]
+    acts = [rep.hom_matrix_precompose(ed.cocycles, _omega_endo(ed, phi), ed.cocycles) for phi in radb]
+    reps_ = np.array(ed.class_reps(), dtype=INT).reshape(-1, len(ed.cocycles))
+    for v in ffmat.projective_points(len(reps_), y.p):  # one representative per scalar line
+        coords = (v @ reps_) % y.p
+        if ed.coboundaries.residues(np.array([a @ coords for a in acts]).reshape(-1, len(coords))).any():
+            continue
+        x, u, g = ed.realize(ed.cocycle(coords))
+        if not rep.is_split_epi(g) and all(rep.right_leq(phi, g)[0] for phi in radb):
+            return g, (x, u)
+    raise VerificationFailure("no almost split sequence found")
+
+
 def poly_eval_mat(c, a, p):
     """The polynomial with ascending coefficients c at the square matrix a (Horner)."""
     n = a.shape[0]

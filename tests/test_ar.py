@@ -6,7 +6,7 @@ import pytest
 from auskit import ar, catalog, rep
 from auskit import kronecker as kr
 from auskit.errors import VerificationFailure
-from helpers import transpose_reference
+from helpers import almost_split_reference, transpose_reference
 
 
 def dv(m):
@@ -78,22 +78,48 @@ def _assert_transpose_matches_reference(mods):
             assert ar.transpose(x).key() == transpose_reference(x).key(), name
 
 
-def test_transpose_matches_reference_on_catalog_summands():
-    # the random-basis digest pins Tr only on kron2, loop-b and k[x]/x^3
+def _catalog_summands():
+    """(label, summand) for each indecomposable summand of each catalog instance's C and Y."""
     mods = []
     for name in catalog.instance_names():
         _, c, y = catalog.resolve_instance(name)
         mods += [("%s %s %s" % (name, side, s), s)
                  for side, m in (("C", c), ("Y", y)) for s, _, _ in rep.decompose(m)]
+    return mods
+
+
+def _kron2_over_f3():
+    A = kr.kronecker_algebra(2, 3)
+    mods = [("P%d" % i, kr.kP(A, i)) for i in range(6)] + [("Q%d" % j, kr.kQ(A, j)) for j in range(6)]
+    return mods + [("R[%s,%d]" % (lab, t), kr.kR(A, lab, t)) for lab in (0, 1, 2, "inf", (1, 0, 1)) for t in (1, 2)]
+
+
+def test_transpose_matches_reference_on_catalog_summands():
+    # the random-basis digest pins Tr only on kron2, loop-b and k[x]/x^3
+    mods = _catalog_summands()
     assert len(mods) == 56
     _assert_transpose_matches_reference(mods)
 
 
 def test_transpose_matches_reference_on_kron2_over_f3():
-    A = kr.kronecker_algebra(2, 3)
-    mods = [("P%d" % i, kr.kP(A, i)) for i in range(6)] + [("Q%d" % j, kr.kQ(A, j)) for j in range(6)]
-    mods += [("R[%s,%d]" % (lab, t), kr.kR(A, lab, t)) for lab in (0, 1, 2, "inf", (1, 0, 1)) for t in (1, 2)]
-    _assert_transpose_matches_reference(mods)
+    _assert_transpose_matches_reference(_kron2_over_f3())
+
+
+def test_transpose_solves_only_the_systems_of_the_summands(monkeypatch, kron3):
+    # Hom(P(a)^2, P(b)) has 6 unknowns, each Hom(P(a), P(b)) only 3
+    m = rep.direct_sum(kron3, [kron3.simple("a")] * 2)[0]
+    want = ar.transpose(m).key()
+    monkeypatch.setattr(rep, "MAX_HOM_UNKNOWNS", 4)
+    assert ar.transpose(m).key() == want
+
+
+def test_tau_keeps_nothing_of_the_cover_in_the_memo():
+    A = catalog.load_catalog_algebra.__wrapped__("kron3")  # a fresh memo
+    m = rep.direct_sum(A, [A.simple("b")] * 3)[0]
+    ar.tau(m)
+    p0 = ar.proj_cover(m)[0]
+    assert dv(p0) == (9, 3)
+    assert ("gens", p0.key()) not in A._memo
 
 
 def test_dual_swaps_proj_inj(a3rad):
@@ -186,3 +212,28 @@ def test_min_right_almost_split_uniserial(uni4):
     assert dv(g.src) == (4,)
     parts = rep.decompose(g.src)
     assert sorted(dv(s) for s, _, _ in parts) == [(1,), (3,)]
+
+
+def _assert_almost_split_matches_reference(mods):
+    for name, m in mods:
+        g, _ = ar.min_right_almost_split(m)
+        assert rep.right_equivalent(g, almost_split_reference(m)[0]), name
+        assert rep.is_isomorphic(rep.kernel(g)[0], ar.tau(m)), name
+
+
+def test_almost_split_matches_reference_on_catalog_summands():
+    mods = {}
+    for name, s in _catalog_summands():
+        mods.setdefault((s.A.name, s.key()), (name, s))  # one per content
+    assert len(mods) == 39
+    assert ("kron3", (8, 3)) in {(s.A.name, dv(s)) for _, s in mods.values()}
+    _assert_almost_split_matches_reference(mods.values())
+
+
+def test_almost_split_matches_reference_on_kron2_over_f3():
+    _assert_almost_split_matches_reference(_kron2_over_f3())
+
+
+def test_almost_split_refuses_a_decomposable_target(kron2):
+    with pytest.raises(VerificationFailure, match="indecomposable target"):
+        ar.min_right_almost_split(rep.direct_sum(kron2, [kron2.simple("b")] * 2)[0])

@@ -276,6 +276,19 @@ def test_malformed_caps_exit_code(monkeypatch, capsys, caps):
     assert "error: malformed AUSKIT_CAPS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,caps", [(["--max-dim", "-3"], None), ([], "2:-1"), ([], "-2")],
+                         ids=["max-dim", "per-prime", "single"])
+def test_negative_cap_exit_code(monkeypatch, capsys, argv, caps):
+    # a negative cap is malformed input (exit 2), not an exceeded cap (exit 3)
+    if caps is None:
+        monkeypatch.delenv("AUSKIT_CAPS", raising=False)
+    else:
+        monkeypatch.setenv("AUSKIT_CAPS", caps)
+    assert cli.main(argv + ["lattice", "--algebra", "kron2", "-c", "kP(2)", "-y", "kQ(0)"]) == 2
+    assert "error: malformed AUSKIT_CAPS" in capsys.readouterr().err
+    assert os.environ.get("AUSKIT_CAPS") == caps
+
+
 @pytest.mark.parametrize("c,message", [
     pytest.param("kR(%s, 1)" % label, "error: tube label", id=label) for label in ("7", "2", "x")
 ] + [

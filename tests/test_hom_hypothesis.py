@@ -2,7 +2,9 @@
 representations drawn by hypothesis: kron2 and loop-b over F_2 and F_3, at
 most 2 at each vertex.  derandomize=True draws the same cases on every run.
 On the same modules, the translates and the transpose invert each other away
-from the projective summands.
+from the projective summands, and the almost split map ending at each
+indecomposable non-projective summand agrees with the search of
+almost_split_reference.
 
 For modules X, Z, Y every vertexwise linear map is enumerated and kept when
 it intertwines; right_leq(f, g) for f: X -> Y, g: Z -> Y and left_leq(f, u)
@@ -13,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from auskit import algebra, ar, rep
-from helpers import all_maps
+from helpers import all_maps, almost_split_reference
 
 KRON2 = "field %d\nvertices a b\narrow x b a\narrow y b a\n"
 LOOP_B = "field %d\nvertices a b\narrow alpha a a\narrow beta b a\nrelation alpha*alpha\n"
@@ -104,3 +106,15 @@ def test_tau_and_transpose_invert_away_from_projectives(mods):
         return
     assert rep.is_isomorphic(ar.tau_minus(ar.tau(m)), m)
     assert rep.is_isomorphic(ar.transpose(ar.transpose(m)), m)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(range(len(ALGEBRAS))).flatmap(lambda k: _modules(ALGEBRAS[k], count=1)))
+def test_almost_split_maps_match_the_search(mods):
+    m, = mods
+    for s, _, _ in rep.decompose(m):
+        if ar.is_projective(s):
+            continue
+        g, _ = ar.min_right_almost_split(s)
+        assert rep.right_equivalent(g, almost_split_reference(s)[0])
+        assert rep.is_isomorphic(rep.kernel(g)[0], ar.tau(s))

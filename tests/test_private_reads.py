@@ -11,10 +11,9 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "auskit"
 
 # reader module -> the private names of other modules it reads
 ALLOWED = {
-    "ar": {"rep._generator_system", "rep._last_nonzero", "rep._vertex_blocks"},
+    "ar": {"rep._compose_rows", "rep._generator_system", "rep._last_nonzero", "rep._vertex_blocks"},
     "determine": {"rep._compose_rows"},
-    "factor": {"determine._rad_is_projective", "determine._socle_witness", "determine._strict_by_hom",
-               "rep._compose_rows"},
+    "factor": {"determine._rad_is_projective", "determine._socle_witness", "determine._strict_by_hom"},
     "lattice": {"rep._sub_rep"},
 }
 
